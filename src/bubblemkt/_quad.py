@@ -1,6 +1,6 @@
 """Quadrature plumbing shared across the package.
 
-Two tools live here:
+Three tools live here:
 
 * :class:`PanelRule` integrates grid-sampled functions on a fixed,
   nonuniform grid with a local-cubic rule (O(h^4) globally), giving fast
@@ -11,6 +11,8 @@ Two tools live here:
   adaptive quadrature stalls on integrable endpoint singularities and
   silently truncates nonintegrable ones; the shell ladder makes the decay
   rate observable.
+* :func:`monotone_inverse` inverts increasing functions pointwise with a
+  safeguarded Newton iteration; every root solve in the package uses it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ import numpy as np
 
 _GL5_X, _GL5_W = np.polynomial.legendre.leggauss(5)
 _GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
+
+_ULPS = 4.0 * np.finfo(float).eps  # root-finder stopping width, relative
+_MAX_NEWTON_STEPS = 200
 
 CONVERGED = "converged"
 DIVERGENT = "divergent"
@@ -205,20 +210,52 @@ def integrate_toward(
     return ShellIntegral(total, INDETERMINATE, k + 1, last)
 
 
-def monotone_inverse(fn, lo: float, hi: float, targets: np.ndarray, iters: int = 80) -> np.ndarray:
-    """Vectorized bisection inverse of an increasing function on [lo, hi).
+def monotone_inverse(fn, dfn, lo, hi, targets: np.ndarray) -> np.ndarray:
+    """Vectorized inverse of increasing functions on [lo, hi): safeguarded
+    Newton (rtsafe, Numerical Recipes section 9.4).
 
-    ``fn`` is never evaluated at ``hi`` itself, so it may blow up there.
+    Point ``i`` solves ``fn(x, i) = targets[i]``; ``fn(x, idx)`` and
+    ``dfn(x, idx)`` evaluate the function and its derivative of the points
+    ``idx`` at ``x``, so the iteration only touches unconverged points.
+    ``lo`` and ``hi`` are scalars or per-point arrays.  Each evaluation
+    shrinks the bracket; a Newton step that would leave it, or that fails
+    to halve the step before last, becomes a bisection step.  A point stops
+    once its raw Newton step or its bracket is within a few ulps of the
+    bracket's magnitude.  ``fn`` is never evaluated at ``hi``, so it may
+    blow up there.
     """
     targets = np.asarray(targets, dtype=float)
-    low = np.full(targets.shape, lo, dtype=float)
-    high = np.full(targets.shape, hi, dtype=float)
-    for _ in range(iters):
-        mid = 0.5 * (low + high)
-        below = fn(mid) < targets
-        low = np.where(below, mid, low)
-        high = np.where(below, high, mid)
-    return 0.5 * (low + high)
+    out = np.empty(targets.shape)
+    idx = np.arange(targets.size)
+    tgt = targets.ravel()
+    low = np.broadcast_to(np.asarray(lo, dtype=float), targets.shape).ravel()
+    high = np.broadcast_to(np.asarray(hi, dtype=float), targets.shape).ravel()
+    x = 0.5 * (low + high)
+    dx = dx_old = high - low
+    for _ in range(_MAX_NEWTON_STEPS):
+        resid = fn(x, idx) - tgt
+        below = resid < 0.0
+        low = np.where(below, x, low)
+        high = np.where(below, high, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = resid / dfn(x, idx)
+        newton = x - step
+        tol = _ULPS * np.maximum(np.abs(low), np.abs(high))
+        done = (resid == 0.0) | (np.abs(step) <= tol) | (high - low <= tol)
+        if np.any(done):
+            inside = (newton >= low) & (newton <= high)
+            out.flat[idx[done]] = np.where(inside, newton, x)[done]
+            keep = ~done
+            if not np.any(keep):
+                return out
+            idx, tgt, x, low, high = idx[keep], tgt[keep], x[keep], low[keep], high[keep]
+            dx, dx_old, step, newton = dx[keep], dx_old[keep], step[keep], newton[keep]
+        # comparisons with a NaN step are false, so a NaN step bisects
+        bisect = ~((newton > low) & (newton < high) & (np.abs(step) <= 0.5 * dx_old))
+        dx_old, dx = dx, np.where(bisect, 0.5 * (high - low), np.abs(step))
+        x = np.where(bisect, 0.5 * (low + high), newton)
+    out.flat[idx] = x
+    return out
 
 
 def _vectorized(f):

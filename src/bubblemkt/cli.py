@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import argparse
 import copy
+import io
 import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -177,7 +177,10 @@ def _run_classify(scenario: dict, args, out) -> int:
 def _solve(scenario: dict, args) -> sv.Solution:
     model = build_model(scenario)
     prefs = build_preference(scenario)
-    kwargs = {"n_grid": int(args.grid or scenario["grid"].get("n", 512))}
+    n_grid = int(args.grid if args.grid is not None else scenario["grid"].get("n", 512))
+    if n_grid < 4:
+        raise ScenarioError(f"solver grid needs at least 4 points, got {n_grid}")
+    kwargs = {"n_grid": n_grid}
     if args.tol is not None:
         kwargs["tol"] = args.tol
     return sv.solve_optimal(model, prefs, **kwargs)
@@ -232,12 +235,15 @@ def _run_welfare(scenario: dict, args, out) -> int:
 def _run_simulate(scenario: dict, args, out) -> int:
     model = build_model(scenario)
     sim = scenario["sim"]
-    seed = args.seed if args.seed is not None else sim.get("seed", 0)
-    cfg = mc.SimConfig(
-        n_paths=int(args.paths or sim.get("n_paths", 100_000)),
-        n_steps=int(sim.get("n_steps", 1024)),
-        seed=int(seed),
-    )
+    n_paths = args.paths if args.paths is not None else sim.get("n_paths", 100_000)
+    try:
+        cfg = mc.SimConfig(
+            n_paths=int(n_paths),
+            n_steps=int(sim.get("n_steps", 1024)),
+            seed=int(sim.get("seed", 0)),
+        )
+    except ValueError as exc:
+        raise ScenarioError(f"bad simulation settings: {exc}") from exc
     estimand_name = sim.get("estimand", "terminal_price")
     if estimand_name == "terminal_price":
         estimand = mc.TerminalPrice()
@@ -298,26 +304,16 @@ def _run_sweep(scenario: dict, args, out) -> int:
     if inner not in _COMMANDS:
         raise ScenarioError(f"sweep cannot wrap command {inner!r}")
     base_seed = int(scenario["sim"].get("seed", 0))
-
-    def run_point(index_value):
-        index, value = index_value
+    # buffered, so a failing point leaves no partial output
+    buf = io.StringIO()
+    status = 0
+    for index, value in enumerate(sweep["values"]):
         point = copy.deepcopy(scenario)
         _set_path(point, sweep["parameter"], value)
         point["sim"]["seed"] = base_seed + index
-        import io
-
-        buf = io.StringIO()
-        code = _COMMANDS[inner](point, args, buf)
-        return code, buf.getvalue()
-
-    values = list(sweep["values"])
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(values)))) as pool:
-        results = list(pool.map(run_point, enumerate(values)))
-    status = 0
-    for value, (code, text) in zip(values, results):
-        out.write(f"# {sweep['parameter']} = {_fmt(value)}\n")
-        out.write(text)
-        status = max(status, code)
+        buf.write(f"# {sweep['parameter']} = {_fmt(value)}\n")
+        status = max(status, _COMMANDS[inner](point, args, buf))
+    out.write(buf.getvalue())
     return status
 
 

@@ -136,7 +136,8 @@ class TiltedMeasure:
         inner = solvable & (w < cap)
         if np.any(inner):
             out[inner] = monotone_inverse(
-                lambda x: np.asarray(self._total_interp(x)),
+                lambda x, _: np.asarray(self._total_interp(x)),
+                lambda x, _: self.hazard(x),
                 float(self.grid[0]),
                 float(self.grid[-1]),
                 w[inner],

@@ -314,8 +314,10 @@ class LPPLHazard(CrashHazard):
         else:
             solvable = np.ones(arr.shape, dtype=bool)
         if np.any(solvable):
+            # d/dt of the cumulative hazard is the hazard
             out[solvable] = monotone_inverse(
-                lambda x: np.asarray(self.cumulative_hazard(x)),
+                lambda x, _: np.asarray(self.cumulative_hazard(x)),
+                lambda x, _: np.asarray(self.hazard(x)),
                 0.0,
                 self.horizon,
                 w[solvable],
@@ -382,7 +384,11 @@ class TabulatedHazard(CrashHazard):
         solvable = w < -math.log(self._atom)
         if np.any(solvable):
             out[solvable] = monotone_inverse(
-                lambda x: np.asarray(self._cum(x)), 0.0, self.horizon, w[solvable]
+                lambda x, _: np.asarray(self._cum(x)),
+                lambda x, _: np.asarray(self._haz(x)),
+                0.0,
+                self.horizon,
+                w[solvable],
             )
         return _ret(out, scalar)
 

@@ -236,6 +236,7 @@ def _estimate_terminal_price(model: MarketModel, cfg: SimConfig) -> EstimatorRes
     start = time.perf_counter()
     stats = _Welford()
     running_max = -math.inf
+    prices = []  # every terminal price, for the tail count once the mean is known
     n_pairs, leftover = divmod(cfg.n_paths, 2)
     blocks = _block_plan(n_pairs, leftover, _TERMINAL_BLOCK_PAIRS)
     for block, (pairs, singles) in enumerate(blocks):
@@ -250,19 +251,9 @@ def _estimate_terminal_price(model: MarketModel, cfg: SimConfig) -> EstimatorRes
             stats.merge(0.5 * (plus[:pairs] + minus[:pairs]))
         if singles:
             stats.merge(plus[pairs:])
+        prices += [plus, minus[:pairs]]
     mean = stats.mean
-    # second deterministic pass for the heavy-tail diagnostic
-    tail_count = 0
-    for block, (pairs, singles) in enumerate(blocks):
-        rng = _block_rng(cfg.seed, block)
-        count = pairs + singles
-        u = rng.random(count)
-        z = rng.standard_normal(count)
-        gam = np.asarray(model.hazard.inverse_cdf(u))
-        plus, minus = _terminal_price_values(model, gam, z)
-        tail_count += int(np.sum(plus > 10.0 * mean))
-        if pairs:
-            tail_count += int(np.sum(minus[:pairs] > 10.0 * mean))
+    tail_count = sum(int(np.count_nonzero(v > 10.0 * mean)) for v in prices)
     diagnostics = {
         "sample_max": running_max,
         "tail_fraction_above_10x_mean": tail_count / cfg.n_paths,

@@ -13,10 +13,11 @@ built from the auxiliary functions
     n(t, y) = -(1-p) (phi' y)^2 / (2 p^2 sigma^2) + kappa (b - 1).
 
 m(t, .) increases strictly above the boundary where it vanishes, so the
-equation inverts pointwise; the solve brackets the curve between explicit
-backward upper/lower solutions and iterates a damped, clamped fixed point,
-with a backward ODE integration as fallback.  Log utility (p = 1) has a
-quadratic closed form and no hedging component.
+equation inverts pointwise with a safeguarded Newton iteration; the solve
+brackets the curve between explicit backward upper/lower solutions and
+iterates a damped fixed point, which either converges or raises
+:class:`SolverError`.  Log utility (p = 1) has a quadratic closed form and
+no hedging component.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Optional
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from ._quad import CONVERGED, PanelRule, clustered_grid, integrate_toward
+from ._quad import CONVERGED, PanelRule, clustered_grid, integrate_toward, monotone_inverse
 from .hazard import DomainError, MarketModel, ModelError, validate
 
 TERMINAL_CLIP_FRACTION = 1e-6  # grid stops at T (1 - this)
@@ -91,12 +92,13 @@ class _Coef:
         self.ddlt = np.asarray(model.ddelta(t))
 
 
-def _aux_a(c: _Coef, y: np.ndarray) -> np.ndarray:
-    return 1.0 - c.dlt * (c.mu - c.phi_p * y) / c.sig2p
+# ``i`` selects the grid points that ``y`` belongs to (all by default)
+def _aux_a(c: _Coef, y: np.ndarray, i=...) -> np.ndarray:
+    return 1.0 - c.dlt[i] * (c.mu - c.phi_p[i] * y) / c.sig2p
 
 
-def _aux_m(c: _Coef, y: np.ndarray) -> np.ndarray:
-    return np.maximum(1.0 + y, 0.0) ** (1.0 / c.p) * _aux_a(c, y)
+def _aux_m(c: _Coef, y: np.ndarray, i=...) -> np.ndarray:
+    return np.maximum(1.0 + y, 0.0) ** (1.0 / c.p) * _aux_a(c, y, i)
 
 
 def _aux_n(c: _Coef, y: np.ndarray) -> np.ndarray:
@@ -105,9 +107,9 @@ def _aux_n(c: _Coef, y: np.ndarray) -> np.ndarray:
     return -(1.0 - c.p) * (c.phi_p * y) ** 2 / (2.0 * c.p * c.sig2p) + c.kap * (b - 1.0)
 
 
-def _aux_dm_dy(c: _Coef, y: np.ndarray) -> np.ndarray:
-    a = _aux_a(c, y)
-    da = c.dlt * c.phi_p / c.sig2p
+def _aux_dm_dy(c: _Coef, y: np.ndarray, i=...) -> np.ndarray:
+    a = _aux_a(c, y, i)
+    da = c.dlt[i] * c.phi_p[i] / c.sig2p
     one_plus = np.maximum(1.0 + y, 1e-300)
     return one_plus ** (1.0 / c.p) * (a / (c.p * one_plus) + da)
 
@@ -152,12 +154,12 @@ def aux_eval(model: MarketModel, prefs: Preference, t: float, y: float) -> AuxEv
     return AuxEval(a, b, m, n, da_dy, dm_dy, dn_dy, da_dt)
 
 
-def _implicit_many(c: _Coef, model: MarketModel, prefs: Preference, targets: np.ndarray) -> np.ndarray:
+def _implicit_many(c: _Coef, targets: np.ndarray) -> np.ndarray:
     """Solve m(t_i, y_i) = f_i for each grid point, f_i > 0.
 
-    Bisection on [boundary, growth bound] then Newton polish; the upper
-    seed comes from the growth bounds y <= (2f)^p when
-    phi' <= p sigma^2 kappa / (2 mu), else y <= max(f^p, mu/phi').
+    Safeguarded Newton on [boundary, growth bound]; the upper end comes
+    from the growth bounds y <= (2f)^p when phi' <= p sigma^2 kappa / (2 mu),
+    else y <= max(f^p, mu/phi'), doubled until it encloses the root.
     """
     f = np.asarray(targets, dtype=float)
     if np.any(f <= 0.0):
@@ -168,50 +170,32 @@ def _implicit_many(c: _Coef, model: MarketModel, prefs: Preference, targets: np.
     flat = c.phi_p == 0.0
     if np.any(flat):
         out[flat] = f[flat] ** p - 1.0
-    active = ~flat
-    if not np.any(active):
+    act = np.flatnonzero(~flat)
+    if act.size == 0:
         return out
 
-    phi_p = c.phi_p[active]
-    kap = c.kap[active]
-    fa = f[active]
+    phi_p = c.phi_p[act]
+    kap = c.kap[act]
+    fa = f[act]
     lo = np.maximum(-1.0, mu / phi_p - sig2p * kap / phi_p**2)
     small = phi_p <= sig2p * kap / (2.0 * mu)
     hi = np.where(small, (2.0 * fa) ** p, np.maximum(fa**p, mu / phi_p))
     hi = hi + 1.0  # slack over the growth bound
 
-    sub = _CoefView(c, active)
     for _ in range(64):
-        bad = _aux_m(sub, hi) < fa
+        bad = _aux_m(c, hi, act) < fa
         if not np.any(bad):
             break
         hi = np.where(bad, lo + 2.0 * (hi - lo), hi)
 
-    low, high = lo.copy(), hi.copy()
-    for _ in range(64):
-        mid = 0.5 * (low + high)
-        below = _aux_m(sub, mid) < fa
-        low = np.where(below, mid, low)
-        high = np.where(below, high, mid)
-    y = 0.5 * (low + high)
-    for _ in range(3):
-        resid = _aux_m(sub, y) - fa
-        step = resid / np.maximum(_aux_dm_dy(sub, y), 1e-300)
-        y = np.clip(y - step, low, high)
-    out[active] = y
+    out[act] = monotone_inverse(
+        lambda y, i: _aux_m(c, y, act[i]),
+        lambda y, i: _aux_dm_dy(c, y, act[i]),
+        lo,
+        hi,
+        fa,
+    )
     return out
-
-
-class _CoefView:
-    """Masked view of a _Coef, so the implicit solve can work on subsets."""
-
-    def __init__(self, c: _Coef, mask: np.ndarray):
-        self.mu = c.mu
-        self.sig2p = c.sig2p
-        self.p = c.p
-        self.phi_p = c.phi_p[mask]
-        self.kap = c.kap[mask]
-        self.dlt = c.dlt[mask]
 
 
 def implicit_solve(model: MarketModel, prefs: Preference, t: float, target: float) -> float:
@@ -219,7 +203,7 @@ def implicit_solve(model: MarketModel, prefs: Preference, t: float, target: floa
     if target <= 0.0:
         raise DomainError("target must be positive")
     c = _Coef(model, prefs.p, np.array([float(t)]))
-    return float(_implicit_many(c, model, prefs, np.array([float(target)]))[0])
+    return float(_implicit_many(c, np.array([float(target)]))[0])
 
 
 @dataclass(frozen=True)
@@ -263,7 +247,7 @@ def myopic_curve(model: MarketModel, prefs: Preference, grid: np.ndarray) -> Cur
         raise DomainError("positive instantaneous expected return required")
     grid = np.asarray(grid, dtype=float)
     c = _Coef(model, prefs.p, grid)
-    vals = _implicit_many(c, model, prefs, np.ones_like(grid))
+    vals = _implicit_many(c, np.ones_like(grid))
     return Curve(grid, vals)
 
 
@@ -275,8 +259,8 @@ def bracket_curves(model: MarketModel, prefs: Preference, grid: np.ndarray) -> t
     grid = np.asarray(grid, dtype=float)
     c = _Coef(model, prefs.p, grid)
     lo_t, hi_t = _bracket_targets(prefs, model, grid)
-    lo = _implicit_many(c, model, prefs, lo_t)
-    hi = _implicit_many(c, model, prefs, hi_t)
+    lo = _implicit_many(c, lo_t)
+    hi = _implicit_many(c, hi_t)
     return Curve(grid, lo), Curve(grid, hi)
 
 
@@ -366,7 +350,7 @@ def _terminal_tail(model: MarketModel, prefs: Preference, t_end: float) -> float
     def integrand(u):
         u = np.asarray(u, dtype=float)
         c = _Coef(model, prefs.p, u)
-        ym = _implicit_many(c, model, prefs, np.ones_like(u))
+        ym = _implicit_many(c, np.ones_like(u))
         return _aux_n(c, ym)
 
     res = integrate_toward(integrand, t_end, model.horizon, rtol=1e-12)
@@ -390,10 +374,11 @@ def solve_optimal(
     """Solve the integral equation and package the optimal strategy.
 
     Damped fixed point: propose y from the pointwise inversion of
-    m = exp(-int n) with n integrated along the current curve, clamp into
-    the moving brackets, average with the previous iterate.  Non-convergence
-    falls back to backward ODE integration from the horizon (where
-    m(t, y(t)) -> 1 pins the value) plus one inversion polish.
+    m = exp(-int n) with n integrated along the current curve (safeguarded
+    Newton, see :func:`_quad.monotone_inverse`) and average with the
+    previous iterate.  A fixed point that does not converge within
+    ``max_iter`` sweeps, or leaves a residual above ``residual_tol``,
+    raises :class:`SolverError`.
     """
     if model.mu <= 0:
         raise DomainError("positive instantaneous expected return required")
@@ -402,24 +387,18 @@ def solve_optimal(
         raise ModelError(f"model failed validation: {report.violations[0]}")
 
     grid = _solver_grid(model, n_grid)
+    lower, upper = bracket_curves(model, prefs, grid)
     c = _Coef(model, prefs.p, grid)
     rule = PanelRule(grid)
-    lo_t, hi_t = _bracket_targets(prefs, model, grid)
-    lower = _implicit_many(c, model, prefs, lo_t)
-    upper = _implicit_many(c, model, prefs, hi_t)
     tail = _terminal_tail(model, prefs, float(grid[-1]))
 
     if prefs.log_utility and use_log_closed_form:
         y = np.asarray(log_utility_solution(model, grid))
         method, iterations = "log_closed_form", 0
     else:
-        y, iterations, converged = _fixed_point(
-            c, model, prefs, rule, lower, upper, lo_t, hi_t, tail, tol, max_iter
-        )
+        band = _bracket_targets(prefs, model, grid)
+        y, iterations = _fixed_point(c, rule, lower.values, band, tail, tol, max_iter)
         method = "fixed_point"
-        resid = _residual_profile(c, rule, y, tail)
-        if not converged or float(np.max(resid)) > residual_tol:
-            y, method = _ode_fallback(c, model, prefs, grid, rule, lower, upper, tail), "ode_fallback"
 
     resid = _residual_profile(c, rule, y, tail)
     if float(np.max(resid)) > residual_tol:
@@ -436,8 +415,8 @@ def solve_optimal(
         preference=prefs,
         grid=grid,
         tilt=Curve(grid, y),
-        lower=Curve(grid, lower),
-        upper=Curve(grid, upper),
+        lower=lower,
+        upper=upper,
         residuals=resid,
         m_start=m_start,
         dual_mult=zh,
@@ -448,13 +427,13 @@ def solve_optimal(
     )
 
 
-def _fixed_point(c, model, prefs, rule, lower, upper, lo_t, hi_t, tail, tol, max_iter):
+def _fixed_point(c, rule, y0, band, tail, tol, max_iter):
     # targets are clipped into the bracket-target band before exponentiating,
     # which keeps intermediate sweeps representable even when the band spans
     # many orders of magnitude; damping adapts to the observed map stiffness
-    tmin = np.minimum(lo_t, hi_t)
-    tmax = np.maximum(lo_t, hi_t)
-    y = lower.copy()
+    tmin = np.minimum(*band)
+    tmax = np.maximum(*band)
+    y = y0.copy()
     damping = 0.5
     prev_y = None
     prev_prop = None
@@ -462,7 +441,7 @@ def _fixed_point(c, model, prefs, rule, lower, upper, lo_t, hi_t, tail, tol, max
         integral = rule.cumulative_to_right(_aux_n(c, y)) + tail
         with np.errstate(over="ignore", under="ignore"):
             target = np.clip(np.exp(-integral), tmin, tmax)
-        prop = _implicit_many(c, model, prefs, target)
+        prop = _implicit_many(c, target)
         if prev_y is not None:
             dy = float(np.max(np.abs(y - prev_y)))
             dprop = float(np.max(np.abs(prop - prev_prop)))
@@ -473,48 +452,17 @@ def _fixed_point(c, model, prefs, rule, lower, upper, lo_t, hi_t, tail, tol, max
         defect = float(np.max(np.abs(prop - y)))  # undamped fixed-point defect
         y = y + damping * (prop - y)
         if defect <= tol * (1.0 + float(np.max(np.abs(y)))):
-            return y, it, True
-    return y, max_iter, False
+            return y, it
+    raise SolverError(
+        f"fixed point did not converge in {max_iter} sweeps "
+        f"(last defect {defect:.3e})",
+        residuals=_residual_profile(c, rule, y, tail),
+    )
 
 
 def _residual_profile(c, rule, y, tail):
     integral = rule.cumulative_to_right(_aux_n(c, y)) + tail
     return np.abs(_aux_m(c, y) * np.exp(integral) - 1.0)
-
-
-def _ode_fallback(c, model, prefs, grid, rule, lower, upper, tail):
-    from scipy.integrate import solve_ivp
-
-    t_end = float(grid[-1])
-    y_end = float(
-        _implicit_many(
-            _Coef(model, prefs.p, np.array([t_end])), model, prefs, np.array([math.exp(-tail)])
-        )[0]
-    )
-
-    def rhs(t, yv):
-        floor = lower_boundary(model, prefs, float(t))
-        yy = max(float(yv[0]), floor + 1e-10 * (1.0 + abs(floor)))
-        ev = aux_eval(model, prefs, float(t), yy)
-        denom = ev.a / (prefs.p * (1.0 + yy)) + ev.da_dy
-        return [(ev.a * ev.n - ev.da_dt) / denom]
-
-    sol = solve_ivp(
-        rhs,
-        (t_end, 0.0),
-        [y_end],
-        t_eval=grid[::-1],
-        rtol=1e-10,
-        atol=1e-12,
-        method="RK45",
-    )
-    if not sol.success:
-        raise SolverError(f"ODE fallback failed: {sol.message}")
-    y = np.clip(sol.y[0][::-1], lower, upper)
-    # one inversion polish against the integrated curve
-    integral = rule.cumulative_to_right(_aux_n(c, y)) + tail
-    target = np.exp(-integral)
-    return np.clip(_implicit_many(c, model, prefs, target), lower, upper)
 
 
 def _dual_multiplier_value(model: MarketModel, prefs: Preference, m_start: float) -> float:

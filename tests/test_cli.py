@@ -154,8 +154,45 @@ class TestSweep:
         blocks_rev = [b for b in out_rev.split("# ") if b.strip()]
         assert blocks_fwd == blocks_rev[::-1]
 
+    def test_seed_override_offsets_each_point(self, tmp_path, capsys):
+        payload = dict(EX37)
+        payload["sim"] = {"n_paths": 1000, "estimand": "terminal_price"}
+        payload["sweep"] = {
+            "parameter": "market.sigma",
+            "values": [0.1, 0.2, 0.3],
+            "command": "simulate",
+        }
+        path = write_scenario(tmp_path, payload)
+        code, out, _ = run_cli(["sweep", "--scenario", path, "--seed", "5"], capsys)
+        assert code == 0
+        blocks = [b for b in out.split("# ") if b.strip()]
+        seeds = [int(parse_csv(b.split("\n", 1)[1])[0]["seed"]) for b in blocks]
+        assert seeds == [5, 6, 7]
+
 
 class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "command, flags, payload",
+        [
+            ("simulate", ["--paths", "0"], {}),
+            ("simulate", ["--paths", "-5"], {}),
+            ("solve", ["--grid", "0"], {}),
+            ("solve", ["--grid", "3"], {}),
+            ("simulate", [], {"sim": {"n_paths": 0}}),
+            ("simulate", [], {"sim": {"n_paths": -5}}),
+            ("solve", [], {"grid": {"n": 0}}),
+            ("solve", [], {"grid": {"n": 3}}),
+        ],
+        ids=["paths0", "paths-5", "grid0", "grid3",
+             "sim.n_paths0", "sim.n_paths-5", "grid.n0", "grid.n3"],
+    )
+    def test_bad_counts(self, tmp_path, capsys, command, flags, payload):
+        path = write_scenario(tmp_path, payload)
+        code, out, err = run_cli([command, "--scenario", path, *flags], capsys)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR code=1 kind=parse")
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run_cli(["classify", "--scenario", str(tmp_path / "nope.json")], capsys)
         assert code == 1

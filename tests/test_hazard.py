@@ -30,6 +30,7 @@ from bubblemkt import (
     validate,
 )
 from bubblemkt._quad import integrate_toward
+from bubblemkt.elmm import build_tilted_measure, constant_tilt
 
 
 class TestHazardRate:
@@ -311,8 +312,15 @@ class TestTabulated:
         UniformHazard(1.0),
         ExponentialCutoffHazard(1.0, 1.0),
         LPPLHazard(b=1.2, c=0.3, power=0.4, omega=6.0, phase=0.5, horizon=1.0),
+        TabulatedHazard(np.linspace(0, 1, 41), 1 - np.exp(-np.linspace(0, 1, 41))),
+        # no atom, and kappa unbounded at the horizon
+        LPPLHazard(b=1.2, c=0.3, power=-0.3, omega=6.0, phase=0.5, horizon=1.0),
+        build_tilted_measure(
+            MarketModel(0.1, 0.2, ExponentialCutoffHazard(1.0, 1.0), ConstantExcess(0.2)),
+            constant_tilt(0.5),
+        ),
     ],
-    ids=["uniform", "expcut", "lppl"],
+    ids=["uniform", "expcut", "lppl", "tabulated", "lppl-singular", "tilted"],
 )
 @given(u=st.floats(1e-6, 1 - 1e-6))
 def test_inverse_cdf_round_trip(law, u):

@@ -27,7 +27,7 @@ from bubblemkt import (
 )
 from bubblemkt.elmm import TiltFunction, build_tilted_measure
 from bubblemkt.hazard import DomainError
-from bubblemkt.montecarlo import _price_path_given
+from bubblemkt.montecarlo import _TERMINAL_BLOCK_PAIRS, _price_path_given
 
 
 def analytic_terminal_mean(model):
@@ -160,6 +160,21 @@ class TestEstimators:
         a = estimate(ex37_model, SimConfig(n_paths=30_000, seed=1), TerminalPrice())
         b = estimate(ex37_model, SimConfig(n_paths=30_000, seed=2), TerminalPrice())
         assert a.mean != b.mean
+
+    def test_terminal_price_inverts_each_block_once(self, ex37_model, monkeypatch):
+        law_type = type(ex37_model.hazard)
+        inverse_cdf = law_type.inverse_cdf
+        sizes = []
+
+        def counting(self, u):
+            sizes.append(len(u))
+            return inverse_cdf(self, u)
+
+        monkeypatch.setattr(law_type, "inverse_cdf", counting)
+        # one full block of pairs, one block with the last pair, one single
+        cfg = SimConfig(n_paths=2 * _TERMINAL_BLOCK_PAIRS + 3, seed=1)
+        estimate(ex37_model, cfg, TerminalPrice())
+        assert sizes == [_TERMINAL_BLOCK_PAIRS, 1, 1]
 
     def test_expected_utility_against_certainty_equivalent(self, base_model):
         from bubblemkt import certainty_equivalent
