@@ -119,6 +119,13 @@ def _build_excess(spec: dict, law: hz.CrashHazard) -> hz.ExcessReturn:
     raise ScenarioError(f"unknown excess family {family!r}")
 
 
+def _integer(value, name: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{name} must be an integer, got {value!r}") from exc
+
+
 def build_model(scenario: dict) -> hz.MarketModel:
     market = scenario["market"]
     law = _build_hazard(scenario["hazard"], market.get("horizon", 1.0))
@@ -177,7 +184,8 @@ def _run_classify(scenario: dict, args, out) -> int:
 def _solve(scenario: dict, args) -> sv.Solution:
     model = build_model(scenario)
     prefs = build_preference(scenario)
-    n_grid = int(args.grid if args.grid is not None else scenario["grid"].get("n", 512))
+    n_grid = args.grid if args.grid is not None else scenario["grid"].get("n", 512)
+    n_grid = _integer(n_grid, "grid.n")
     if n_grid < 4:
         raise ScenarioError(f"solver grid needs at least 4 points, got {n_grid}")
     kwargs = {"n_grid": n_grid}
@@ -303,7 +311,7 @@ def _run_sweep(scenario: dict, args, out) -> int:
     inner = sweep.get("command", "welfare")
     if inner not in _COMMANDS:
         raise ScenarioError(f"sweep cannot wrap command {inner!r}")
-    base_seed = int(scenario["sim"].get("seed", 0))
+    base_seed = _integer(scenario["sim"].get("seed", 0), "sim.seed")
     # buffered, so a failing point leaves no partial output
     buf = io.StringIO()
     status = 0

@@ -1,13 +1,21 @@
 """Monte Carlo verification engine.
 
-Price paths use the exact scheme: the pre-crash log price is
-(mu - sigma^2/2) t + phi(t) + sigma W_t, the crash multiplies the price by
-1 - delta(gamma), and afterwards the price is a plain geometric Brownian
-motion, so the only discretization error anywhere is the freezing of the
-wealth fraction over sub-intervals (the step containing the crash is split
-at the crash exactly).  Under the tilted measure the drift vanishes, the
-pre-crash exponent becomes int phi'(1 + y), and the crash time is drawn
-from the tilted law; the relative jump size is unchanged.
+Estimators are conditional Monte Carlo (Glasserman, *Monte Carlo Methods
+in Financial Engineering*, 2004, ch. 4): each path draws one crash time
+gamma and one Gaussian, and is exact given gamma.  The pre-crash log price
+is (mu - sigma^2/2) t + phi(t) + sigma W_t and the crash multiplies the
+price by 1 - delta(gamma).  The pre-crash wealth fraction pi(t) is
+deterministic and the post-crash one constant, so given gamma < T,
+log(X_T / x) is Gaussian with mean D(gamma) + log(1 - pi(gamma)
+delta(gamma)) + r_post (T - gamma) and variance V(gamma) + pi_post^2
+sigma^2 (T - gamma), where D(t) = int_0^t pi (mu_eff ds + dE) - sigma^2/2
+int_0^t pi^2 ds, V(t) = sigma^2 int_0^t pi^2 ds and r_post = pi_post mu_eff
+- pi_post^2 sigma^2 / 2.  Under the physical measure mu_eff = mu and the
+exponent E is phi; under the tilted measure the drift vanishes, E = int
+phi'(1 + y), and the crash time is drawn from the tilted law.  D and V are
+tabulated once per estimate; that quadrature is the only discretization
+error.  The single-path simulators step on a uniform grid of ``n_steps``
+split at the crash.
 
 Randomness is counter-based (Philox) keyed by (seed, block), with a fixed
 block layout, so estimates are pure functions of (config, model, strategy)
@@ -32,8 +40,9 @@ from .hazard import DomainError, MarketModel
 from .solver import Solution
 
 _TERMINAL_BLOCK_PAIRS = 1 << 15
-_WEALTH_BLOCK_PAIRS = 1 << 10
 _PATH_KEY_OFFSET = 1 << 60
+_TABLE_NODES = 4097  # nodes of the D and V tables
+_TABLE_CLIP = 1e-9  # the tables stop at T (1 - this)
 
 
 class SimulationDiagnostic(RuntimeError):
@@ -47,23 +56,21 @@ class SimulationDiagnostic(RuntimeError):
 @dataclass(frozen=True)
 class SimConfig:
     """Reproducible simulation settings; estimates are pure functions of
-    (config, model, strategy)."""
+    (config, model, strategy).
+
+    ``n_steps`` sets only the uniform grids of the single-path simulators;
+    the estimators are exact given the crash time and do not step.
+    """
 
     n_paths: int = 100_000
     n_steps: int = 1024
     seed: int = 0
-    measure: str = "P"
-    terminal_clip: float = 1e-9  # relative horizon offset for tabulated
-    # tilted-measure quantities; physical-measure quantities evaluate up to
-    # the last float below the horizon
 
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValueError("need at least one path")
         if self.n_steps < 2:
             raise ValueError("need at least two wealth steps")
-        if self.measure not in ("P", "Q"):
-            raise ValueError("measure must be 'P' or 'Q'")
 
 
 @dataclass(frozen=True)
@@ -106,9 +113,11 @@ def myopic_only_strategy(solution: Solution) -> Strategy:
 
     ym = myopic_curve(solution.model, solution.preference, solution.grid)
     denom = solution.preference.p * solution.model.sigma**2
+    t_end = solution.grid[-1]
 
     def pre(t):
-        t = np.asarray(t, dtype=float)
+        # frozen beyond the solved grid, like the myopic curve itself
+        t = np.minimum(np.asarray(t, dtype=float), t_end)
         fp = np.asarray(solution.model.excess.dphi(t))
         return (solution.model.mu - fp * ym(t)) / denom
 
@@ -128,7 +137,7 @@ def scaled_strategy(base: Strategy, factor: float) -> Strategy:
 
 @dataclass(frozen=True)
 class TerminalPrice:
-    """E[S_T] under the configured measure (martingale-defect probe)."""
+    """E[S_T] under the physical measure (martingale-defect probe)."""
 
 
 @dataclass(frozen=True)
@@ -202,7 +211,40 @@ class _Welford:
         return math.sqrt(self.m2 / (self.n - 1) / self.n)
 
 
-# -- price machinery ---------------------------------------------------------
+def _block_plan(n_pairs: int, leftover: int):
+    """Fixed block layout: full pair blocks, then one block with the odd
+    path if any.  The layout depends only on n_paths, never on workers."""
+    size = _TERMINAL_BLOCK_PAIRS
+    return [(min(size, n_pairs - s), 0) for s in range(0, n_pairs, size)] + [(0, 1)] * leftover
+
+
+def _run_blocks(cfg: SimConfig, law, values):
+    """The block loop behind every estimate.
+
+    Each path draws one uniform, inverted through ``law`` into its crash
+    time, and one Gaussian; an antithetic pair shares the crash time and
+    flips the Gaussian.  ``values(gam, z, pairs)`` returns the per-path
+    values for +z and, for the first ``pairs`` paths, for -z.  Returns the
+    merged moments and every value that entered them.
+    """
+    stats = _Welford()
+    kept = []
+    n_pairs, leftover = divmod(cfg.n_paths, 2)
+    for block, (pairs, singles) in enumerate(_block_plan(n_pairs, leftover)):
+        rng = _block_rng(cfg.seed, block)
+        count = pairs + singles
+        u = rng.random(count)
+        z = rng.standard_normal(count)
+        plus, minus = values(np.asarray(law.inverse_cdf(u)), z, pairs)
+        if pairs:
+            stats.merge(0.5 * (plus[:pairs] + minus))
+        if singles:
+            stats.merge(plus[pairs:])
+        kept += [plus, minus]
+    return stats, kept
+
+
+# -- terminal price ----------------------------------------------------------
 
 
 def _phi_left_limit_or_zero(model: MarketModel) -> float:
@@ -212,201 +254,134 @@ def _phi_left_limit_or_zero(model: MarketModel) -> float:
     return 0.0
 
 
-def _terminal_price_values(model: MarketModel, gam: np.ndarray, z: np.ndarray):
-    """Pair of terminal prices for +z / -z with a shared crash time."""
-    T = model.horizon
-    mu, sigma = model.mu, model.sigma
-    base = (mu - 0.5 * sigma**2) * T
-    atom_mask = gam >= T
-    jump = np.empty_like(gam)
-    if np.any(~atom_mask):
-        g = gam[~atom_mask]
-        jump[~atom_mask] = np.exp(np.asarray(model.excess.phi(g))) * (
-            1.0 - np.asarray(model.delta(g))
-        )
-    if np.any(atom_mask):
-        jump[atom_mask] = math.exp(_phi_left_limit_or_zero(model))
-    shock = sigma * math.sqrt(T) * z
-    return np.exp(base + shock) * jump, np.exp(base - shock) * jump
-
-
 def _estimate_terminal_price(model: MarketModel, cfg: SimConfig) -> EstimatorResult:
-    if cfg.measure != "P":
-        raise ValueError("terminal-price estimation runs under the physical measure")
     start = time.perf_counter()
-    stats = _Welford()
-    running_max = -math.inf
-    prices = []  # every terminal price, for the tail count once the mean is known
-    n_pairs, leftover = divmod(cfg.n_paths, 2)
-    blocks = _block_plan(n_pairs, leftover, _TERMINAL_BLOCK_PAIRS)
-    for block, (pairs, singles) in enumerate(blocks):
-        rng = _block_rng(cfg.seed, block)
-        count = pairs + singles
-        u = rng.random(count)
-        z = rng.standard_normal(count)
-        gam = np.asarray(model.hazard.inverse_cdf(u))
-        plus, minus = _terminal_price_values(model, gam, z)
-        running_max = max(running_max, float(plus.max()), float(minus.max()))
-        if pairs:
-            stats.merge(0.5 * (plus[:pairs] + minus[:pairs]))
-        if singles:
-            stats.merge(plus[pairs:])
-        prices += [plus, minus[:pairs]]
+    T = model.horizon
+    base = (model.mu - 0.5 * model.sigma**2) * T
+    scale = model.sigma * math.sqrt(T)
+
+    def prices(gam, z, pairs):
+        atom_mask = gam >= T
+        jump = np.empty_like(gam)
+        if np.any(~atom_mask):
+            g = gam[~atom_mask]
+            jump[~atom_mask] = np.exp(np.asarray(model.excess.phi(g))) * (
+                1.0 - np.asarray(model.delta(g))
+            )
+        if np.any(atom_mask):
+            jump[atom_mask] = math.exp(_phi_left_limit_or_zero(model))
+        shock = scale * z
+        return np.exp(base + shock) * jump, np.exp(base - shock[:pairs]) * jump[:pairs]
+
+    stats, kept = _run_blocks(cfg, model.hazard, prices)
     mean = stats.mean
-    tail_count = sum(int(np.count_nonzero(v > 10.0 * mean)) for v in prices)
     diagnostics = {
-        "sample_max": running_max,
-        "tail_fraction_above_10x_mean": tail_count / cfg.n_paths,
+        "sample_max": max(float(v.max()) for v in kept if v.size),
+        "tail_fraction_above_10x_mean": sum(
+            int(np.count_nonzero(v > 10.0 * mean)) for v in kept
+        ) / cfg.n_paths,
         "runtime_ms": 1e3 * (time.perf_counter() - start),
     }
     return EstimatorResult(mean, stats.stderr, cfg.n_paths, cfg.seed, "E_ST", diagnostics)
 
 
-def _block_plan(n_pairs: int, leftover: int, block_pairs: int):
-    """Fixed block layout: full pair blocks, then one block with the odd
-    path if any.  The layout depends only on n_paths, never on workers."""
-    plan = []
-    remaining = n_pairs
-    while remaining > 0:
-        take = min(block_pairs, remaining)
-        plan.append((take, 0))
-        remaining -= take
-    if leftover:
-        plan.append((0, 1))
-    if not plan:
-        plan.append((0, 0))
-    return plan
+# -- wealth ------------------------------------------------------------------
 
 
-# -- wealth machinery --------------------------------------------------------
+class _WealthLaw:
+    """Gaussian law of log(X_T / x) given the crash time.
 
-
-class _WealthKernel:
-    """Precomputed per-step coefficients for vectorized wealth paths."""
+    Without ``solution`` this is the physical measure (drift mu, exponent
+    phi, the model's crash law); with it, the tilted measure built from the
+    solved tilt (no drift, exponent phi + int phi' y, the tilted law).  D
+    and V are tabulated on ``grid``: the smooth part pi mu_eff - sigma^2
+    pi^2 / 2 and pi^2 with :class:`PanelRule`, the exponent part as the
+    Stieltjes sum of pi against exact increments of E, so an exponent that
+    blows up at the horizon never meets the cubic rule.
+    """
 
     def __init__(
         self,
         model: MarketModel,
         strategy: Strategy,
-        cfg: SimConfig,
-        measure: str,
+        grid: np.ndarray,
         solution: Optional[Solution] = None,
     ):
         T = model.horizon
-        n = cfg.n_steps
-        self.model = model
-        self.strategy = strategy
-        self.measure = measure
-        self.n_steps = n
-        self.tgrid = np.linspace(0.0, T, n + 1)
-        self.dt = T / n
-        self.sigma = model.sigma
         cap = np.nextafter(T, 0.0)
-        eval_grid = np.minimum(self.tgrid, cap)
-        self.pi = strategy.pre(eval_grid[:-1])
-        self.pi_post = strategy.post_crash
+        rule = PanelRule(grid)
 
-        if measure == "P":
-            self.mu_eff = model.mu
-            exponent = np.asarray(model.excess.phi(eval_grid))
-            self.law = model.hazard
-            self._exponent_at = lambda t: np.asarray(
-                model.excess.phi(np.minimum(t, cap))
-            )
+        def phi(t):
+            return np.asarray(model.excess.phi(np.minimum(t, cap)))
+
+        if solution is None:
+            self.crash_law, mu_eff, self.exponent = model.hazard, model.mu, phi
         else:
-            if solution is None:
-                raise ValueError("Q-measure wealth simulation needs a solved scenario")
-            self.mu_eff = 0.0
-            tilt = TiltFunction(
-                y=lambda t: solution.tilt(t), label="solved tilt"
-            )
-            dense = clustered_grid(T * (1.0 - cfg.terminal_clip), 4097)
-            self.law = build_tilted_measure(model, tilt, grid=dense)
-            vals = np.asarray(model.excess.dphi(dense)) * (1.0 + solution.tilt(dense))
-            cum = PanelRule(dense).cumulative_from_left(vals)
-            interp = PchipInterpolator(dense, cum)
-            self._exponent_at = lambda t: np.asarray(interp(np.minimum(t, dense[-1])))
-            exponent = self._exponent_at(eval_grid)
+            tilt = TiltFunction(y=solution.tilt, label="solved tilt")
+            self.crash_law = build_tilted_measure(model, tilt, grid=grid)
+            mu_eff = 0.0
+            load = rule.cumulative_from_left(np.asarray(model.excess.dphi(grid)) * tilt(grid))
+            interp = PchipInterpolator(grid, load)
+            self.exponent = lambda t: phi(t) + interp(np.minimum(t, grid[-1]))
 
-        dphi = np.diff(exponent)
-        var = self.sigma**2 * self.dt
-        self.pre_drift = self.pi * (self.mu_eff * self.dt + dphi) - 0.5 * self.pi**2 * var
-        self.pre_vol = self.pi * self.sigma * math.sqrt(self.dt)
-        self.post_drift = self.pi_post * self.mu_eff * self.dt - 0.5 * self.pi_post**2 * var
-        self.post_vol = self.pi_post * self.sigma * math.sqrt(self.dt)
+        self.model, self.strategy, self.grid = model, strategy, grid
+        self.sig2 = model.sigma**2
+        self.mu_eff = mu_eff
+        self.pi = strategy.pre(grid)
+        self.E = self.exponent(grid)
+        steps = 0.5 * (self.pi[1:] + self.pi[:-1]) * np.diff(self.E)
+        self.D = rule.cumulative_from_left(self._smooth(self.pi))
+        self.D[1:] += np.cumsum(steps)
+        self.V = self.sig2 * rule.cumulative_from_left(self.pi**2)
+        pp = strategy.post_crash
+        self.r_post = pp * mu_eff - 0.5 * pp * pp * self.sig2
+        self.v_post = pp * pp * self.sig2
 
-    def log_wealth(self, gam: np.ndarray, z: np.ndarray, g1: np.ndarray, g2: np.ndarray):
-        """(log X_T / x, bankrupt mask) for a batch of paths."""
-        n = self.n_steps
+    def _smooth(self, pi):
+        return pi * self.mu_eff - 0.5 * self.sig2 * pi**2
+
+    def moments(self, gam: np.ndarray):
+        """(mean, standard deviation, bankrupt mask) of log(X_T / x) for
+        crash times ``gam``.
+
+        Between table nodes (and past the last one) the partial panel is a
+        trapezoid in pi against the exact exponent increment.  Atom paths
+        take D and V at the table end and get no jump.
+        """
         T = self.model.horizon
         atom = gam >= T
-        k = np.clip(np.searchsorted(self.tgrid, gam, side="left") - 1, 0, n - 1)
-
-        pre_incr = self.pre_drift[None, :] + self.pre_vol[None, :] * z
-        cum_pre = np.concatenate(
-            [np.zeros((len(gam), 1)), np.cumsum(pre_incr, axis=1)], axis=1
+        g = np.where(atom, self.grid[-1], gam)
+        k = np.searchsorted(self.grid, g, side="right") - 1
+        pi_k, pi_g = self.pi[k], self.strategy.pre(g)
+        dt = g - self.grid[k]
+        D = (
+            self.D[k]
+            + 0.5 * (pi_k + pi_g) * (self.exponent(g) - self.E[k])
+            + 0.5 * (self._smooth(pi_k) + self._smooth(pi_g)) * dt
         )
-        post_incr = self.post_drift + self.post_vol * z
-        suffix = np.concatenate(
-            [np.cumsum(post_incr[:, ::-1], axis=1)[:, ::-1], np.zeros((len(gam), 1))],
-            axis=1,
-        )
-
-        t_k = self.tgrid[k]
-        dt1 = np.where(atom, 0.0, gam - t_k)
-        dt2 = np.where(atom, 0.0, self.tgrid[k + 1] - gam)
-        pi_k = self.pi[k]
-        gam_safe = np.where(atom, t_k, gam)
-        dphi1 = self._exponent_at(gam_safe) - self._exponent_at(t_k)
-        var = self.sigma**2
-        a1 = (
-            pi_k * (self.mu_eff * dt1 + dphi1)
-            - 0.5 * pi_k**2 * var * dt1
-            + pi_k * self.sigma * np.sqrt(dt1) * g1
-        )
-        a2 = (
-            self.pi_post * self.mu_eff * dt2
-            - 0.5 * self.pi_post**2 * var * dt2
-            + self.pi_post * self.sigma * np.sqrt(dt2) * g2
-        )
-        pi_at_crash = self.strategy.pre(gam_safe)
-        jump_factor = 1.0 - pi_at_crash * np.asarray(self.model.delta(gam_safe))
-        bankrupt = (~atom) & (jump_factor <= 0.0)
+        V = self.V[k] + 0.5 * self.sig2 * (pi_k**2 + pi_g**2) * dt
+        factor = 1.0 - pi_g * np.asarray(self.model.delta(g))
+        bankrupt = (~atom) & (factor <= 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_jump = np.where(bankrupt | atom, 0.0, np.log(jump_factor))
-
-        rows = np.arange(len(gam))
-        split_part = cum_pre[rows, k] + a1 + log_jump + a2 + suffix[rows, k + 1]
-        out = np.where(atom, cum_pre[:, n], split_part)
-        return out, bankrupt
+            log_jump = np.where(bankrupt | atom, 0.0, np.log(factor))
+        rest = np.where(atom, 0.0, T - gam)
+        return D + log_jump + self.r_post * rest, np.sqrt(V + self.v_post * rest), bankrupt
 
 
-def _wealth_values(kernel: _WealthKernel, cfg: SimConfig, value_fn, estimand: str):
+def _estimate_wealth(law: _WealthLaw, cfg: SimConfig, value_fn, estimand: str):
     start = time.perf_counter()
-    stats = _Welford()
     bankrupt_total = 0
-    n_pairs, leftover = divmod(cfg.n_paths, 2)
-    blocks = _block_plan(n_pairs, leftover, _WEALTH_BLOCK_PAIRS)
-    for block, (pairs, singles) in enumerate(blocks):
-        rng = _block_rng(cfg.seed, block)
-        count = pairs + singles
-        u = rng.random(count)
-        z = rng.standard_normal((count, cfg.n_steps))
-        g1 = rng.standard_normal(count)
-        g2 = rng.standard_normal(count)
-        gam = np.asarray(kernel.law.inverse_cdf(u))
-        lw_plus, br_plus = kernel.log_wealth(gam, z, g1, g2)
-        bankrupt_total += int(np.sum(br_plus))
-        v_plus = value_fn(lw_plus, br_plus)
-        if pairs:
-            lw_minus, br_minus = kernel.log_wealth(
-                gam[:pairs], -z[:pairs], -g1[:pairs], -g2[:pairs]
-            )
-            bankrupt_total += int(np.sum(br_minus))
-            v_minus = value_fn(lw_minus, br_minus)
-            stats.merge(0.5 * (v_plus[:pairs] + v_minus))
-        if singles:
-            stats.merge(v_plus[pairs:])
+
+    def values(gam, z, pairs):
+        nonlocal bankrupt_total
+        mean, sd, bankrupt = law.moments(gam)
+        bankrupt_total += int(np.sum(bankrupt)) + int(np.sum(bankrupt[:pairs]))
+        return (
+            value_fn(mean + sd * z, bankrupt),
+            value_fn(mean[:pairs] - sd[:pairs] * z[:pairs], bankrupt[:pairs]),
+        )
+
+    stats, _ = _run_blocks(cfg, law.crash_law, values)
     diagnostics = {
         "bankrupt_paths": bankrupt_total,
         "runtime_ms": 1e3 * (time.perf_counter() - start),
@@ -436,34 +411,38 @@ def _crra_value_fn(p: float, x: float, estimand: str):
     return value
 
 
+def _table_grid(model: MarketModel) -> np.ndarray:
+    return clustered_grid(model.horizon * (1.0 - _TABLE_CLIP), _TABLE_NODES)
+
+
 def estimate(model: MarketModel, cfg: SimConfig, estimand) -> EstimatorResult:
     """Mean and standard error of the requested estimand.
 
-    ``TerminalPrice`` samples S_T exactly (one Gaussian and one crash time
-    per path).  ``ExpectedUtility`` simulates wealth under the physical
-    measure; ``BudgetUnderQ`` simulates the optimal wealth under the tilted
-    measure built from the solved curve and estimates E^Q[X_T].
+    Every path draws one crash time and one Gaussian.  ``TerminalPrice``
+    samples S_T exactly.  ``ExpectedUtility`` samples the conditional
+    Gaussian law of log wealth under the physical measure;
+    ``BudgetUnderQ`` samples the optimal wealth under the tilted measure
+    built from the solved curve and estimates E^Q[X_T].  The wealth law is
+    exact given the crash time up to the quadrature of its tables (see the
+    module docstring).
     """
     if isinstance(estimand, TerminalPrice):
         return _estimate_terminal_price(model, cfg)
     if isinstance(estimand, ExpectedUtility):
-        kernel = _WealthKernel(model, estimand.strategy, cfg, "P")
-        return _wealth_values(
-            kernel,
-            cfg,
-            _crra_value_fn(estimand.p, estimand.x, f"E_U[{estimand.strategy.label}]"),
-            f"E_U[{estimand.strategy.label}]",
+        label = f"E_U[{estimand.strategy.label}]"
+        law = _WealthLaw(model, estimand.strategy, _table_grid(model))
+        return _estimate_wealth(
+            law, cfg, _crra_value_fn(estimand.p, estimand.x, label), label
         )
     if isinstance(estimand, BudgetUnderQ):
         sol = estimand.solution
-        kernel = _WealthKernel(model, optimal_strategy(sol), cfg, "Q", solution=sol)
+        law = _WealthLaw(model, optimal_strategy(sol), _table_grid(model), sol)
         x = sol.preference.x
 
         def value(log_wealth, bankrupt):
-            wealth = x * np.exp(log_wealth)
-            return np.where(bankrupt, 0.0, wealth)
+            return np.where(bankrupt, 0.0, x * np.exp(log_wealth))
 
-        return _wealth_values(kernel, cfg, value, "EQ_XT")
+        return _estimate_wealth(law, cfg, value, "EQ_XT")
     raise TypeError(f"unknown estimand: {estimand!r}")
 
 
@@ -477,6 +456,43 @@ def _path_rng(seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _path_draws(model: MarketModel, cfg: SimConfig, path_index: int):
+    """Crash time, step Gaussians and the two split Gaussians of one path."""
+    rng = _path_rng(cfg.seed, path_index)
+    u = float(rng.random())
+    z = rng.standard_normal(cfg.n_steps)
+    g1, g2 = rng.standard_normal(2)
+    gam = float(np.asarray(model.hazard.inverse_cdf(np.array([u])))[0])
+    return gam, z, g1, g2
+
+
+def _path_increments(model: MarketModel, cfg: SimConfig, gam: float, z, g1, g2):
+    """Knots of one path and what happens between them.
+
+    The knots are the uniform grid of ``n_steps`` with the crash time
+    inserted; the step holding the crash splits its Gaussian into one per
+    part.  Returns the knot times, the pre-crash exponent at each knot
+    (frozen from the crash on), the Brownian increments between knots, and
+    the index of the crash knot (``n_steps`` on an atom path, which has no
+    crash knot).
+    """
+    T = model.horizon
+    n = cfg.n_steps
+    times = np.linspace(0.0, T, n + 1)
+    dw = math.sqrt(T / n) * np.asarray(z, dtype=float)
+    crash = n
+    if gam < T:
+        k = int(np.clip(np.searchsorted(times, gam, side="left") - 1, 0, n - 1))
+        split = [math.sqrt(gam - times[k]) * g1, math.sqrt(times[k + 1] - gam) * g2]
+        dw = np.concatenate([dw[:k], split, dw[k + 1:]])
+        times = np.insert(times, k + 1, gam)
+        crash = k + 1
+    # an atom path stops at phi(T-), which is finite whenever the atom exists
+    frozen = min(gam, np.nextafter(T, 0.0))
+    exponent = np.asarray(model.excess.phi(np.minimum(times, frozen)))
+    return times, exponent, dw, crash
+
+
 def simulate_price_path(model: MarketModel, cfg: SimConfig, path_index: int):
     """One exact price path: (crash time, grid times, prices).
 
@@ -484,76 +500,43 @@ def simulate_price_path(model: MarketModel, cfg: SimConfig, path_index: int):
     lands at the right price level; the returned prices sit on the uniform
     grid (the final entry is S_T).
     """
-    rng = _path_rng(cfg.seed, path_index)
-    u = float(rng.random())
-    z = rng.standard_normal(cfg.n_steps)
-    g1, g2 = rng.standard_normal(2)
-    gam = float(np.asarray(model.hazard.inverse_cdf(np.array([u])))[0])
+    gam, z, g1, g2 = _path_draws(model, cfg, path_index)
     return gam, *_price_path_given(model, cfg, gam, z, g1, g2)
 
 
 def _price_path_given(model: MarketModel, cfg: SimConfig, gam: float, z, g1, g2):
-    T = model.horizon
-    n = cfg.n_steps
-    tgrid = np.linspace(0.0, T, n + 1)
-    dt = T / n
-    sqdt = math.sqrt(dt)
-    mu, sigma = model.mu, model.sigma
-    cap = np.nextafter(T, 0.0)
-    eval_grid = np.minimum(tgrid, cap)
-
-    if gam >= T:  # atom path: never jumps, phi(T-) is finite here
-        w = np.concatenate([[0.0], np.cumsum(sqdt * z)])
-        log_s = (mu - 0.5 * sigma**2) * tgrid + np.asarray(
-            model.excess.phi(eval_grid)
-        ) + sigma * w
-        return tgrid, np.exp(log_s)
-
-    k = int(np.clip(np.searchsorted(tgrid, gam, side="left") - 1, 0, n - 1))
-    incr = sqdt * z.copy()
-    w_split = math.sqrt(gam - tgrid[k]) * g1
-    incr[k] = w_split + math.sqrt(tgrid[k + 1] - gam) * g2
-    w = np.concatenate([[0.0], np.cumsum(incr)])
-
-    log_s = np.empty(n + 1)
-    pre = tgrid <= gam
-    log_s[pre] = (
-        (mu - 0.5 * sigma**2) * tgrid[pre]
-        + np.asarray(model.excess.phi(eval_grid[pre]))
-        + sigma * w[pre]
-    )
-    w_gam = w[k] + w_split
-    log_s_gam = (
-        (mu - 0.5 * sigma**2) * gam
-        + float(model.excess.phi(min(gam, cap)))
-        + sigma * w_gam
-        + math.log1p(-float(model.delta(min(gam, cap))))
-    )
-    post = ~pre
-    log_s[post] = (
-        log_s_gam + (mu - 0.5 * sigma**2) * (tgrid[post] - gam) + sigma * (w[post] - w_gam)
-    )
-    return tgrid, np.exp(log_s)
+    times, exponent, dw, crash = _path_increments(model, cfg, gam, z, g1, g2)
+    sigma = model.sigma
+    w = np.concatenate([[0.0], np.cumsum(dw)])
+    log_s = (model.mu - 0.5 * sigma**2) * times + exponent + sigma * w
+    if crash < len(dw):
+        log_s[crash + 1:] += math.log1p(-float(model.delta(gam)))
+        times, log_s = np.delete(times, crash), np.delete(log_s, crash)
+    return times, np.exp(log_s)
 
 
 def simulate_wealth_path(
     model: MarketModel, strategy: Strategy, cfg: SimConfig, path_index: int
 ) -> float:
-    """Terminal wealth of one path under the physical measure.
+    """Terminal wealth of one path under the physical measure, on the
+    stream and knots of :func:`simulate_price_path` with the fraction
+    frozen over each step.
 
     Raises :class:`SimulationDiagnostic` when the crash wipes out a
     leveraged position (jump factor <= 0).
     """
-    rng = _path_rng(cfg.seed, path_index)
-    u = float(rng.random())
-    z = rng.standard_normal((1, cfg.n_steps))
-    g1 = rng.standard_normal(1)
-    g2 = rng.standard_normal(1)
-    kernel = _WealthKernel(model, strategy, cfg, "P")
-    gam = np.asarray(model.hazard.inverse_cdf(np.array([u])))
-    lw, bankrupt = kernel.log_wealth(gam, z, g1, g2)
-    if bool(bankrupt[0]):
-        raise SimulationDiagnostic(
-            "path went bankrupt at the crash", {"gamma": float(gam[0])}
-        )
-    return float(math.exp(lw[0]))
+    gam, z, g1, g2 = _path_draws(model, cfg, path_index)
+    times, exponent, dw, crash = _path_increments(model, cfg, gam, z, g1, g2)
+    dt = np.diff(times)
+    pi = np.full(len(dt), strategy.post_crash)
+    pi[:crash] = strategy.pre(times[:crash])
+    sigma = model.sigma
+    log_x = float(
+        np.sum(pi * (model.mu * dt + np.diff(exponent) + sigma * dw) - 0.5 * (sigma * pi) ** 2 * dt)
+    )
+    if crash < len(dt):
+        factor = 1.0 - float(strategy.pre(gam)) * float(model.delta(gam))
+        if factor <= 0.0:
+            raise SimulationDiagnostic("path went bankrupt at the crash", {"gamma": gam})
+        log_x += math.log(factor)
+    return math.exp(log_x)

@@ -329,7 +329,8 @@ class Solution:
         return self.model.mu / (self.preference.p * self.model.sigma**2)
 
     def fraction_pre_crash(self, t):
-        t = np.asarray(t, dtype=float)
+        # frozen beyond the solved grid, where the tilt is frozen too
+        t = np.minimum(np.asarray(t, dtype=float), self.grid[-1])
         phi_p = np.asarray(self.model.excess.dphi(t))
         return (self.model.mu - phi_p * self.tilt(t)) / (
             self.preference.p * self.model.sigma**2

@@ -182,9 +182,13 @@ class TestErrorPaths:
             ("simulate", [], {"sim": {"n_paths": -5}}),
             ("solve", [], {"grid": {"n": 0}}),
             ("solve", [], {"grid": {"n": 3}}),
+            ("solve", [], {"grid": {"n": "abc"}}),
+            ("sweep", [], {"sim": {"seed": "x"}, "sweep": {
+                "command": "simulate", "parameter": "market.mu", "values": [0.1]}}),
         ],
         ids=["paths0", "paths-5", "grid0", "grid3",
-             "sim.n_paths0", "sim.n_paths-5", "grid.n0", "grid.n3"],
+             "sim.n_paths0", "sim.n_paths-5", "grid.n0", "grid.n3",
+             "grid.n-abc", "sweep-sim.seed-x"],
     )
     def test_bad_counts(self, tmp_path, capsys, command, flags, payload):
         path = write_scenario(tmp_path, payload)

@@ -7,8 +7,10 @@ from scipy import integrate, stats
 from bubblemkt import (
     BudgetUnderQ,
     ConstantExcess,
+    ConstantJumpSizeExcess,
     ExponentialCutoffHazard,
     ExpectedUtility,
+    LPPLHazard,
     MarketModel,
     Preference,
     SimConfig,
@@ -19,6 +21,7 @@ from bubblemkt import (
     ZeroExcess,
     estimate,
     merton_strategy,
+    myopic_only_strategy,
     optimal_strategy,
     sample_crash_time,
     simulate_price_path,
@@ -27,7 +30,13 @@ from bubblemkt import (
 )
 from bubblemkt.elmm import TiltFunction, build_tilted_measure
 from bubblemkt.hazard import DomainError
-from bubblemkt.montecarlo import _TERMINAL_BLOCK_PAIRS, _price_path_given
+from bubblemkt._quad import clustered_grid
+from bubblemkt.montecarlo import (
+    _TABLE_CLIP,
+    _TERMINAL_BLOCK_PAIRS,
+    _WealthLaw,
+    _price_path_given,
+)
 
 
 def analytic_terminal_mean(model):
@@ -133,6 +142,24 @@ class TestPricePaths:
         assert np.all(factors > 0.0)
 
 
+@pytest.fixture(scope="module")
+def lppl_model():
+    """LPPL law with power 0.4: 5% of its crash mass lies past the solver
+    grid, in the last millionth of the horizon."""
+    law = LPPLHazard(b=1.2, c=0.3, power=0.4, omega=6.0, phase=0.5, horizon=1.0)
+    return MarketModel(0.1, 0.2, law, ConstantJumpSizeExcess(law, 0.3))
+
+
+@pytest.mark.parametrize("build", [optimal_strategy, myopic_only_strategy])
+def test_fraction_frozen_past_solved_grid(lppl_model, build):
+    # the tilt is frozen beyond the solver grid, so the fraction is too;
+    # evaluating phi' there exactly sent the optimal one from 6e-5 to -47
+    sol = solve_optimal(lppl_model, Preference(4.0))
+    strat = build(sol)
+    edge = strat.pre(sol.grid[-1])
+    assert np.all(strat.pre(np.array([1.0 - 1e-7, 1.0 - 1e-9])) == edge)
+
+
 class TestEstimators:
     def test_terminal_price_strict_local_defect(self, ex37_model):
         cfg = SimConfig(n_paths=200_000, seed=123)
@@ -190,30 +217,25 @@ class TestEstimators:
         )
         assert band[0] <= ce <= band[1]
 
-    def test_richardson_step_halving(self, base_model):
-        # strategy-freezing bias is O(dt): halving steps moves the estimate
-        # by less than the Monte Carlo band
-        prefs = Preference(4.0)
-        sol = solve_optimal(base_model, prefs)
-        strat = optimal_strategy(sol)
-        coarse = estimate(
-            base_model,
-            SimConfig(n_paths=40_000, n_steps=256, seed=31),
-            ExpectedUtility(strat, 4.0),
-        )
-        fine = estimate(
-            base_model,
-            SimConfig(n_paths=40_000, n_steps=512, seed=31),
-            ExpectedUtility(strat, 4.0),
-        )
-        assert abs(coarse.mean - fine.mean) <= 4.0 * math.hypot(
-            coarse.stderr, fine.stderr
-        )
-
-    def test_budget_identity_under_tilted_measure(self, base_model):
+    @pytest.mark.parametrize("measure", ["P", "Q"])
+    def test_table_refinement(self, base_model, measure):
+        # D and V tabulated on 2049 and on 4097 nodes agree at the shared
+        # nodes: the law's only discretization is converged
         sol = solve_optimal(base_model, Preference(4.0))
+        strat = optimal_strategy(sol)
+        end = base_model.horizon * (1.0 - _TABLE_CLIP)
+        given = sol if measure == "Q" else None
+        coarse = _WealthLaw(base_model, strat, clustered_grid(end, 2049), given)
+        fine = _WealthLaw(base_model, strat, clustered_grid(end, 4097), given)
+        assert np.max(np.abs(fine.D[::2] - coarse.D)) <= 1e-9
+        assert np.max(np.abs(fine.V[::2] - coarse.V)) <= 1e-9
+
+    @pytest.mark.parametrize("case", ["baseline", "lppl0.4"])
+    def test_budget_identity_under_tilted_measure(self, base_model, lppl_model, case):
+        model = lppl_model if case == "lppl0.4" else base_model
+        sol = solve_optimal(model, Preference(4.0))
         cfg = SimConfig(n_paths=40_000, n_steps=512, seed=53)
-        result = estimate(base_model, cfg, BudgetUnderQ(sol))
+        result = estimate(model, cfg, BudgetUnderQ(sol))
         assert abs(result.mean - 1.0) <= 3.0 * result.stderr
 
     def test_bankruptcy_aborts(self, ex37_model):
