@@ -38,7 +38,6 @@ _DEFAULTS = {
     "grid": {"n": 512},
     "sim": {
         "n_paths": 100_000,
-        "n_steps": 1024,
         "seed": 0,
         "estimand": "terminal_price",
         "strategy": "optimal",
@@ -244,12 +243,10 @@ def _run_simulate(scenario: dict, args, out) -> int:
     model = build_model(scenario)
     sim = scenario["sim"]
     n_paths = args.paths if args.paths is not None else sim.get("n_paths", 100_000)
+    n_paths = _integer(n_paths, "sim.n_paths")
+    seed = _integer(sim.get("seed", 0), "sim.seed")
     try:
-        cfg = mc.SimConfig(
-            n_paths=int(n_paths),
-            n_steps=int(sim.get("n_steps", 1024)),
-            seed=int(sim.get("seed", 0)),
-        )
+        cfg = mc.SimConfig(n_paths=n_paths, seed=seed)
     except ValueError as exc:
         raise ScenarioError(f"bad simulation settings: {exc}") from exc
     estimand_name = sim.get("estimand", "terminal_price")

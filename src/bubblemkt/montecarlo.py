@@ -225,10 +225,9 @@ def _run_blocks(cfg: SimConfig, law, values):
     time, and one Gaussian; an antithetic pair shares the crash time and
     flips the Gaussian.  ``values(gam, z, pairs)`` returns the per-path
     values for +z and, for the first ``pairs`` paths, for -z.  Returns the
-    merged moments and every value that entered them.
+    merged moments.
     """
     stats = _Welford()
-    kept = []
     n_pairs, leftover = divmod(cfg.n_paths, 2)
     for block, (pairs, singles) in enumerate(_block_plan(n_pairs, leftover)):
         rng = _block_rng(cfg.seed, block)
@@ -240,8 +239,7 @@ def _run_blocks(cfg: SimConfig, law, values):
             stats.merge(0.5 * (plus[:pairs] + minus))
         if singles:
             stats.merge(plus[pairs:])
-        kept += [plus, minus]
-    return stats, kept
+    return stats
 
 
 # -- terminal price ----------------------------------------------------------
@@ -259,6 +257,7 @@ def _estimate_terminal_price(model: MarketModel, cfg: SimConfig) -> EstimatorRes
     T = model.horizon
     base = (model.mu - 0.5 * model.sigma**2) * T
     scale = model.sigma * math.sqrt(T)
+    kept = []
 
     def prices(gam, z, pairs):
         atom_mask = gam >= T
@@ -271,9 +270,11 @@ def _estimate_terminal_price(model: MarketModel, cfg: SimConfig) -> EstimatorRes
         if np.any(atom_mask):
             jump[atom_mask] = math.exp(_phi_left_limit_or_zero(model))
         shock = scale * z
-        return np.exp(base + shock) * jump, np.exp(base - shock[:pairs]) * jump[:pairs]
+        plus, minus = np.exp(base + shock) * jump, np.exp(base - shock[:pairs]) * jump[:pairs]
+        kept.extend((plus, minus))
+        return plus, minus
 
-    stats, kept = _run_blocks(cfg, model.hazard, prices)
+    stats = _run_blocks(cfg, model.hazard, prices)
     mean = stats.mean
     diagnostics = {
         "sample_max": max(float(v.max()) for v in kept if v.size),
@@ -314,8 +315,11 @@ class _WealthLaw:
         def phi(t):
             return np.asarray(model.excess.phi(np.minimum(t, cap)))
 
+        # atom paths run to just below the horizon under P; the tilted law
+        # has no hazard past the table, so under Q they stop at its end
         if solution is None:
             self.crash_law, mu_eff, self.exponent = model.hazard, model.mu, phi
+            self.atom_time = cap
         else:
             tilt = TiltFunction(y=solution.tilt, label="solved tilt")
             self.crash_law = build_tilted_measure(model, tilt, grid=grid)
@@ -323,6 +327,7 @@ class _WealthLaw:
             load = rule.cumulative_from_left(np.asarray(model.excess.dphi(grid)) * tilt(grid))
             interp = PchipInterpolator(grid, load)
             self.exponent = lambda t: phi(t) + interp(np.minimum(t, grid[-1]))
+            self.atom_time = grid[-1]
 
         self.model, self.strategy, self.grid = model, strategy, grid
         self.sig2 = model.sigma**2
@@ -346,11 +351,11 @@ class _WealthLaw:
 
         Between table nodes (and past the last one) the partial panel is a
         trapezoid in pi against the exact exponent increment.  Atom paths
-        take D and V at the table end and get no jump.
+        take D and V at ``atom_time`` and get no jump.
         """
         T = self.model.horizon
         atom = gam >= T
-        g = np.where(atom, self.grid[-1], gam)
+        g = np.where(atom, self.atom_time, gam)
         k = np.searchsorted(self.grid, g, side="right") - 1
         pi_k, pi_g = self.pi[k], self.strategy.pre(g)
         dt = g - self.grid[k]
@@ -381,7 +386,7 @@ def _estimate_wealth(law: _WealthLaw, cfg: SimConfig, value_fn, estimand: str):
             value_fn(mean[:pairs] - sd[:pairs] * z[:pairs], bankrupt[:pairs]),
         )
 
-    stats, _ = _run_blocks(cfg, law.crash_law, values)
+    stats = _run_blocks(cfg, law.crash_law, values)
     diagnostics = {
         "bankrupt_paths": bankrupt_total,
         "runtime_ms": 1e3 * (time.perf_counter() - start),

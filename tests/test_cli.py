@@ -180,6 +180,7 @@ class TestErrorPaths:
             ("solve", ["--grid", "3"], {}),
             ("simulate", [], {"sim": {"n_paths": 0}}),
             ("simulate", [], {"sim": {"n_paths": -5}}),
+            ("simulate", [], {"sim": {"n_paths": None}}),
             ("solve", [], {"grid": {"n": 0}}),
             ("solve", [], {"grid": {"n": 3}}),
             ("solve", [], {"grid": {"n": "abc"}}),
@@ -187,8 +188,8 @@ class TestErrorPaths:
                 "command": "simulate", "parameter": "market.mu", "values": [0.1]}}),
         ],
         ids=["paths0", "paths-5", "grid0", "grid3",
-             "sim.n_paths0", "sim.n_paths-5", "grid.n0", "grid.n3",
-             "grid.n-abc", "sweep-sim.seed-x"],
+             "sim.n_paths0", "sim.n_paths-5", "sim.n_paths-null",
+             "grid.n0", "grid.n3", "grid.n-abc", "sweep-sim.seed-x"],
     )
     def test_bad_counts(self, tmp_path, capsys, command, flags, payload):
         path = write_scenario(tmp_path, payload)

@@ -36,6 +36,7 @@ from bubblemkt.montecarlo import (
     _TERMINAL_BLOCK_PAIRS,
     _WealthLaw,
     _price_path_given,
+    _table_grid,
 )
 
 
@@ -229,6 +230,17 @@ class TestEstimators:
         fine = _WealthLaw(base_model, strat, clustered_grid(end, 4097), given)
         assert np.max(np.abs(fine.D[::2] - coarse.D)) <= 1e-9
         assert np.max(np.abs(fine.V[::2] - coarse.V)) <= 1e-9
+
+    def test_atom_path_law_runs_to_horizon(self, lppl_model):
+        # a constant fraction on a no-crash path earns the whole run-up
+        # phi(T-), not only the part up to the table end
+        strat = merton_strategy(lppl_model, 4.0)
+        law = _WealthLaw(lppl_model, strat, _table_grid(lppl_model))
+        T, pi, sig = lppl_model.horizon, strat.post_crash, lppl_model.sigma
+        mean, sd, _ = law.moments(np.array([T]))
+        exact = pi * (lppl_model.mu * T + lppl_model.phi_left_limit()) - 0.5 * (pi * sig) ** 2 * T
+        assert mean[0] == pytest.approx(exact, abs=1e-9)
+        assert sd[0] == pytest.approx(pi * sig * math.sqrt(T), rel=1e-9)
 
     @pytest.mark.parametrize("case", ["baseline", "lppl0.4"])
     def test_budget_identity_under_tilted_measure(self, base_model, lppl_model, case):
