@@ -4,7 +4,8 @@ simulate, and parameter sweeps, all emitting CSV.
 Scenario files are JSON with blocks ``market``, ``hazard``, ``excess``,
 ``preference``, ``grid``, ``sim``, and optionally ``sweep``; unspecified
 keys fall back to the baseline scenario (horizon 1, mu 0.1, sigma 0.2,
-truncated-exponential crash law, constant excess return 0.2, p = 4).
+truncated-exponential crash law, constant excess return, p = 4), and
+family parameters to the defaults of their family (rate 1, alpha 0.2).
 Numbers are printed with 17 significant digits so binary doubles
 round-trip.
 
@@ -21,7 +22,6 @@ import io
 import json
 import os
 import sys
-import time
 from typing import Optional
 
 import numpy as np
@@ -32,8 +32,8 @@ SEED_ENV_VAR = "BUBBLEMKT_SEED"
 
 _DEFAULTS = {
     "market": {"mu": 0.1, "sigma": 0.2, "horizon": 1.0},
-    "hazard": {"family": "exponential_cutoff", "params": {"rate": 1.0}},
-    "excess": {"family": "constant", "params": {"alpha": 0.2}},
+    "hazard": {"family": "exponential_cutoff"},
+    "excess": {"family": "constant"},
     "preference": {"p": 4.0, "x": 1.0},
     "grid": {"n": 512},
     "sim": {
@@ -72,71 +72,106 @@ def load_scenario(path: str) -> dict:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError("scenario file must hold a JSON object")
-    return _merge(_DEFAULTS, raw)
+    scenario = _merge(_DEFAULTS, raw)
+    for block in _DEFAULTS:
+        _object(scenario[block], block)
+    return scenario
+
+
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
+def _number(value, name: str, kind: type = float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{name} must be {kind.__name__}, got {value!r}") from exc
+
+
+def _numbers(value, name: str) -> list[float]:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{name} must be a list of numbers, got {value!r}")
+    return [_number(v, f"{name}[{i}]") for i, v in enumerate(value)]
+
+
+def _param(params: dict, name: str, default: Optional[float] = None) -> float:
+    """The number at scenario path ``name`` (its last key indexes
+    ``params``), or ``default`` when absent; without a default it is
+    required."""
+    key = name.rsplit(".", 1)[1]
+    if key not in params and default is None:
+        raise ScenarioError(f"{name} is required")
+    return _number(params.get(key, default), name)
 
 
 def _build_hazard(spec: dict, horizon: float) -> hz.CrashHazard:
     family = spec.get("family")
-    params = spec.get("params", {})
+    params = _object(spec.get("params", {}), "hazard.params")
     if family == "exponential_cutoff":
-        return hz.ExponentialCutoffHazard(rate=params.get("rate", 1.0), horizon=horizon)
+        return hz.ExponentialCutoffHazard(_param(params, "hazard.params.rate", 1.0), horizon)
     if family == "uniform":
         return hz.UniformHazard(horizon=horizon)
     if family == "lppl":
         return hz.LPPLHazard(
-            b=params["b"],
-            c=params.get("c", 0.0),
-            power=params["power"],
-            omega=params.get("omega", 0.0),
-            phase=params.get("phase", 0.0),
+            b=_param(params, "hazard.params.b"),
+            c=_param(params, "hazard.params.c", 0.0),
+            power=_param(params, "hazard.params.power"),
+            omega=_param(params, "hazard.params.omega", 0.0),
+            phase=_param(params, "hazard.params.phase", 0.0),
             horizon=horizon,
         )
     if family == "tabulated":
-        return hz.TabulatedHazard(params["times"], params["cdf"])
+        return hz.TabulatedHazard(
+            _numbers(params.get("times"), "hazard.params.times"),
+            _numbers(params.get("cdf"), "hazard.params.cdf"),
+        )
     raise ScenarioError(f"unknown hazard family {family!r}")
 
 
 def _build_excess(spec: dict, law: hz.CrashHazard) -> hz.ExcessReturn:
     family = spec.get("family")
-    params = spec.get("params", {})
+    params = _object(spec.get("params", {}), "excess.params")
     if family == "zero":
         return hz.ZeroExcess()
     if family == "constant":
-        return hz.ConstantExcess(params.get("alpha", 0.2))
+        return hz.ConstantExcess(_param(params, "excess.params.alpha", 0.2))
     if family == "linear_ramp":
-        return hz.LinearRampExcess(params.get("slope", 0.2))
+        return hz.LinearRampExcess(_param(params, "excess.params.slope", 0.2))
     if family == "constant_jump_size":
-        return hz.ConstantJumpSizeExcess(law, params["delta0"])
+        return hz.ConstantJumpSizeExcess(law, _param(params, "excess.params.delta0"))
     if family == "jls_relaxed":
-        delta = params.get("delta", {})
+        delta = _object(params.get("delta", {}), "excess.params.delta")
         kind = delta.get("kind")
         if kind == "linear":
-            return hz.linear_delta_excess(law, delta["slope"])
+            return hz.linear_delta_excess(law, _param(delta, "excess.params.delta.slope"))
         if kind == "constant":
-            return hz.ConstantJumpSizeExcess(law, delta["value"])
+            return hz.ConstantJumpSizeExcess(law, _param(delta, "excess.params.delta.value"))
         raise ScenarioError(f"unknown relative-jump-size kind {kind!r}")
     raise ScenarioError(f"unknown excess family {family!r}")
 
 
-def _integer(value, name: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{name} must be an integer, got {value!r}") from exc
-
-
 def build_model(scenario: dict) -> hz.MarketModel:
     market = scenario["market"]
-    law = _build_hazard(scenario["hazard"], market.get("horizon", 1.0))
-    excess = _build_excess(scenario["excess"], law)
+    law = _build_hazard(
+        _object(scenario["hazard"], "hazard"), _number(market["horizon"], "market.horizon")
+    )
+    excess = _build_excess(_object(scenario["excess"], "excess"), law)
     return hz.MarketModel(
-        mu=market.get("mu", 0.1), sigma=market.get("sigma", 0.2), hazard=law, excess=excess
+        mu=_number(market["mu"], "market.mu"),
+        sigma=_number(market["sigma"], "market.sigma"),
+        hazard=law,
+        excess=excess,
     )
 
 
 def build_preference(scenario: dict) -> sv.Preference:
     pref = scenario["preference"]
-    return sv.Preference(p=pref.get("p", 4.0), x=pref.get("x", 1.0))
+    return sv.Preference(
+        p=_number(pref["p"], "preference.p"), x=_number(pref["x"], "preference.x")
+    )
 
 
 def _fmt(value) -> str:
@@ -151,13 +186,13 @@ def _emit(rows: list[list], header: list[str], out) -> None:
         out.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _profile_id(scenario: dict) -> str:
-    ex = scenario["excess"]
-    params = ex.get("params", {})
-    if ex.get("family") == "constant":
-        return _fmt(params.get("alpha", 0.2))
+def _profile_id(scenario: dict, excess: hz.ExcessReturn) -> str:
+    family = scenario["excess"]["family"]
+    if family == "constant":
+        return _fmt(excess.alpha)
+    params = scenario["excess"].get("params", {})
     detail = ",".join(f"{k}={v}" for k, v in sorted(params.items()))
-    return f"{ex.get('family')}({detail})"
+    return f"{family}({detail})"
 
 
 def _run_classify(scenario: dict, args, out) -> int:
@@ -183,8 +218,8 @@ def _run_classify(scenario: dict, args, out) -> int:
 def _solve(scenario: dict, args) -> sv.Solution:
     model = build_model(scenario)
     prefs = build_preference(scenario)
-    n_grid = args.grid if args.grid is not None else scenario["grid"].get("n", 512)
-    n_grid = _integer(n_grid, "grid.n")
+    n_grid = args.grid if args.grid is not None else scenario["grid"]["n"]
+    n_grid = _number(n_grid, "grid.n", int)
     if n_grid < 4:
         raise ScenarioError(f"solver grid needs at least 4 points, got {n_grid}")
     kwargs = {"n_grid": n_grid}
@@ -227,7 +262,7 @@ def _run_welfare(scenario: dict, args, out) -> int:
             sol.preference.p,
             sol.model.mu,
             sol.model.sigma,
-            _profile_id(scenario),
+            _profile_id(scenario, sol.model.excess),
             report.certainty_equivalent,
             report.esr,
             report.esr_benchmark,
@@ -242,19 +277,19 @@ def _run_welfare(scenario: dict, args, out) -> int:
 def _run_simulate(scenario: dict, args, out) -> int:
     model = build_model(scenario)
     sim = scenario["sim"]
-    n_paths = args.paths if args.paths is not None else sim.get("n_paths", 100_000)
-    n_paths = _integer(n_paths, "sim.n_paths")
-    seed = _integer(sim.get("seed", 0), "sim.seed")
+    n_paths = args.paths if args.paths is not None else sim["n_paths"]
+    n_paths = _number(n_paths, "sim.n_paths", int)
+    seed = _number(sim["seed"], "sim.seed", int)
     try:
         cfg = mc.SimConfig(n_paths=n_paths, seed=seed)
     except ValueError as exc:
         raise ScenarioError(f"bad simulation settings: {exc}") from exc
-    estimand_name = sim.get("estimand", "terminal_price")
+    estimand_name = sim["estimand"]
     if estimand_name == "terminal_price":
         estimand = mc.TerminalPrice()
     elif estimand_name == "expected_utility":
         sol = _solve(scenario, args)
-        choice = sim.get("strategy", "optimal")
+        choice = sim["strategy"]
         strategies = {
             "optimal": mc.optimal_strategy(sol),
             "merton": mc.merton_strategy(model, sol.preference.p),
@@ -269,13 +304,9 @@ def _run_simulate(scenario: dict, args, out) -> int:
         estimand = mc.BudgetUnderQ(_solve(scenario, args))
     else:
         raise ScenarioError(f"unknown estimand {estimand_name!r}")
-    start = time.perf_counter()
-    result = mc.estimate(model, cfg, estimand)
-    runtime_ms = result.diagnostics.get(
-        "runtime_ms", 1e3 * (time.perf_counter() - start)
-    )
+    r = mc.estimate(model, cfg, estimand)
     _emit(
-        [[result.estimand, result.mean, result.stderr, result.n_paths, result.seed, runtime_ms]],
+        [[r.estimand, r.mean, r.stderr, r.n_paths, r.seed, r.diagnostics["runtime_ms"]]],
         ["estimand", "mean", "stderr", "n_paths", "seed", "runtime_ms"],
         out,
     )
@@ -302,13 +333,14 @@ _COMMANDS = {
 
 
 def _run_sweep(scenario: dict, args, out) -> int:
-    sweep = scenario.get("sweep")
-    if not sweep or "parameter" not in sweep or "values" not in sweep:
-        raise ScenarioError("sweep needs 'parameter' and 'values'")
+    sweep = _object(scenario.get("sweep"), "sweep")
+    parameter, values = sweep.get("parameter"), sweep.get("values")
+    if not isinstance(parameter, str) or not isinstance(values, list):
+        raise ScenarioError("sweep needs a 'parameter' string and a 'values' list")
     inner = sweep.get("command", "welfare")
     if inner not in _COMMANDS:
         raise ScenarioError(f"sweep cannot wrap command {inner!r}")
-    base_seed = _integer(scenario["sim"].get("seed", 0), "sim.seed")
+    base_seed = _number(scenario["sim"]["seed"], "sim.seed", int)
     # buffered, so a failing point leaves no partial output
     buf = io.StringIO()
     status = 0

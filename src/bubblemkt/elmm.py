@@ -19,15 +19,10 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from ._quad import (
-    CONVERGED,
-    PanelRule,
-    clustered_grid,
-    integrate_toward,
-    monotone_inverse,
-)
+from ._quad import CONVERGED, PanelRule, clustered_grid, integrate_toward
 from .hazard import (
     Classification,
+    CrashHazard,
     MarketModel,
     Verdict,
     excess_defect_integral,
@@ -66,12 +61,15 @@ def constant_tilt(c: float) -> TiltFunction:
     )
 
 
-class TiltedMeasure:
+class TiltedMeasure(CrashHazard):
     """Crash-time law under the tilted measure, tabulated on a grid.
 
-    Exposes the same sampling surface as a hazard family (cdf, hazard,
-    atom, inverse_cdf) so Monte Carlo under the tilted measure can reuse
-    the physical-measure machinery unchanged.
+    A crash law like the hazard families: its hazard is ``kappa (1 + y)``
+    and its cumulative hazard the monotone cubic through
+    ``int kappa (1 + y)`` on the grid, so Monte Carlo under the tilted
+    measure reuses the physical-measure machinery unchanged.  Sampling
+    collapses the mass between the grid end and the horizon to the grid
+    end.
     """
 
     def __init__(self, model: MarketModel, tilt: TiltFunction, grid: np.ndarray):
@@ -82,70 +80,30 @@ class TiltedMeasure:
         kap = np.asarray(hazard.hazard(self.grid))
         yv = tilt(self.grid)
         rule = PanelRule(self.grid)
-        self._cum_tilt = rule.cumulative_from_left(kap * yv)  # int kappa y
+        cum_tilt = rule.cumulative_from_left(kap * yv)  # int kappa y
         base = np.asarray(hazard.cumulative_hazard(self.grid))
-        self._cum_total = self._cum_tilt + base  # int kappa (1 + y)
-        self._tilt_interp = PchipInterpolator(self.grid, self._cum_tilt)
-        self._total_interp = PchipInterpolator(self.grid, self._cum_total)
+        cum_total = cum_tilt + base  # int kappa (1 + y)
+        self._tilt_interp = PchipInterpolator(self.grid, cum_tilt)
+        self._cum = PchipInterpolator(self.grid, cum_total)
         self.horizon = hazard.horizon
         # leftover mass beyond the grid decides the atom; the hazard tail
         # is exact from the physical atom, the tilt is frozen at the edge
         t_end = float(self.grid[-1])
+        self._table_edge = (t_end, float(cum_total[-1]))
         if hazard.kappa_integrable:
             base_tail = -math.log(hazard.atom) - float(base[-1])
             edge_tilt = float(tilt(np.array([t_end]))[0])
-            self.atom = math.exp(
-                -(self._cum_total[-1] + (1.0 + edge_tilt) * base_tail)
-            )
+            self.atom = math.exp(-(cum_total[-1] + (1.0 + edge_tilt) * base_tail))
         else:
             self.atom = 0.0
 
-    # -- law surface ---------------------------------------------------------
+    def _kappa(self, t):
+        return np.asarray(self.model.hazard.hazard(t)) * (1.0 + self.tilt(t))
+
     def survival_ratio(self, t):
         """zeta(t): tilted survival over physical survival."""
         t = np.asarray(t, dtype=float)
         return np.exp(-np.asarray(self._tilt_interp(t)))
-
-    def cdf(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.where(
-            t >= self.horizon, 1.0, -np.expm1(-np.asarray(self._total_interp(t)))
-        )
-        return out
-
-    def survival(self, t):
-        """1 - H(t) without the cancellation of ``1 - cdf`` near T."""
-        t = np.asarray(t, dtype=float)
-        return np.where(
-            t >= self.horizon, 0.0, np.exp(-np.asarray(self._total_interp(t)))
-        )
-
-    def hazard(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.asarray(self.model.hazard.hazard(t)) * (1.0 + self.tilt(t))
-
-    def inverse_cdf(self, u):
-        u = np.asarray(u, dtype=float)
-        w = -np.log1p(-u)
-        out = np.full(u.shape, self.horizon)
-        if self.atom > 0.0:
-            solvable = w < -math.log(self.atom)
-        else:
-            solvable = np.ones(u.shape, dtype=bool)
-        cap = float(self._cum_total[-1])
-        inner = solvable & (w < cap)
-        if np.any(inner):
-            out[inner] = monotone_inverse(
-                lambda x, _: np.asarray(self._total_interp(x)),
-                lambda x, _: self.hazard(x),
-                float(self.grid[0]),
-                float(self.grid[-1]),
-                w[inner],
-            )
-        # mass between the grid end and the horizon collapses to the grid end
-        edge = solvable & ~inner
-        out[edge] = float(self.grid[-1])
-        return out
 
     # -- construction checks ---------------------------------------------------
     def relation_residuals(self) -> np.ndarray:

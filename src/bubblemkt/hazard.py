@@ -17,6 +17,7 @@ relative amount tied to the crash hazard.  This module represents
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -43,13 +44,23 @@ class DomainError(ValueError):
     """An argument lies outside the domain of the operation."""
 
 
-def _as_array(t) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(t, dtype=float)
-    return arr, arr.ndim == 0
+def _scalar_or_array(fn: Callable, x):
+    """``fn`` applied to ``x`` converted once to a float array; a float
+    comes back for scalar ``x``, a float array otherwise."""
+    arr = np.asarray(x, dtype=float)
+    out = np.asarray(fn(arr), dtype=float)
+    return float(out) if arr.ndim == 0 else out
 
 
-def _ret(values: np.ndarray, scalar: bool):
-    return float(values) if scalar else values
+def _elementwise(method: Callable) -> Callable:
+    """Decorator giving ``method(owner, t, ...)`` the scalar-or-array
+    convention of :func:`_scalar_or_array` in its argument ``t``."""
+
+    @functools.wraps(method)
+    def wrapped(owner, t, *args, **kwargs):
+        return _scalar_or_array(lambda arr: method(owner, arr, *args, **kwargs), t)
+
+    return wrapped
 
 
 # ---------------------------------------------------------------------------
@@ -60,33 +71,25 @@ def _ret(values: np.ndarray, scalar: bool):
 class CrashHazard:
     """Law of the crash time on (0, T] described by its hazard rate.
 
-    Subclasses provide the hazard ``kappa``, its derivative, the cumulative
-    hazard ``H(t) = int_0^t kappa``, the survival atom at T, and an exact
-    inverse-CDF for sampling.  Everything else (CDF, density, survival)
-    follows from ``1 - G(t) = exp(-H(t))`` on ``[0, T)``.
+    A family supplies array-level hooks: ``_kappa`` (the hazard),
+    ``_dkappa`` (its derivative), ``_cum`` (the cumulative hazard
+    ``H(t) = int_0^t kappa``) and the survival ``atom`` at T.  This class
+    owns the public surface on top of them: every method takes a scalar or
+    an array and returns a float for scalar input; ``hazard``,
+    ``hazard_derivative`` and ``density`` need t in ``[0, T)`` and
+    ``inverse_cdf`` a variate in ``(0, 1)``.  CDF, density and survival
+    follow from ``1 - G(t) = exp(-H(t))`` on ``[0, T)``.  Sampling inverts
+    H with a safeguarded Newton iteration (dH/dt is the hazard); a family
+    with a closed-form inverse overrides ``_inverse_cdf``.
     """
 
     horizon: float
+    atom: float
     family: str = "generic"
+    # (table end, H there) for a law tabulated short of the horizon: the
+    # mass between the table end and T collapses to the table end
+    _table_edge: Optional[tuple[float, float]] = None
 
-    # -- subclass surface ---------------------------------------------------
-    def hazard(self, t):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def hazard_derivative(self, t):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def cumulative_hazard(self, t):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    @property
-    def atom(self) -> float:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def inverse_cdf(self, u):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    # -- shared behavior ----------------------------------------------------
     @property
     def kappa_integrable(self) -> bool:
         """True iff the hazard is integrable on (0, T), i.e. the atom is
@@ -99,68 +102,92 @@ class CrashHazard:
                 f"time must lie in [0, {self.horizon}) for hazard evaluation"
             )
 
+    @_elementwise
+    def hazard(self, t):
+        self._check_interior(t)
+        return self._kappa(t)
+
+    @_elementwise
+    def hazard_derivative(self, t):
+        self._check_interior(t)
+        return self._dkappa(t)
+
+    @_elementwise
+    def cumulative_hazard(self, t):
+        return self._cum(t)
+
+    @_elementwise
     def survival(self, t):
         """P(crash time > t); returns 0 at the horizon (the atom is reported
         separately, see :func:`survival_and_atom`)."""
-        arr, scalar = _as_array(t)
-        if np.any(arr < 0.0) or np.any(arr > self.horizon):
+        if np.any(t < 0.0) or np.any(t > self.horizon):
             raise DomainError("time must lie in [0, T]")
-        out = np.zeros_like(arr)
-        inside = arr < self.horizon
+        out = np.zeros_like(t)
+        inside = t < self.horizon
         if np.any(inside):
-            out[inside] = np.exp(-np.asarray(self.cumulative_hazard(arr[inside])))
-        return _ret(out, scalar)
+            out[inside] = np.exp(-self._cum(t[inside]))
+        return out
 
+    @_elementwise
     def cdf(self, t):
-        arr, scalar = _as_array(t)
-        clipped = np.clip(arr, 0.0, self.horizon)
+        clipped = np.clip(t, 0.0, self.horizon)
         out = np.ones_like(clipped)
         inside = clipped < self.horizon
         if np.any(inside):
-            out[inside] = -np.expm1(-np.asarray(self.cumulative_hazard(clipped[inside])))
-        return _ret(out, scalar)
+            out[inside] = -np.expm1(-self._cum(clipped[inside]))
+        return out
 
+    @_elementwise
     def density(self, t):
-        arr, scalar = _as_array(t)
-        self._check_interior(arr)
-        out = np.asarray(self.hazard(arr)) * np.exp(
-            -np.asarray(self.cumulative_hazard(arr))
-        )
-        return _ret(out, scalar)
+        self._check_interior(t)
+        return self._kappa(t) * np.exp(-self._cum(t))
+
+    @_elementwise
+    def inverse_cdf(self, u):
+        if np.any(u <= 0.0) or np.any(u >= 1.0):
+            raise DomainError("uniform variate must lie in (0, 1)")
+        return self._inverse_cdf(u)
+
+    def _inverse_cdf(self, u: np.ndarray) -> np.ndarray:
+        w = -np.log1p(-u)
+        total = -math.log(self.atom) if self.atom > 0.0 else math.inf
+        end, cap = self._table_edge or (self.horizon, total)
+        # variates in the atom map to the horizon
+        out = np.where(w < total, end, self.horizon)
+        inner = w < min(cap, total)
+        if np.any(inner):
+            out[inner] = monotone_inverse(
+                lambda x, _: self._cum(x),
+                lambda x, _: self._kappa(x),
+                0.0,
+                end,
+                w[inner],
+            )
+        return out
 
 
 class UniformHazard(CrashHazard):
     """Crash time uniform on [0, T]: kappa(t) = 1/(T-t), no atom."""
 
     family = "uniform"
+    atom = 0.0
 
     def __init__(self, horizon: float = 1.0):
         if horizon <= 0:
             raise ModelError("horizon must be positive")
         self.horizon = float(horizon)
 
-    def hazard(self, t):
-        arr, scalar = _as_array(t)
-        self._check_interior(arr)
-        return _ret(1.0 / (self.horizon - arr), scalar)
+    def _kappa(self, t):
+        return 1.0 / (self.horizon - t)
 
-    def hazard_derivative(self, t):
-        arr, scalar = _as_array(t)
-        self._check_interior(arr)
-        return _ret((self.horizon - arr) ** -2.0, scalar)
+    def _dkappa(self, t):
+        return (self.horizon - t) ** -2.0
 
-    def cumulative_hazard(self, t):
-        arr, scalar = _as_array(t)
-        return _ret(np.log(self.horizon) - np.log(self.horizon - arr), scalar)
+    def _cum(self, t):
+        return np.log(self.horizon) - np.log(self.horizon - t)
 
-    @property
-    def atom(self) -> float:
-        return 0.0
-
-    def inverse_cdf(self, u):
-        arr, scalar = _as_array(u)
-        _check_uniform_variate(arr)
-        return _ret(self.horizon * arr, scalar)
+    def _inverse_cdf(self, u):
+        return self.horizon * u
 
 
 class ExponentialCutoffHazard(CrashHazard):
@@ -180,31 +207,20 @@ class ExponentialCutoffHazard(CrashHazard):
             raise ModelError("rate must be positive")
         self.rate = float(rate)
         self.horizon = float(horizon)
+        self.atom = math.exp(-self.rate * self.horizon)
 
-    def hazard(self, t):
-        arr, scalar = _as_array(t)
-        self._check_interior(arr)
-        return _ret(np.full_like(arr, self.rate), scalar)
+    def _kappa(self, t):
+        return np.full_like(t, self.rate)
 
-    def hazard_derivative(self, t):
-        arr, scalar = _as_array(t)
-        self._check_interior(arr)
-        return _ret(np.zeros_like(arr), scalar)
+    def _dkappa(self, t):
+        return np.zeros_like(t)
 
-    def cumulative_hazard(self, t):
-        arr, scalar = _as_array(t)
-        return _ret(self.rate * arr, scalar)
+    def _cum(self, t):
+        return self.rate * t
 
-    @property
-    def atom(self) -> float:
-        return math.exp(-self.rate * self.horizon)
-
-    def inverse_cdf(self, u):
-        arr, scalar = _as_array(u)
-        _check_uniform_variate(arr)
-        w = -np.log1p(-arr)
-        out = np.where(w >= self.rate * self.horizon, self.horizon, w / self.rate)
-        return _ret(out, scalar)
+    def _inverse_cdf(self, u):
+        w = -np.log1p(-u)
+        return np.where(w >= self.rate * self.horizon, self.horizon, w / self.rate)
 
 
 class LPPLHazard(CrashHazard):
@@ -248,23 +264,17 @@ class LPPLHazard(CrashHazard):
     def _theta(self, s: np.ndarray) -> np.ndarray:
         return self.omega * np.log(s) - self.phase
 
-    def hazard(self, t):
-        arr, scalar = _as_array(t)
-        self._check_interior(arr)
-        s = self.horizon - arr
-        out = s ** (self.power - 1.0) * (self.b + self.c * np.cos(self._theta(s)))
-        return _ret(out, scalar)
+    def _kappa(self, t):
+        s = self.horizon - t
+        return s ** (self.power - 1.0) * (self.b + self.c * np.cos(self._theta(s)))
 
-    def hazard_derivative(self, t):
-        arr, scalar = _as_array(t)
-        self._check_interior(arr)
-        s = self.horizon - arr
+    def _dkappa(self, t):
+        s = self.horizon - t
         th = self._theta(s)
-        out = s ** (self.power - 2.0) * (
+        return s ** (self.power - 2.0) * (
             (1.0 - self.power) * (self.b + self.c * np.cos(th))
             + self.c * self.omega * np.sin(th)
         )
-        return _ret(out, scalar)
 
     def _power_primitive(self, s: np.ndarray) -> np.ndarray:
         # int_s^T u^(m-1) du
@@ -273,9 +283,8 @@ class LPPLHazard(CrashHazard):
             return np.log(T) - np.log(s)
         return (T**m - s**m) / m
 
-    def cumulative_hazard(self, t):
-        arr, scalar = _as_array(t)
-        s = self.horizon - arr
+    def _cum(self, t):
+        s = self.horizon - t
         T, m, w = self.horizon, self.power, self.omega
         base = self.b * self._power_primitive(s)
         if self.c != 0.0:
@@ -289,7 +298,7 @@ class LPPLHazard(CrashHazard):
                 sz = np.where(s > 0, sz, 0.0 if m > 0 else np.nan)
                 osc = np.real(coef * (complex(T) ** z - sz) / z)
             base = base + self.c * osc
-        return _ret(base, scalar)
+        return base
 
     @property
     def atom(self) -> float:
@@ -302,27 +311,6 @@ class LPPLHazard(CrashHazard):
                 np.exp(-1j * self.phase) * complex(self.horizon) ** z / z
             ).real
         return math.exp(-total)
-
-    def inverse_cdf(self, u):
-        arr, scalar = _as_array(u)
-        _check_uniform_variate(arr)
-        w = -np.log1p(-arr)
-        atom = self.atom
-        out = np.full(arr.shape, self.horizon)
-        if atom > 0.0:
-            solvable = w < -math.log(atom)
-        else:
-            solvable = np.ones(arr.shape, dtype=bool)
-        if np.any(solvable):
-            # d/dt of the cumulative hazard is the hazard
-            out[solvable] = monotone_inverse(
-                lambda x, _: np.asarray(self.cumulative_hazard(x)),
-                lambda x, _: np.asarray(self.hazard(x)),
-                0.0,
-                self.horizon,
-                w[solvable],
-            )
-        return _ret(out, scalar)
 
 
 class TabulatedHazard(CrashHazard):
@@ -352,50 +340,10 @@ class TabulatedHazard(CrashHazard):
         if g[-1] >= 1.0:
             raise ModelError("last CDF value must be < 1; the remainder is the atom")
         self.horizon = float(t[-1])
-        self._knots = t
         self._cum = PchipInterpolator(t, -np.log1p(-g))
-        self._haz = self._cum.derivative()
-        self._dhaz = self._cum.derivative(2)
-        self._atom = float(1.0 - g[-1])
-
-    def hazard(self, t):
-        arr, scalar = _as_array(t)
-        self._check_interior(arr)
-        return _ret(np.asarray(self._haz(arr)), scalar)
-
-    def hazard_derivative(self, t):
-        arr, scalar = _as_array(t)
-        self._check_interior(arr)
-        return _ret(np.asarray(self._dhaz(arr)), scalar)
-
-    def cumulative_hazard(self, t):
-        arr, scalar = _as_array(t)
-        return _ret(np.asarray(self._cum(arr)), scalar)
-
-    @property
-    def atom(self) -> float:
-        return self._atom
-
-    def inverse_cdf(self, u):
-        arr, scalar = _as_array(u)
-        _check_uniform_variate(arr)
-        w = -np.log1p(-arr)
-        out = np.full(arr.shape, self.horizon)
-        solvable = w < -math.log(self._atom)
-        if np.any(solvable):
-            out[solvable] = monotone_inverse(
-                lambda x, _: np.asarray(self._cum(x)),
-                lambda x, _: np.asarray(self._haz(x)),
-                0.0,
-                self.horizon,
-                w[solvable],
-            )
-        return _ret(out, scalar)
-
-
-def _check_uniform_variate(u: np.ndarray) -> None:
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
-        raise DomainError("uniform variate must lie in (0, 1)")
+        self._kappa = self._cum.derivative()
+        self._dkappa = self._cum.derivative(2)
+        self.atom = float(1.0 - g[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -406,30 +354,40 @@ def _check_uniform_variate(u: np.ndarray) -> None:
 class ExcessReturn:
     """Deterministic pre-crash excess return ``phi`` with two derivatives.
 
-    ``bounded_dphi`` advertises that ``phi'`` is bounded on [0, T), which
-    lets the classifier decide integrability of ``kappa - phi'`` without
-    quadrature.  Profiles tied to a hazard (constant or supplied relative
-    jump size) carry the hazard and report ``delta`` directly.
+    A profile supplies array-level hooks ``_phi``, ``_dphi`` and
+    ``_d2phi``, and, when it fixes the relative jump size itself,
+    ``_delta`` and ``_ddelta``; this class gives them the scalar-or-array
+    convention of the crash laws.  ``bounded_dphi`` advertises that
+    ``phi'`` is bounded on [0, T), which lets the classifier decide
+    integrability of ``kappa - phi'`` without quadrature.  Profiles tied to
+    a hazard (constant or supplied relative jump size) carry the hazard.
     """
 
     family = "generic"
     bounded_dphi = True
     hazard: Optional[CrashHazard] = None
+    _delta: Optional[Callable] = None
+    _ddelta: Optional[Callable] = None
 
-    def phi(self, t):  # pragma: no cover - abstract
-        raise NotImplementedError
+    @_elementwise
+    def phi(self, t):
+        return self._phi(t)
 
-    def dphi(self, t):  # pragma: no cover - abstract
-        raise NotImplementedError
+    @_elementwise
+    def dphi(self, t):
+        return self._dphi(t)
 
-    def d2phi(self, t):  # pragma: no cover - abstract
-        raise NotImplementedError
+    @_elementwise
+    def d2phi(self, t):
+        return self._d2phi(t)
 
     def delta(self, t):
-        return None  # derived from dphi / kappa by the market model
+        """Relative jump size where the profile fixes it; None leaves the
+        market model to derive it from phi' / kappa."""
+        return None if self._delta is None else _scalar_or_array(self._delta, t)
 
     def ddelta(self, t):
-        return None
+        return None if self._ddelta is None else _scalar_or_array(self._ddelta, t)
 
 
 class ZeroExcess(ExcessReturn):
@@ -438,12 +396,10 @@ class ZeroExcess(ExcessReturn):
 
     family = "zero"
 
-    def phi(self, t):
-        arr, scalar = _as_array(t)
-        return _ret(np.zeros_like(arr), scalar)
+    def _phi(self, t):
+        return np.zeros_like(t)
 
-    dphi = phi
-    d2phi = phi
+    _dphi = _d2phi = _phi
 
 
 class ConstantExcess(ExcessReturn):
@@ -454,17 +410,14 @@ class ConstantExcess(ExcessReturn):
     def __init__(self, alpha: float):
         self.alpha = float(alpha)
 
-    def phi(self, t):
-        arr, scalar = _as_array(t)
-        return _ret(self.alpha * arr, scalar)
+    def _phi(self, t):
+        return self.alpha * t
 
-    def dphi(self, t):
-        arr, scalar = _as_array(t)
-        return _ret(np.full_like(arr, self.alpha), scalar)
+    def _dphi(self, t):
+        return np.full_like(t, self.alpha)
 
-    def d2phi(self, t):
-        arr, scalar = _as_array(t)
-        return _ret(np.zeros_like(arr), scalar)
+    def _d2phi(self, t):
+        return np.zeros_like(t)
 
 
 class LinearRampExcess(ExcessReturn):
@@ -475,17 +428,14 @@ class LinearRampExcess(ExcessReturn):
     def __init__(self, slope: float):
         self.slope = float(slope)
 
-    def phi(self, t):
-        arr, scalar = _as_array(t)
-        return _ret(0.5 * self.slope * arr * arr, scalar)
+    def _phi(self, t):
+        return 0.5 * self.slope * t * t
 
-    def dphi(self, t):
-        arr, scalar = _as_array(t)
-        return _ret(self.slope * arr, scalar)
+    def _dphi(self, t):
+        return self.slope * t
 
-    def d2phi(self, t):
-        arr, scalar = _as_array(t)
-        return _ret(np.full_like(arr, self.slope), scalar)
+    def _d2phi(self, t):
+        return np.full_like(t, self.slope)
 
 
 class ConstantJumpSizeExcess(ExcessReturn):
@@ -507,25 +457,20 @@ class ConstantJumpSizeExcess(ExcessReturn):
     def bounded_dphi(self) -> bool:  # bounded iff the hazard is
         return self.hazard.kappa_integrable
 
-    def phi(self, t):
-        arr, scalar = _as_array(t)
-        return _ret(self.delta0 * np.asarray(self.hazard.cumulative_hazard(arr)), scalar)
+    def _phi(self, t):
+        return self.delta0 * np.asarray(self.hazard.cumulative_hazard(t))
 
-    def dphi(self, t):
-        arr, scalar = _as_array(t)
-        return _ret(self.delta0 * np.asarray(self.hazard.hazard(arr)), scalar)
+    def _dphi(self, t):
+        return self.delta0 * np.asarray(self.hazard.hazard(t))
 
-    def d2phi(self, t):
-        arr, scalar = _as_array(t)
-        return _ret(self.delta0 * np.asarray(self.hazard.hazard_derivative(arr)), scalar)
+    def _d2phi(self, t):
+        return self.delta0 * np.asarray(self.hazard.hazard_derivative(t))
 
-    def delta(self, t):
-        arr, scalar = _as_array(t)
-        return _ret(np.full_like(arr, self.delta0), scalar)
+    def _delta(self, t):
+        return np.full_like(t, self.delta0)
 
-    def ddelta(self, t):
-        arr, scalar = _as_array(t)
-        return _ret(np.zeros_like(arr), scalar)
+    def _ddelta(self, t):
+        return np.zeros_like(t)
 
 
 class RelaxedJLSExcess(ExcessReturn):
@@ -553,11 +498,13 @@ class RelaxedJLSExcess(ExcessReturn):
         self.hazard = hazard
         self._delta = delta_fn
         self._ddelta = ddelta_fn
-        self._phi = phi_fn
+        self._phi_fn = phi_fn
         self.label = label
         self._phi_interp = None
 
-    def _phi_fallback(self, arr: np.ndarray) -> np.ndarray:
+    def _phi(self, t):
+        if self._phi_fn is not None:
+            return self._phi_fn(t)
         if self._phi_interp is None:
             T = self.hazard.horizon
             grid = clustered_grid(T * (1.0 - 1e-9), 4097)
@@ -566,33 +513,15 @@ class RelaxedJLSExcess(ExcessReturn):
             )
             vals = PanelRule(grid).cumulative_from_left(integrand)
             self._phi_interp = PchipInterpolator(grid, vals)
-        return np.asarray(self._phi_interp(np.minimum(arr, self._phi_interp.x[-1])))
+        return self._phi_interp(np.minimum(t, self._phi_interp.x[-1]))
 
-    def phi(self, t):
-        arr, scalar = _as_array(t)
-        if self._phi is not None:
-            return _ret(np.asarray(self._phi(arr)), scalar)
-        return _ret(self._phi_fallback(arr), scalar)
+    def _dphi(self, t):
+        return np.asarray(self._delta(t)) * np.asarray(self.hazard.hazard(t))
 
-    def dphi(self, t):
-        arr, scalar = _as_array(t)
-        out = np.asarray(self._delta(arr)) * np.asarray(self.hazard.hazard(arr))
-        return _ret(out, scalar)
-
-    def d2phi(self, t):
-        arr, scalar = _as_array(t)
-        out = np.asarray(self._ddelta(arr)) * np.asarray(self.hazard.hazard(arr)) + np.asarray(
-            self._delta(arr)
-        ) * np.asarray(self.hazard.hazard_derivative(arr))
-        return _ret(out, scalar)
-
-    def delta(self, t):
-        arr, scalar = _as_array(t)
-        return _ret(np.asarray(self._delta(arr)), scalar)
-
-    def ddelta(self, t):
-        arr, scalar = _as_array(t)
-        return _ret(np.asarray(self._ddelta(arr)), scalar)
+    def _d2phi(self, t):
+        return np.asarray(self._ddelta(t)) * np.asarray(self.hazard.hazard(t)) + np.asarray(
+            self._delta(t)
+        ) * np.asarray(self.hazard.hazard_derivative(t))
 
 
 def linear_delta_excess(hazard: CrashHazard, slope: float) -> RelaxedJLSExcess:
@@ -632,18 +561,6 @@ class CustomExcess(ExcessReturn):
         self._d2phi = d2phi_fn
         self.bounded_dphi = bounded_dphi
 
-    def phi(self, t):
-        arr, scalar = _as_array(t)
-        return _ret(np.asarray(self._phi(arr), dtype=float), scalar)
-
-    def dphi(self, t):
-        arr, scalar = _as_array(t)
-        return _ret(np.asarray(self._dphi(arr), dtype=float), scalar)
-
-    def d2phi(self, t):
-        arr, scalar = _as_array(t)
-        return _ret(np.asarray(self._d2phi(arr), dtype=float), scalar)
-
 
 # ---------------------------------------------------------------------------
 # Market model
@@ -675,29 +592,27 @@ class MarketModel:
     def horizon(self) -> float:
         return self.hazard.horizon
 
+    @_elementwise
     def delta(self, t):
         """Relative crash size phi'/kappa with the 0/0 := 0 convention."""
         direct = self.excess.delta(t)
         if direct is not None:
             return direct
-        arr, scalar = _as_array(t)
-        dphi = np.asarray(self.excess.dphi(arr))
-        kap = np.asarray(self.hazard.hazard(arr))
+        dphi = np.asarray(self.excess.dphi(t))
+        kap = np.asarray(self.hazard.hazard(t))
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(dphi == 0.0, 0.0, dphi / kap)
-        return _ret(out, scalar)
+            return np.where(dphi == 0.0, 0.0, dphi / kap)
 
+    @_elementwise
     def ddelta(self, t):
         direct = self.excess.ddelta(t)
         if direct is not None:
             return direct
-        arr, scalar = _as_array(t)
-        dphi = np.asarray(self.excess.dphi(arr))
-        d2phi = np.asarray(self.excess.d2phi(arr))
-        kap = np.asarray(self.hazard.hazard(arr))
-        dkap = np.asarray(self.hazard.hazard_derivative(arr))
-        out = (d2phi * kap - dphi * dkap) / kap**2
-        return _ret(out, scalar)
+        dphi = np.asarray(self.excess.dphi(t))
+        d2phi = np.asarray(self.excess.d2phi(t))
+        kap = np.asarray(self.hazard.hazard(t))
+        dkap = np.asarray(self.hazard.hazard_derivative(t))
+        return (d2phi * kap - dphi * dkap) / kap**2
 
     def phi_left_limit(self) -> float:
         """phi(T-), finite whenever the hazard is integrable."""
@@ -813,6 +728,7 @@ class LPPLShape:
     horizon: float
 
 
+@_elementwise
 def lppl_log_price(shape: LPPLShape, t):
     """A + B|T-t|^m + C|T-t|^m cos(omega log(T-t) - phase), for m in (0,1).
 
@@ -823,14 +739,12 @@ def lppl_log_price(shape: LPPLShape, t):
         raise DomainError(
             "power must lie in (0, 1); use the hazard-level representation otherwise"
         )
-    arr, scalar = _as_array(t)
-    if np.any(arr >= shape.horizon):
+    if np.any(t >= shape.horizon):
         raise DomainError("time must be below the critical time")
-    s = shape.horizon - arr
-    out = shape.a + shape.b * s**shape.power + shape.c * s**shape.power * np.cos(
+    s = shape.horizon - t
+    return shape.a + shape.b * s**shape.power + shape.c * s**shape.power * np.cos(
         shape.omega * np.log(s) - shape.phase
     )
-    return _ret(out, scalar)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from scipy.interpolate import PchipInterpolator
 
 from ._quad import KahanSum, PanelRule, clustered_grid
 from .elmm import TiltFunction, build_tilted_measure
-from .hazard import DomainError, MarketModel
+from .hazard import MarketModel
 from .solver import Solution
 
 _TERMINAL_BLOCK_PAIRS = 1 << 15
@@ -161,11 +161,7 @@ def sample_crash_time(dist, u):
     family or a tilted measure); returns exactly the horizon when the
     variate falls into the survival atom.
     """
-    arr = np.asarray(u, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise DomainError("uniform variate must lie in (0, 1)")
-    out = np.asarray(dist.inverse_cdf(arr))
-    return float(out) if np.ndim(u) == 0 else out
+    return dist.inverse_cdf(u)
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:

@@ -30,7 +30,14 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from ._quad import CONVERGED, PanelRule, clustered_grid, integrate_toward, monotone_inverse
-from .hazard import DomainError, MarketModel, ModelError, validate
+from .hazard import (
+    DomainError,
+    MarketModel,
+    ModelError,
+    _elementwise,
+    _scalar_or_array,
+    validate,
+)
 
 TERMINAL_CLIP_FRACTION = 1e-6  # grid stops at T (1 - this)
 LOG_UTILITY_WINDOW = 1e-6  # |p - 1| below this routes to the closed form
@@ -117,16 +124,15 @@ def _aux_dm_dy(c: _Coef, y: np.ndarray, i=...) -> np.ndarray:
 def lower_boundary(model: MarketModel, prefs: Preference, t):
     """Below this tilt level the function m is nonpositive: -1 where the
     excess return vanishes, else max(-1, mu/phi' - p sigma^2 kappa/phi'^2)."""
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    phi_p = np.atleast_1d(np.asarray(model.excess.dphi(t_arr)))
-    kap = np.atleast_1d(np.asarray(model.hazard.hazard(t_arr)))
-    out = np.full(phi_p.shape, -1.0)
-    pos = phi_p > 0.0
-    if np.any(pos):
-        val = model.mu / phi_p[pos] - prefs.p * model.sigma**2 * kap[pos] / phi_p[pos] ** 2
-        out[pos] = np.maximum(-1.0, val)
-    return float(out[0]) if scalar else out.reshape(t_arr.shape)
+
+    def boundary(t):
+        phi_p = np.asarray(model.excess.dphi(t))
+        kap = np.asarray(model.hazard.hazard(t))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = model.mu / phi_p - prefs.p * model.sigma**2 * kap / phi_p**2
+        return np.where(phi_p > 0.0, np.maximum(-1.0, val), -1.0)
+
+    return _scalar_or_array(boundary, t)
 
 
 def aux_eval(model: MarketModel, prefs: Preference, t: float, y: float) -> AuxEval:
@@ -277,19 +283,17 @@ def ode_rhs(model: MarketModel, prefs: Preference, t: float, y: float) -> float:
     return (ev.a * ev.n - ev.da_dt) / denom
 
 
+@_elementwise
 def log_utility_solution(model: MarketModel, t):
     """Closed-form curve for p = 1; zero where the excess return vanishes.
 
     The defining relation m(t, y, 1) = 1 reduces to a quadratic; the root
     above -1 is returned in a cancellation-safe form.
     """
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    arr = np.atleast_1d(t_arr)
-    phi_p = np.asarray(model.excess.dphi(arr))
-    kap = np.asarray(model.hazard.hazard(arr))
+    phi_p = np.asarray(model.excess.dphi(t))
+    kap = np.asarray(model.hazard.hazard(t))
     sig2 = model.sigma**2
-    out = np.zeros(arr.shape)
+    out = np.zeros(t.shape)
     pos = phi_p > 0.0
     if np.any(pos):
         fp = phi_p[pos]
@@ -299,7 +303,7 @@ def log_utility_solution(model: MarketModel, t):
             2.0 * fp
         )
         out[pos] = root
-    return float(out[0]) if scalar else out.reshape(t_arr.shape)
+    return out
 
 
 @dataclass(frozen=True)
@@ -479,20 +483,16 @@ def dual_multiplier(solution: Solution) -> float:
     return _dual_multiplier_value(solution.model, solution.preference, solution.m_start)
 
 
+@_elementwise
 def optimal_fraction(solution: Solution, t: float, crashed: bool = False):
     """Fraction of wealth in the stock: Merton after the crash or at the
     horizon, tilt-adjusted before."""
-    T = solution.model.horizon
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    arr = np.atleast_1d(t_arr).astype(float)
-    merton = solution.merton_fraction
-    out = np.full(arr.shape, merton)
+    out = np.full(t.shape, solution.merton_fraction)
     if not crashed:
-        pre = arr < T
+        pre = t < solution.model.horizon
         if np.any(pre):
-            out[pre] = solution.fraction_pre_crash(arr[pre])
-    return float(out[0]) if scalar else out.reshape(t_arr.shape)
+            out[pre] = solution.fraction_pre_crash(t[pre])
+    return out
 
 
 def decompose(solution: Solution) -> tuple[Curve, Curve]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._quad import CONVERGED, PanelRule, integrate_toward
 from .hazard import MarketModel
-from .solver import LOG_UTILITY_WINDOW, Preference, Solution, aux_eval
+from .solver import Preference, Solution, aux_eval
 
 
 @dataclass(frozen=True)
@@ -83,18 +83,27 @@ def _log_utility_loss_integrals(
     return trade, jump
 
 
+def _certainty_equivalent(
+    model: MarketModel, prefs: Preference, grid: np.ndarray, y: np.ndarray, m_start: float
+) -> float:
+    base = black_scholes_ce(model, prefs)
+    if prefs.log_utility:
+        trade, jump = _log_utility_loss_integrals(model, grid, y)
+        return base * math.exp(-trade) * math.exp(-jump)
+    p = prefs.p
+    return base * m_start ** (-p / (1.0 - p))
+
+
 def certainty_equivalent(solution: Solution) -> float:
     """Riskless terminal wealth with the same expected utility as the
     optimal strategy."""
-    model, prefs = solution.model, solution.preference
-    base = black_scholes_ce(model, prefs)
-    if prefs.log_utility:
-        trade, jump = _log_utility_loss_integrals(
-            model, solution.grid, solution.tilt.values
-        )
-        return base * math.exp(-trade) * math.exp(-jump)
-    p = prefs.p
-    return base * solution.m_start ** (-p / (1.0 - p))
+    return _certainty_equivalent(
+        solution.model,
+        solution.preference,
+        solution.grid,
+        solution.tilt.values,
+        solution.m_start,
+    )
 
 
 def welfare_from_curve(
@@ -104,14 +113,8 @@ def welfare_from_curve(
     output); for power utility only the starting value matters."""
     grid = np.asarray(grid, dtype=float)
     y_values = np.asarray(y_values, dtype=float)
-    base = black_scholes_ce(model, prefs)
-    if abs(prefs.p - 1.0) < LOG_UTILITY_WINDOW:
-        trade, jump = _log_utility_loss_integrals(model, grid, y_values)
-        ce = base * math.exp(-trade) * math.exp(-jump)
-    else:
-        m0 = aux_eval(model, prefs, float(grid[0]), float(y_values[0])).m
-        ce = base * m0 ** (-prefs.p / (1.0 - prefs.p))
-    return _report(model, prefs, ce)
+    m0 = aux_eval(model, prefs, float(grid[0]), float(y_values[0])).m
+    return _report(model, prefs, _certainty_equivalent(model, prefs, grid, y_values, m0))
 
 
 def _report(model: MarketModel, prefs: Preference, ce: float) -> WelfareReport:

@@ -1,3 +1,5 @@
+import contextlib
+import copy
 import csv
 import io
 import json
@@ -6,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bubblemkt import solve_optimal, welfare_from_curve
 from bubblemkt.cli import build_model, build_preference, load_scenario, main
@@ -98,6 +102,17 @@ class TestWelfareRoundTrip:
         )
 
 
+def test_profile_names_only_given_parameters(tmp_path, capsys):
+    # one family's default parameters must not leak into another's
+    path = write_scenario(tmp_path, {
+        "hazard": {"family": "uniform"},
+        "excess": {"family": "linear_ramp", "params": {"slope": 0.3}},
+    })
+    code, out, _ = run_cli(["welfare", "--scenario", path, "--grid", "32"], capsys)
+    assert code == 0
+    assert parse_csv(out)[0]["profile"] == "linear_ramp(slope=0.3)"
+
+
 class TestSimulate:
     def test_estimator_row(self, tmp_path, capsys):
         payload = dict(EX37)
@@ -186,10 +201,16 @@ class TestErrorPaths:
             ("solve", [], {"grid": {"n": "abc"}}),
             ("sweep", [], {"sim": {"seed": "x"}, "sweep": {
                 "command": "simulate", "parameter": "market.mu", "values": [0.1]}}),
+            ("classify", [], {"excess": {"family": "constant", "params": {"alpha": "x"}}}),
+            ("classify", [], {"market": None}),
+            ("classify", [], {"hazard": "x"}),
+            ("classify", [], {"hazard": {"family": "tabulated", "params": {
+                "times": ["a", 1, 2], "cdf": [0.0, 0.2, 0.4]}}}),
         ],
         ids=["paths0", "paths-5", "grid0", "grid3",
              "sim.n_paths0", "sim.n_paths-5", "sim.n_paths-null",
-             "grid.n0", "grid.n3", "grid.n-abc", "sweep-sim.seed-x"],
+             "grid.n0", "grid.n3", "grid.n-abc", "sweep-sim.seed-x",
+             "excess.alpha-x", "market-null", "hazard-string", "tabulated.times-a"],
     )
     def test_bad_counts(self, tmp_path, capsys, command, flags, payload):
         path = write_scenario(tmp_path, payload)
@@ -238,6 +259,78 @@ class TestErrorPaths:
         path = write_scenario(tmp_path, {"hazard": {"family": "cauchy"}})
         code, _, err = run_cli(["classify", "--scenario", path], capsys)
         assert code == 1
+
+
+_HAZARD_PARAMS = {
+    "exponential_cutoff": {"rate": 1.0},
+    "uniform": {},
+    "lppl": {"b": 1.2, "c": 0.3, "power": 0.4, "omega": 6.0, "phase": 0.5},
+    "tabulated": {"times": [0.0, 0.5, 1.0], "cdf": [0.0, 0.3, 0.5]},
+    "cauchy": {},
+}
+_EXCESS_PARAMS = {
+    "zero": {},
+    "constant": {"alpha": 0.2},
+    "linear_ramp": {"slope": 0.2},
+    "constant_jump_size": {"delta0": 0.3},
+    "jls_relaxed": {"delta": {"kind": "linear", "slope": 0.5}},
+    "student": {},
+}
+_WRONG_TYPES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=6),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 2), max_size=2),
+)
+
+
+def _field_paths(node, prefix=()):
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (key,))
+
+
+@st.composite
+def _malformed_scenarios(draw):
+    hazard = draw(st.sampled_from(sorted(_HAZARD_PARAMS)))
+    excess = draw(st.sampled_from(sorted(_EXCESS_PARAMS)))
+    scenario = {
+        "market": {"mu": draw(st.sampled_from([0.0, 0.1])), "sigma": 0.2, "horizon": 1.0},
+        "hazard": {"family": hazard, "params": copy.deepcopy(_HAZARD_PARAMS[hazard])},
+        "excess": {"family": excess, "params": copy.deepcopy(_EXCESS_PARAMS[excess])},
+        "preference": {"p": 4.0, "x": 1.0},
+        "grid": {"n": 64},
+        "sim": {"n_paths": 100, "seed": 0},
+    }
+    paths = list(_field_paths(scenario))
+    for path in draw(st.lists(st.sampled_from(paths), min_size=1, max_size=3, unique=True)):
+        node = scenario
+        for key in path[:-1]:
+            node = node.get(key) if isinstance(node, dict) else None
+        if not isinstance(node, dict) or path[-1] not in node:
+            continue  # an earlier edit replaced or removed a parent
+        if draw(st.booleans()):
+            del node[path[-1]]  # missing field, e.g. a required parameter
+        else:
+            node[path[-1]] = draw(_WRONG_TYPES)
+    return scenario
+
+
+@given(scenario=_malformed_scenarios(), under_q=st.booleans())
+def test_classify_contract_on_malformed_scenarios(tmp_path_factory, scenario, under_q):
+    path = tmp_path_factory.mktemp("fuzz") / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    argv = ["classify", "--scenario", str(path)] + (["--under-q"] if under_q else [])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("ERROR code=")]
+    assert len(errors) == (0 if code == 0 else 1)
+    if code:
+        assert errors[0].startswith(f"ERROR code={code} ")
 
 
 def test_console_entry_point():

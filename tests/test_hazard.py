@@ -306,22 +306,23 @@ class TestTabulated:
             TabulatedHazard([0.0, 0.5, 1.0], [0.0, 0.6, 1.0])
 
 
-@pytest.mark.parametrize(
-    "law",
-    [
-        UniformHazard(1.0),
-        ExponentialCutoffHazard(1.0, 1.0),
-        LPPLHazard(b=1.2, c=0.3, power=0.4, omega=6.0, phase=0.5, horizon=1.0),
-        TabulatedHazard(np.linspace(0, 1, 41), 1 - np.exp(-np.linspace(0, 1, 41))),
-        # no atom, and kappa unbounded at the horizon
-        LPPLHazard(b=1.2, c=0.3, power=-0.3, omega=6.0, phase=0.5, horizon=1.0),
-        build_tilted_measure(
-            MarketModel(0.1, 0.2, ExponentialCutoffHazard(1.0, 1.0), ConstantExcess(0.2)),
-            constant_tilt(0.5),
-        ),
-    ],
-    ids=["uniform", "expcut", "lppl", "tabulated", "lppl-singular", "tilted"],
-)
+LAWS = {
+    "uniform": UniformHazard(1.0),
+    "expcut": ExponentialCutoffHazard(1.0, 1.0),
+    "lppl": LPPLHazard(b=1.2, c=0.3, power=0.4, omega=6.0, phase=0.5, horizon=1.0),
+    "tabulated": TabulatedHazard(
+        np.linspace(0, 1, 41), 1 - np.exp(-np.linspace(0, 1, 41))
+    ),
+    # no atom, and kappa unbounded at the horizon
+    "lppl-singular": LPPLHazard(b=1.2, c=0.3, power=-0.3, omega=6.0, phase=0.5, horizon=1.0),
+    "tilted": build_tilted_measure(
+        MarketModel(0.1, 0.2, ExponentialCutoffHazard(1.0, 1.0), ConstantExcess(0.2)),
+        constant_tilt(0.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("law", LAWS.values(), ids=LAWS.keys())
 @given(u=st.floats(1e-6, 1 - 1e-6))
 def test_inverse_cdf_round_trip(law, u):
     gamma = float(np.asarray(law.inverse_cdf(np.array([u])))[0])
@@ -329,3 +330,29 @@ def test_inverse_cdf_round_trip(law, u):
         assert u > 1.0 - law.atom - 1e-9
     else:
         assert float(law.cdf(gamma)) == pytest.approx(u, abs=1e-9)
+
+
+@pytest.mark.parametrize("law", LAWS.values(), ids=LAWS.keys())
+class TestCrashLawSurface:
+    """Every crash law, the tilted one included, shares one surface."""
+
+    @pytest.mark.parametrize(
+        "method, arg",
+        [
+            ("hazard", 0.3),
+            ("cumulative_hazard", 0.3),
+            ("cdf", 0.3),
+            ("survival", 0.3),
+            ("inverse_cdf", 0.4),
+        ],
+    )
+    def test_scalar_in_float_out(self, law, method, arg):
+        assert type(getattr(law, method)(arg)) is float
+
+    def test_hazard_rejects_horizon(self, law):
+        with pytest.raises(DomainError):
+            law.hazard(law.horizon)
+
+    def test_inverse_cdf_rejects_zero_variate(self, law):
+        with pytest.raises(DomainError):
+            law.inverse_cdf(0.0)
