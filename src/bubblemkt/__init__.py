@@ -2,6 +2,7 @@
 Monte Carlo verification for a Black--Scholes asset carrying a single
 crash."""
 
+from ._quad import Curve
 from .hazard import (
     C1Function,
     Classification,
@@ -44,7 +45,6 @@ from .elmm import (
 )
 from .solver import (
     AuxEval,
-    Curve,
     Preference,
     Solution,
     SolverError,

@@ -1,6 +1,6 @@
 """Quadrature plumbing shared across the package.
 
-Three tools live here:
+Four tools live here:
 
 * :class:`PanelRule` integrates grid-sampled functions on a fixed,
   nonuniform grid with a local-cubic rule (O(h^4) globally), giving fast
@@ -13,6 +13,8 @@ Three tools live here:
   rate observable.
 * :func:`monotone_inverse` inverts increasing functions pointwise with a
   safeguarded Newton iteration; every root solve in the package uses it.
+* :class:`Curve` is the monotone cubic, with two derivatives, behind every
+  tabulated object in the package.
 """
 
 from __future__ import annotations
@@ -103,6 +105,61 @@ class PanelRule:
         out[-1] = 0.0
         out[:-1] = np.cumsum(parts[::-1])[::-1]
         return out
+
+
+class Curve:
+    """Monotone cubic through ``values`` on a strictly increasing ``grid``.
+
+    Fritsch & Carlson (SIAM J. Numer. Anal. 17, 1980) with the knot slopes
+    of ``pchip`` (Moler, Numerical Computing with MATLAB, 2004, section
+    3.4); coefficients and evaluation order are those of SciPy's
+    ``PchipInterpolator`` and its ``derivative(nu)``, which it matches bit
+    for bit.
+    ``curve(t, nu)`` is the ``nu``-th derivative (nu = 0, 1, 2) at ``t``
+    clamped to the grid: the curve stays frozen past its table.
+    """
+
+    def __init__(self, grid, values):
+        x = np.asarray(grid, dtype=float)
+        y = np.asarray(values, dtype=float)
+        if x.ndim != 1 or x.shape != y.shape or len(x) < 2:
+            raise ValueError("grid and values must be 1-d arrays of one length >= 2")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("grid and values must be finite")
+        h = np.diff(x)
+        if np.any(h <= 0.0):
+            raise ValueError("grid must be strictly increasing")
+        m = np.diff(y) / h
+        d = np.full_like(y, m[0])  # knot slopes; two knots give the straight line
+        if len(x) > 2:
+            # inside: weighted harmonic mean of the secants, 0 at an extremum
+            w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+            flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+            # ends: one-sided three-point slopes, limited to keep the shape
+            h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+            e = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+            over = (np.sign(m0) != np.sign(m1)) & (np.abs(e) > 3.0 * np.abs(m0))
+            d[[0, -1]] = np.where(np.sign(e) != np.sign(m0), 0.0, np.where(over, 3.0 * m0, e))
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        self.grid, self.values = x, y
+        self._coef = np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+
+    def __call__(self, t, nu: int = 0):
+        if nu not in (0, 1, 2):
+            raise ValueError("derivative order must be 0, 1 or 2")
+        x = self.grid
+        t = np.clip(np.asarray(t, dtype=float), x[0], x[-1])
+        i = np.searchsorted(x[1:-1], t, side="right")  # panel holding t
+        c = [row.take(i) for row in self._coef[: 4 - nu]]  # the rows nu needs
+        s = t - x.take(i)
+        if nu == 0:
+            s2 = s * s
+            return c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s)
+        if nu == 1:
+            return c[2] + 2.0 * c[1] * s + 3.0 * c[0] * (s * s)
+        return 2.0 * c[1] + 6.0 * c[0] * s
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import argparse
 import copy
+import csv
 import io
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -86,9 +88,12 @@ def _object(value, name: str) -> dict:
 
 def _number(value, name: str, kind: type = float):
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{name} must be {kind.__name__}, got {value!r}") from exc
+        number = kind(value)
+        if math.isfinite(number):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ScenarioError(f"{name} must be a finite {kind.__name__}, got {value!r}")
 
 
 def _numbers(value, name: str) -> list[float]:
@@ -181,9 +186,9 @@ def _fmt(value) -> str:
 
 
 def _emit(rows: list[list], header: list[str], out) -> None:
-    out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(_fmt(v) for v in row) + "\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _profile_id(scenario: dict, excess: hz.ExcessReturn) -> str:

@@ -24,11 +24,11 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from ._quad import (
     CONVERGED,
     DIVERGENT,
+    Curve,
     PanelRule,
     clustered_grid,
     integrate_toward,
@@ -42,6 +42,13 @@ class ModelError(ValueError):
 
 class DomainError(ValueError):
     """An argument lies outside the domain of the operation."""
+
+
+def _finite(**params: float) -> None:
+    """Raise :class:`ModelError` naming the first non-finite parameter."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ModelError(f"{name} must be finite, got {value!r}")
 
 
 def _scalar_or_array(fn: Callable, x):
@@ -173,6 +180,7 @@ class UniformHazard(CrashHazard):
     atom = 0.0
 
     def __init__(self, horizon: float = 1.0):
+        _finite(horizon=horizon)
         if horizon <= 0:
             raise ModelError("horizon must be positive")
         self.horizon = float(horizon)
@@ -201,6 +209,7 @@ class ExponentialCutoffHazard(CrashHazard):
     family = "exponential_cutoff"
 
     def __init__(self, rate: float = 1.0, horizon: float = 1.0):
+        _finite(rate=rate, horizon=horizon)
         if horizon <= 0:
             raise ModelError("horizon must be positive")
         if rate <= 0:
@@ -248,6 +257,7 @@ class LPPLHazard(CrashHazard):
         phase: float = 0.0,
         horizon: float = 1.0,
     ):
+        _finite(b=b, c=c, power=power, omega=omega, phase=phase, horizon=horizon)
         if horizon <= 0:
             raise ModelError("horizon must be positive")
         self.b = float(b)
@@ -310,18 +320,20 @@ class LPPLHazard(CrashHazard):
             total += self.c * (
                 np.exp(-1j * self.phase) * complex(self.horizon) ** z / z
             ).real
+        if not total >= 0.0:  # the survival would exceed 1
+            raise ModelError(f"LPPL hazard integrates to {total!r} on [0, T]; need |c| < b")
         return math.exp(-total)
 
 
 class TabulatedHazard(CrashHazard):
     """Crash-time law given by CDF values on a knot grid.
 
-    The monotone cubic interpolant is built on the cumulative hazard
-    -log(1 - G), so the implied hazard is the exact derivative of the
-    interpolant and the survival identity holds exactly for the
-    interpolated law.  The horizon is the last knot and the atom is
-    1 - G(last knot), which must be positive (a tabulated CDF cannot
-    resolve a hazard blow-up).
+    The monotone cubic :class:`~bubblemkt._quad.Curve` is built on the
+    cumulative hazard -log(1 - G), so the hazard and its derivative are the
+    curve's first and second derivatives and the survival identity holds
+    exactly for the interpolated law.  The horizon is the last knot and the
+    atom is 1 - G(last knot), which must be positive (a tabulated CDF
+    cannot resolve a hazard blow-up).
     """
 
     family = "tabulated"
@@ -331,6 +343,8 @@ class TabulatedHazard(CrashHazard):
         g = np.asarray(cdf_values, dtype=float)
         if t.ndim != 1 or t.shape != g.shape or len(t) < 3:
             raise ModelError("need matching 1-d knot and value arrays, >= 3 knots")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(g))):
+            raise ModelError("knots and CDF values must be finite")
         if t[0] != 0.0 or g[0] != 0.0:
             raise ModelError("knots must start at t=0 with G(0)=0")
         if not np.all(np.diff(t) > 0):
@@ -340,9 +354,9 @@ class TabulatedHazard(CrashHazard):
         if g[-1] >= 1.0:
             raise ModelError("last CDF value must be < 1; the remainder is the atom")
         self.horizon = float(t[-1])
-        self._cum = PchipInterpolator(t, -np.log1p(-g))
-        self._kappa = self._cum.derivative()
-        self._dkappa = self._cum.derivative(2)
+        self._cum = Curve(t, -np.log1p(-g))
+        self._kappa = functools.partial(self._cum, nu=1)
+        self._dkappa = functools.partial(self._cum, nu=2)
         self.atom = float(1.0 - g[-1])
 
 
@@ -408,6 +422,7 @@ class ConstantExcess(ExcessReturn):
     family = "constant"
 
     def __init__(self, alpha: float):
+        _finite(alpha=alpha)
         self.alpha = float(alpha)
 
     def _phi(self, t):
@@ -426,6 +441,7 @@ class LinearRampExcess(ExcessReturn):
     family = "linear_ramp"
 
     def __init__(self, slope: float):
+        _finite(slope=slope)
         self.slope = float(slope)
 
     def _phi(self, t):
@@ -511,9 +527,8 @@ class RelaxedJLSExcess(ExcessReturn):
             integrand = np.asarray(self._delta(grid)) * np.asarray(
                 self.hazard.hazard(grid)
             )
-            vals = PanelRule(grid).cumulative_from_left(integrand)
-            self._phi_interp = PchipInterpolator(grid, vals)
-        return self._phi_interp(np.minimum(t, self._phi_interp.x[-1]))
+            self._phi_interp = Curve(grid, PanelRule(grid).cumulative_from_left(integrand))
+        return self._phi_interp(t)
 
     def _dphi(self, t):
         return np.asarray(self._delta(t)) * np.asarray(self.hazard.hazard(t))
@@ -531,6 +546,7 @@ def linear_delta_excess(hazard: CrashHazard, slope: float) -> RelaxedJLSExcess:
     ramps from 0 to slope * T; phi then has the closed form
     slope * (T log(T/(T-t)) - t).
     """
+    _finite(slope=slope)
     T = hazard.horizon
     if slope * T > 1.0 + 1e-12:
         raise ModelError("slope * horizon must be <= 1 so delta stays in [0, 1]")
@@ -582,6 +598,7 @@ class MarketModel:
     excess: ExcessReturn
 
     def __post_init__(self):
+        _finite(mu=self.mu, sigma=self.sigma)
         if self.sigma <= 0:
             raise ModelError("sigma must be positive")
         linked = self.excess.hazard

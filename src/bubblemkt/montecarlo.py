@@ -32,9 +32,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from ._quad import KahanSum, PanelRule, clustered_grid
+from ._quad import Curve, KahanSum, PanelRule, clustered_grid
 from .elmm import TiltFunction, build_tilted_measure
 from .hazard import MarketModel
 from .solver import Solution
@@ -321,8 +320,8 @@ class _WealthLaw:
             self.crash_law = build_tilted_measure(model, tilt, grid=grid)
             mu_eff = 0.0
             load = rule.cumulative_from_left(np.asarray(model.excess.dphi(grid)) * tilt(grid))
-            interp = PchipInterpolator(grid, load)
-            self.exponent = lambda t: phi(t) + interp(np.minimum(t, grid[-1]))
+            interp = Curve(grid, load)
+            self.exponent = lambda t: phi(t) + interp(t)
             self.atom_time = grid[-1]
 
         self.model, self.strategy, self.grid = model, strategy, grid

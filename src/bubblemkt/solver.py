@@ -23,18 +23,18 @@ no hedging component.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from ._quad import CONVERGED, PanelRule, clustered_grid, integrate_toward, monotone_inverse
+from ._quad import CONVERGED, Curve, PanelRule, clustered_grid, integrate_toward, monotone_inverse
 from .hazard import (
     DomainError,
     MarketModel,
     ModelError,
     _elementwise,
+    _finite,
     _scalar_or_array,
     validate,
 )
@@ -59,6 +59,7 @@ class Preference:
     x: float = 1.0
 
     def __post_init__(self):
+        _finite(p=self.p, x=self.x)
         if self.p <= 0:
             raise ModelError("relative risk aversion must be positive")
         if self.x <= 0:
@@ -210,26 +211,6 @@ def implicit_solve(model: MarketModel, prefs: Preference, t: float, target: floa
         raise DomainError("target must be positive")
     c = _Coef(model, prefs.p, np.array([float(t)]))
     return float(_implicit_many(c, np.array([float(target)]))[0])
-
-
-@dataclass(frozen=True)
-class Curve:
-    """Monotone-cubic interpolated curve on a strictly increasing grid."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    _interp: PchipInterpolator = field(repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        if len(self.grid) != len(self.values):
-            raise ValueError("grid and values must align")
-        object.__setattr__(
-            self, "_interp", PchipInterpolator(self.grid, self.values)
-        )
-
-    def __call__(self, t):
-        t = np.clip(np.asarray(t, dtype=float), self.grid[0], self.grid[-1])
-        return np.asarray(self._interp(t))
 
 
 def _solver_grid(model: MarketModel, n_grid: int) -> np.ndarray:

@@ -3,12 +3,14 @@ import copy
 import csv
 import io
 import json
+import math
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bubblemkt import solve_optimal, welfare_from_curve
@@ -113,6 +115,38 @@ def test_profile_names_only_given_parameters(tmp_path, capsys):
     assert parse_csv(out)[0]["profile"] == "linear_ramp(slope=0.3)"
 
 
+_EXCESS_FAMILIES = {
+    "zero": {"family": "zero"},
+    "constant": {"family": "constant", "params": {"alpha": 0.2}},
+    "linear_ramp": {"family": "linear_ramp", "params": {"slope": 0.3}},
+    "constant_jump_size": {"family": "constant_jump_size", "params": {"delta0": 0.3}},
+    "jls_relaxed-linear": {
+        "family": "jls_relaxed", "params": {"delta": {"kind": "linear", "slope": 0.5}}},
+    "jls_relaxed-constant": {
+        "family": "jls_relaxed", "params": {"delta": {"kind": "constant", "value": 0.3}}},
+}
+
+
+@pytest.mark.parametrize("excess", _EXCESS_FAMILIES.values(), ids=_EXCESS_FAMILIES.keys())
+def test_rows_read_back_at_header_width(tmp_path, capsys, excess):
+    path = write_scenario(tmp_path, {
+        "hazard": {"family": "uniform"},
+        "excess": excess,
+        "grid": {"n": 32},
+        "sim": {"n_paths": 200, "seed": 1, "estimand": "terminal_price"},
+        "sweep": {"parameter": "preference.p", "values": [2.0, 4.0], "command": "welfare"},
+    })
+    for command in ("classify", "solve", "decompose", "welfare", "simulate", "sweep"):
+        code, out, err = run_cli([command, "--scenario", path], capsys)
+        assert code == 0, err
+        # a sweep writes one CSV block after each "# parameter = value" line
+        blocks = [b for b in re.split(r"^#.*\n", out, flags=re.M) if b]
+        assert len(blocks) == (2 if command == "sweep" else 1)
+        for block in blocks:
+            header, *rows = csv.reader(io.StringIO(block))
+            assert rows and all(len(row) == len(header) for row in rows), (command, block)
+
+
 class TestSimulate:
     def test_estimator_row(self, tmp_path, capsys):
         payload = dict(EX37)
@@ -206,11 +240,18 @@ class TestErrorPaths:
             ("classify", [], {"hazard": "x"}),
             ("classify", [], {"hazard": {"family": "tabulated", "params": {
                 "times": ["a", 1, 2], "cdf": [0.0, 0.2, 0.4]}}}),
+            ("classify", [], {"market": {"horizon": "nan"}}),
+            ("classify", [], {"excess": {"family": "constant", "params": {"alpha": "inf"}}}),
+            ("classify", [], {"market": {"sigma": float("-inf")}}),
+            ("solve", [], {"grid": {"n": float("inf")}}),
+            ("simulate", [], {"sim": {"seed": float("nan")}}),
         ],
         ids=["paths0", "paths-5", "grid0", "grid3",
              "sim.n_paths0", "sim.n_paths-5", "sim.n_paths-null",
              "grid.n0", "grid.n3", "grid.n-abc", "sweep-sim.seed-x",
-             "excess.alpha-x", "market-null", "hazard-string", "tabulated.times-a"],
+             "excess.alpha-x", "market-null", "hazard-string", "tabulated.times-a",
+             "market.horizon-nan", "excess.alpha-inf", "market.sigma-neg-inf",
+             "grid.n-inf", "sim.seed-nan"],
     )
     def test_bad_counts(self, tmp_path, capsys, command, flags, payload):
         path = write_scenario(tmp_path, payload)
@@ -282,7 +323,26 @@ _WRONG_TYPES = st.one_of(
     st.text(max_size=6),
     st.lists(st.integers(-2, 2), max_size=3),
     st.dictionaries(st.text(max_size=3), st.integers(-2, 2), max_size=2),
+    # numeric extremes, as JSON numbers and as strings
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1e308, -1e308]),
+    st.floats(max_value=-1e-300, allow_infinity=False, allow_nan=False),
+    st.sampled_from(["nan", "inf", "-inf", "-1", "1e308"]),
 )
+
+
+def _non_finite(value) -> bool:
+    try:
+        return not math.isfinite(float(value))
+    except (TypeError, ValueError):
+        return False
+
+
+def _leaves(node):
+    if isinstance(node, dict):
+        for value in node.values():
+            yield from _leaves(value)
+    else:
+        yield node
 
 
 def _field_paths(node, prefix=()):
@@ -318,6 +378,7 @@ def _malformed_scenarios(draw):
     return scenario
 
 
+@settings(max_examples=300)
 @given(scenario=_malformed_scenarios(), under_q=st.booleans())
 def test_classify_contract_on_malformed_scenarios(tmp_path_factory, scenario, under_q):
     path = tmp_path_factory.mktemp("fuzz") / "scenario.json"
@@ -331,6 +392,10 @@ def test_classify_contract_on_malformed_scenarios(tmp_path_factory, scenario, un
     assert len(errors) == (0 if code == 0 else 1)
     if code:
         assert errors[0].startswith(f"ERROR code={code} ")
+    # classify reads every field of these blocks, so a non-finite one must fail
+    read = {block: scenario.get(block) for block in ("market", "hazard", "excess")}
+    if any(_non_finite(v) for v in _leaves(read)):
+        assert code != 0
 
 
 def test_console_entry_point():

@@ -13,8 +13,10 @@ from bubblemkt import (
     ExponentialCutoffHazard,
     LPPLHazard,
     LPPLShape,
+    LinearRampExcess,
     MarketModel,
     ModelError,
+    Preference,
     SingleJumpClass,
     TabulatedHazard,
     UniformHazard,
@@ -24,6 +26,7 @@ from bubblemkt import (
     classify_under_P,
     hazard_rate,
     jump_size,
+    linear_delta_excess,
     lppl_log_price,
     single_jump_class,
     survival_and_atom,
@@ -287,6 +290,37 @@ class TestClassifyUnderP:
         result = classify_under_P(model)
         assert result.verdict is Verdict.STRICT_LOCAL_MARTINGALE
         assert result.defect == pytest.approx(0.0, abs=1e-12)
+
+
+_EXP = ExponentialCutoffHazard(1.0, 1.0)
+_CONSTRUCTORS = {
+    "uniform.horizon": lambda v: UniformHazard(v),
+    "exponential.rate": lambda v: ExponentialCutoffHazard(v, 1.0),
+    "exponential.horizon": lambda v: ExponentialCutoffHazard(1.0, v),
+    "lppl.b": lambda v: LPPLHazard(b=v, c=0.3, power=0.4),
+    "lppl.c": lambda v: LPPLHazard(b=1.2, c=v, power=0.4),
+    "lppl.power": lambda v: LPPLHazard(b=1.2, c=0.3, power=v),
+    "lppl.omega": lambda v: LPPLHazard(b=1.2, c=0.3, power=0.4, omega=v),
+    "lppl.phase": lambda v: LPPLHazard(b=1.2, c=0.3, power=0.4, phase=v),
+    "lppl.horizon": lambda v: LPPLHazard(b=1.2, c=0.3, power=0.4, horizon=v),
+    "tabulated.times": lambda v: TabulatedHazard([0.0, 0.5, v], [0.0, 0.3, 0.5]),
+    "tabulated.cdf": lambda v: TabulatedHazard([0.0, 0.5, 1.0], [0.0, v, 0.5]),
+    "constant.alpha": lambda v: ConstantExcess(v),
+    "linear_ramp.slope": lambda v: LinearRampExcess(v),
+    "constant_jump_size.delta0": lambda v: ConstantJumpSizeExcess(_EXP, v),
+    "linear_delta.slope": lambda v: linear_delta_excess(_EXP, v),
+    "market.mu": lambda v: MarketModel(v, 0.2, _EXP, ZeroExcess()),
+    "market.sigma": lambda v: MarketModel(0.1, v, _EXP, ZeroExcess()),
+    "preference.p": lambda v: Preference(v),
+    "preference.x": lambda v: Preference(4.0, v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build", _CONSTRUCTORS.values(), ids=_CONSTRUCTORS.keys())
+def test_non_finite_parameter_is_a_model_error(build, value):
+    with pytest.raises(ModelError):
+        build(value)
 
 
 class TestTabulated:

@@ -1,0 +1,89 @@
+"""The package's monotone cubic against SciPy's ``PchipInterpolator``, the
+reference it reproduces bit for bit (SciPy is a test-only dependency)."""
+
+import subprocess
+import sys
+import textwrap
+
+import numpy as np
+import pytest
+from scipy.interpolate import PchipInterpolator
+
+from bubblemkt import Curve
+
+
+def _knots(n, shape, seed):
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.uniform(1e-3, 1.0, n)) * rng.uniform(0.1, 10.0)
+    if shape == "monotone":
+        y = np.cumsum(rng.exponential(1.0, n))
+    elif shape == "sign_changing":
+        y = rng.normal(size=n)
+    else:  # ties: flat runs and zero secants
+        y = np.round(rng.normal(size=n), 1)
+    return x, y
+
+
+@pytest.mark.parametrize("shape", ["monotone", "sign_changing", "ties"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 128, 600])
+def test_bit_identical_to_pchip(n, shape):
+    x, y = _knots(n, shape, seed=n)
+    ref = PchipInterpolator(x, y)
+    curve = Curve(x, y)
+    t = np.concatenate([np.random.default_rng(n + 1).uniform(x[0], x[-1], 4000), x])
+    np.testing.assert_array_equal(curve(t), ref(t))
+    # SciPy's derivative polynomials, as TabulatedHazard used them
+    np.testing.assert_array_equal(curve(t, 1), ref.derivative(1)(t))
+    np.testing.assert_array_equal(curve(t, 2), ref.derivative(2)(t))
+
+
+def test_held_at_end_values_outside_the_knots():
+    x, y = _knots(9, "sign_changing", seed=3)
+    curve = Curve(x, y)
+    np.testing.assert_array_equal(curve([x[0] - 5.0, x[0] - 1e-9]), [y[0], y[0]])
+    np.testing.assert_array_equal(curve([x[-1] + 1e-9, x[-1] + 1e3]), [y[-1], y[-1]])
+    assert curve(x[-1] + 1.0) == y[-1]
+
+
+@pytest.mark.parametrize(
+    "grid, values",
+    [
+        ([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0]),
+        ([0.0, 2.0, 1.0], [0.0, 1.0, 2.0]),
+        ([0.0, np.nan, 2.0], [0.0, 1.0, 2.0]),
+        ([0.0, 1.0, 2.0], [0.0, np.inf, 2.0]),
+        ([0.0, 1.0, 2.0], [0.0, 1.0]),
+        ([0.0], [1.0]),
+    ],
+    ids=["repeated-knot", "decreasing", "nan-knot", "inf-value", "mismatched", "one-knot"],
+)
+def test_rejects_bad_tables(grid, values):
+    with pytest.raises(ValueError):
+        Curve(np.array(grid), np.array(values))
+
+
+def test_runtime_never_imports_scipy():
+    script = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        import bubblemkt as bm
+
+        law = bm.ExponentialCutoffHazard(1.0, 1.0)
+        model = bm.MarketModel(0.1, 0.2, law, bm.ConstantExcess(0.2))
+        sol = bm.solve_optimal(model, bm.Preference(4.0), n_grid=64)
+        knots = np.linspace(0.0, 1.0, 9)
+        bm.TabulatedHazard(knots, 0.6 * knots).inverse_cdf(np.array([0.1, 0.5]))
+        lppl = bm.LPPLHazard(b=1.2, c=0.3, power=0.4, omega=6.0, phase=0.5)
+        bm.linear_delta_excess(lppl, 0.5).phi(np.array([0.2, 0.7]))
+        cfg = bm.SimConfig(n_paths=200, seed=1)
+        bm.estimate(model, cfg, bm.TerminalPrice())
+        bm.estimate(model, cfg, bm.ExpectedUtility(bm.optimal_strategy(sol), 4.0))
+        bm.estimate(model, cfg, bm.BudgetUnderQ(sol))
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
