@@ -46,6 +46,15 @@ def clustered_grid(end: float, n: int, start: float = 0.0) -> np.ndarray:
     return start + (end - start) * np.sin(0.5 * np.pi * i / (n - 1))
 
 
+HORIZON_CLIP = 1e-9  # horizon tables stop at T (1 - HORIZON_CLIP)
+
+
+def horizon_grid(horizon: float, n: int) -> np.ndarray:
+    """:func:`clustered_grid` on [0, horizon (1 - HORIZON_CLIP)], the span
+    of every table that must stay finite against a blow-up at the horizon."""
+    return clustered_grid(horizon * (1.0 - HORIZON_CLIP), n)
+
+
 class PanelRule:
     """Cubic integration weights for a fixed strictly increasing grid.
 
@@ -322,19 +331,3 @@ def _vectorized(f):
 
     return wrapped
 
-
-class KahanSum:
-    """Compensated accumulator so reduction order cannot move the result
-    by more than an ulp."""
-
-    __slots__ = ("total", "_comp")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self._comp = 0.0
-
-    def add(self, value: float) -> None:
-        y = value - self._comp
-        t = self.total + y
-        self._comp = (t - self.total) - y
-        self.total = t

@@ -383,7 +383,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument(
         "--under-q", action="store_true", help="classify under the tilted measure"
     )
-    parser.add_argument("--tol", type=float, help="solver tolerance override")
+    parser.add_argument("--tol", help="solver tolerance override (> 0)")
     args = parser.parse_args(argv)
 
     if args.seed is None and SEED_ENV_VAR in os.environ:
@@ -393,6 +393,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             return _error("parse", EXIT_PARSE, f"bad {SEED_ENV_VAR} value")
 
     try:
+        if args.tol is not None:
+            args.tol = _number(args.tol, "--tol")
+            if args.tol <= 0.0:
+                raise ScenarioError(f"--tol must be positive, got {args.tol!r}")
         scenario = load_scenario(args.scenario)
     except ScenarioError as exc:
         return _error("parse", EXIT_PARSE, exc)

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._quad import CONVERGED, Curve, PanelRule, clustered_grid, integrate_toward
+from ._quad import CONVERGED, Curve, PanelRule, horizon_grid, integrate_toward
 from .hazard import (
     Classification,
     CrashHazard,
@@ -26,6 +26,8 @@ from .hazard import (
     ModelError,
     Verdict,
     excess_defect_integral,
+    limsup_jump_size,
+    require_valid,
 )
 
 
@@ -38,13 +40,11 @@ class RejectedTiltError(ValueError):
 class TiltFunction:
     """Candidate tilt y(t) on [0, T).
 
-    ``derivative`` is optional metadata (the construction never needs it).
     ``inf_one_plus_y`` is a certified lower bound on inf (1 + y) when the
     caller has one; grid sampling alone cannot certify the infimum.
     """
 
     y: Callable
-    derivative: Optional[Callable] = None
     inf_one_plus_y: Optional[float] = None
     label: str = "tilt"
 
@@ -55,7 +55,6 @@ class TiltFunction:
 def constant_tilt(c: float) -> TiltFunction:
     return TiltFunction(
         y=lambda t, _c=c: np.full(np.shape(np.asarray(t, dtype=float)), _c),
-        derivative=lambda t: np.zeros(np.shape(np.asarray(t, dtype=float))),
         inf_one_plus_y=1.0 + c,
         label=f"y={c:g}",
     )
@@ -170,7 +169,7 @@ class TiltedMeasure(CrashHazard):
 
 
 def _probe_grid(model: MarketModel, n: int = 1024) -> np.ndarray:
-    return clustered_grid(model.horizon * (1.0 - 1e-9), n)
+    return horizon_grid(model.horizon, n)
 
 
 def build_tilted_measure(
@@ -228,7 +227,7 @@ def build_tilted_measure(
                 )
 
     if grid is None:
-        grid = clustered_grid(model.horizon * (1.0 - 1e-9), n_grid)
+        grid = horizon_grid(model.horizon, n_grid)
     return TiltedMeasure(model, tilt, np.asarray(grid, dtype=float))
 
 
@@ -274,13 +273,14 @@ def classify_under_Q(model: MarketModel, tilt: TiltFunction) -> Classification:
 
     An atom forces a true martingale for every admissible tilt.  Without
     an atom the verdict needs the two-sided tilt bounds, after which it is
-    tilt-free: strict local iff int (kappa - phi') < infinity.
+    tilt-free: strict local iff int (kappa - phi') < infinity.  A model
+    that fails :func:`~bubblemkt.hazard.validate` raises
+    :class:`~bubblemkt.hazard.ModelError`.
     """
+    require_valid(model)
     build_tilted_measure(model, tilt, n_grid=257)  # admissibility gate
     atom = model.hazard.atom
     defect, status = excess_defect_integral(model)
-    from .hazard import limsup_jump_size
-
     lim = limsup_jump_size(model)
     if atom > 0.0:
         return Classification(Verdict.TRUE_MARTINGALE, atom, defect, lim)

@@ -31,6 +31,7 @@ from ._quad import (
     Curve,
     PanelRule,
     clustered_grid,
+    horizon_grid,
     integrate_toward,
     monotone_inverse,
 )
@@ -523,7 +524,7 @@ class RelaxedJLSExcess(ExcessReturn):
             return self._phi_fn(t)
         if self._phi_interp is None:
             T = self.hazard.horizon
-            grid = clustered_grid(T * (1.0 - 1e-9), 4097)
+            grid = horizon_grid(T, 4097)
             integrand = np.asarray(self._delta(grid)) * np.asarray(
                 self.hazard.hazard(grid)
             )
@@ -708,7 +709,7 @@ def validate(model: MarketModel, n_check: int = 1024) -> ValidationReport:
     if np.any(bad):
         i = int(np.argmax(bad))
         violations.append(
-            Violation("hazard_positive", float(grid[i]), f"kappa = {kap[i]!r} <= 0")
+            Violation("hazard_positive", float(grid[i]), f"kappa = {float(kap[i])!r} <= 0")
         )
 
     dphi = np.asarray(model.excess.dphi(grid))
@@ -716,7 +717,7 @@ def validate(model: MarketModel, n_check: int = 1024) -> ValidationReport:
     if np.any(neg):
         i = int(np.argmax(neg))
         violations.append(
-            Violation("excess_nonnegative", float(grid[i]), f"phi' = {dphi[i]!r} < 0")
+            Violation("excess_nonnegative", float(grid[i]), f"phi' = {float(dphi[i])!r} < 0")
         )
     over = dphi > kap * (1.0 + 1e-10) + 1e-12
     if np.any(over):
@@ -725,11 +726,19 @@ def validate(model: MarketModel, n_check: int = 1024) -> ValidationReport:
             Violation(
                 "excess_below_hazard",
                 float(grid[i]),
-                f"phi' = {dphi[i]!r} exceeds kappa = {kap[i]!r}",
+                f"phi' = {float(dphi[i])!r} exceeds kappa = {float(kap[i])!r}",
             )
         )
 
     return ValidationReport(passed=not violations, violations=tuple(violations))
+
+
+def require_valid(model: MarketModel) -> None:
+    """Raise :class:`ModelError` naming the first violation that
+    :func:`validate` reports."""
+    report = validate(model)
+    if not report.passed:
+        raise ModelError(f"model failed validation: {report.violations[0]}")
 
 
 @dataclass(frozen=True)
@@ -865,7 +874,7 @@ def single_jump_class(hazard: CrashHazard, fn: C1Function) -> SingleJumpReport:
         )
 
     # degenerate case: F never moves, so the process is constant
-    probe = clustered_grid(T * (1 - 1e-9), 257)
+    probe = horizon_grid(T, 257)
     dvals = np.asarray(fn.derivative(probe))
     if np.all(dvals == 0.0):
         return SingleJumpReport(
@@ -1014,8 +1023,10 @@ def classify_under_P(model: MarketModel) -> Classification:
     With drift the asset cannot be a local martingale.  Driftless, it is a
     strict local martingale exactly when the crash is certain (no atom) and
     the defect integral int (kappa - phi') is finite; otherwise it is a
-    true martingale.
+    true martingale.  A model that fails :func:`validate` raises
+    :class:`ModelError`.
     """
+    require_valid(model)
     atom = model.hazard.atom
     defect, status = excess_defect_integral(model)
     lim = limsup_jump_size(model)

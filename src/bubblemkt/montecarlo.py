@@ -4,7 +4,8 @@ Estimators are conditional Monte Carlo (Glasserman, *Monte Carlo Methods
 in Financial Engineering*, 2004, ch. 4): each path draws one crash time
 gamma and one Gaussian, and is exact given gamma.  The pre-crash log price
 is (mu - sigma^2/2) t + phi(t) + sigma W_t and the crash multiplies the
-price by 1 - delta(gamma).  The pre-crash wealth fraction pi(t) is
+price by 1 - delta(gamma), so S_T is the terminal wealth of a unit held
+throughout (pi = 1, x = 1).  The pre-crash wealth fraction pi(t) is
 deterministic and the post-crash one constant, so given gamma < T,
 log(X_T / x) is Gaussian with mean D(gamma) + log(1 - pi(gamma)
 delta(gamma)) + r_post (T - gamma) and variance V(gamma) + pi_post^2
@@ -21,7 +22,11 @@ Randomness is counter-based (Philox) keyed by (seed, block), with a fixed
 block layout, so estimates are pure functions of (config, model, strategy)
 and blocks can fan out across workers without changing the result.
 Gaussians are paired antithetically; the crash time is shared within a
-pair.  Block sums are combined with compensated summation.
+pair.  Each block's uniforms are sorted, so its crash times reach the
+table lookup in order; the Gaussians are iid and independent of them, so
+the sample law is unchanged.  Block means and squared deviations come
+from numpy and merge in block order (Chan, Golub & LeVeque, *Amer.
+Statist.* 37, 1983), which keeps the estimate deterministic.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._quad import Curve, KahanSum, PanelRule, clustered_grid
+from ._quad import Curve, PanelRule, horizon_grid
 from .elmm import TiltFunction, build_tilted_measure
 from .hazard import MarketModel
 from .solver import Solution
@@ -41,7 +46,6 @@ from .solver import Solution
 _TERMINAL_BLOCK_PAIRS = 1 << 15
 _PATH_KEY_OFFSET = 1 << 60
 _TABLE_NODES = 4097  # nodes of the D and V tables
-_TABLE_CLIP = 1e-9  # the tables stop at T (1 - this)
 
 
 class SimulationDiagnostic(RuntimeError):
@@ -123,6 +127,9 @@ def myopic_only_strategy(solution: Solution) -> Strategy:
     return Strategy("myopic", pre, solution.merton_fraction)
 
 
+_BUY_AND_HOLD = Strategy("buy and hold", np.ones_like, 1.0)
+
+
 def scaled_strategy(base: Strategy, factor: float) -> Strategy:
     return Strategy(
         f"{factor:g}x {base.label}",
@@ -136,7 +143,8 @@ def scaled_strategy(base: Strategy, factor: float) -> Strategy:
 
 @dataclass(frozen=True)
 class TerminalPrice:
-    """E[S_T] under the physical measure (martingale-defect probe)."""
+    """E[S_T] under the physical measure (martingale-defect probe), the
+    expected wealth of a unit held throughout."""
 
 
 @dataclass(frozen=True)
@@ -168,117 +176,13 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-class _Welford:
-    """Sequential merge of per-block moments; fixed merge order keeps the
-    estimate deterministic."""
-
-    def __init__(self):
-        self.n = 0
-        self.mean_sum = KahanSum()
-        self.m2 = 0.0
-
-    def merge(self, values: np.ndarray) -> None:
-        k = len(values)
-        if k == 0:
-            return
-        block_sum = float(math.fsum(values.tolist()))
-        block_mean = block_sum / k
-        block_m2 = float(np.sum((values - block_mean) ** 2))
-        if self.n == 0:
-            self.n = k
-            self.mean_sum.add(block_sum)
-            self.m2 = block_m2
-            return
-        mean_old = self.mean_sum.total / self.n
-        delta = block_mean - mean_old
-        self.m2 += block_m2 + delta * delta * self.n * k / (self.n + k)
-        self.n += k
-        self.mean_sum.add(block_sum)
-
-    @property
-    def mean(self) -> float:
-        return self.mean_sum.total / self.n
-
-    @property
-    def stderr(self) -> float:
-        if self.n < 2:
-            return math.inf
-        return math.sqrt(self.m2 / (self.n - 1) / self.n)
-
-
-def _block_plan(n_pairs: int, leftover: int):
-    """Fixed block layout: full pair blocks, then one block with the odd
-    path if any.  The layout depends only on n_paths, never on workers."""
+def _block_plan(n_paths: int):
+    """Fixed block layout as (count, paired) tuples: full blocks of
+    antithetic pairs, then a one-path block if n_paths is odd.  The layout
+    depends only on n_paths, never on workers."""
+    n_pairs, odd = divmod(n_paths, 2)
     size = _TERMINAL_BLOCK_PAIRS
-    return [(min(size, n_pairs - s), 0) for s in range(0, n_pairs, size)] + [(0, 1)] * leftover
-
-
-def _run_blocks(cfg: SimConfig, law, values):
-    """The block loop behind every estimate.
-
-    Each path draws one uniform, inverted through ``law`` into its crash
-    time, and one Gaussian; an antithetic pair shares the crash time and
-    flips the Gaussian.  ``values(gam, z, pairs)`` returns the per-path
-    values for +z and, for the first ``pairs`` paths, for -z.  Returns the
-    merged moments.
-    """
-    stats = _Welford()
-    n_pairs, leftover = divmod(cfg.n_paths, 2)
-    for block, (pairs, singles) in enumerate(_block_plan(n_pairs, leftover)):
-        rng = _block_rng(cfg.seed, block)
-        count = pairs + singles
-        u = rng.random(count)
-        z = rng.standard_normal(count)
-        plus, minus = values(np.asarray(law.inverse_cdf(u)), z, pairs)
-        if pairs:
-            stats.merge(0.5 * (plus[:pairs] + minus))
-        if singles:
-            stats.merge(plus[pairs:])
-    return stats
-
-
-# -- terminal price ----------------------------------------------------------
-
-
-def _phi_left_limit_or_zero(model: MarketModel) -> float:
-    # only consulted on atom paths, which exist only when phi(T-) is finite
-    if model.hazard.atom > 0.0:
-        return model.phi_left_limit()
-    return 0.0
-
-
-def _estimate_terminal_price(model: MarketModel, cfg: SimConfig) -> EstimatorResult:
-    start = time.perf_counter()
-    T = model.horizon
-    base = (model.mu - 0.5 * model.sigma**2) * T
-    scale = model.sigma * math.sqrt(T)
-    kept = []
-
-    def prices(gam, z, pairs):
-        atom_mask = gam >= T
-        jump = np.empty_like(gam)
-        if np.any(~atom_mask):
-            g = gam[~atom_mask]
-            jump[~atom_mask] = np.exp(np.asarray(model.excess.phi(g))) * (
-                1.0 - np.asarray(model.delta(g))
-            )
-        if np.any(atom_mask):
-            jump[atom_mask] = math.exp(_phi_left_limit_or_zero(model))
-        shock = scale * z
-        plus, minus = np.exp(base + shock) * jump, np.exp(base - shock[:pairs]) * jump[:pairs]
-        kept.extend((plus, minus))
-        return plus, minus
-
-    stats = _run_blocks(cfg, model.hazard, prices)
-    mean = stats.mean
-    diagnostics = {
-        "sample_max": max(float(v.max()) for v in kept if v.size),
-        "tail_fraction_above_10x_mean": sum(
-            int(np.count_nonzero(v > 10.0 * mean)) for v in kept
-        ) / cfg.n_paths,
-        "runtime_ms": 1e3 * (time.perf_counter() - start),
-    }
-    return EstimatorResult(mean, stats.stderr, cfg.n_paths, cfg.seed, "E_ST", diagnostics)
+    return [(min(size, n_pairs - s), True) for s in range(0, n_pairs, size)] + [(1, False)] * odd
 
 
 # -- wealth ------------------------------------------------------------------
@@ -368,27 +272,37 @@ class _WealthLaw:
         return D + log_jump + self.r_post * rest, np.sqrt(V + self.v_post * rest), bankrupt
 
 
-def _estimate_wealth(law: _WealthLaw, cfg: SimConfig, value_fn, estimand: str):
+def _estimate(law: _WealthLaw, cfg: SimConfig, value_fn, estimand: str) -> EstimatorResult:
+    """The block loop behind every estimate.
+
+    Each path draws one uniform, inverted through the law's crash law into
+    its crash time, and one Gaussian; an antithetic pair shares the crash
+    time and flips the Gaussian and counts as one sample, its mean value.
+    ``value_fn(log_wealth, bankrupt)`` maps log(X_T / x) to the estimand.
+    """
     start = time.perf_counter()
-    bankrupt_total = 0
-
-    def values(gam, z, pairs):
-        nonlocal bankrupt_total
-        mean, sd, bankrupt = law.moments(gam)
-        bankrupt_total += int(np.sum(bankrupt)) + int(np.sum(bankrupt[:pairs]))
-        return (
-            value_fn(mean + sd * z, bankrupt),
-            value_fn(mean[:pairs] - sd[:pairs] * z[:pairs], bankrupt[:pairs]),
-        )
-
-    stats = _run_blocks(cfg, law.crash_law, values)
+    n, mean, m2, bankrupt_paths = 0, 0.0, 0.0, 0
+    for block, (count, paired) in enumerate(_block_plan(cfg.n_paths)):
+        rng = _block_rng(cfg.seed, block)
+        u = np.sort(rng.random(count))
+        z = rng.standard_normal(count)
+        loc, sd, bankrupt = law.moments(np.asarray(law.crash_law.inverse_cdf(u)))
+        values = value_fn(loc + sd * z, bankrupt)
+        bankrupt_paths += (1 + paired) * int(np.sum(bankrupt))
+        if paired:
+            values = 0.5 * (values + value_fn(loc - sd * z, bankrupt))
+        block_mean = float(np.mean(values))
+        block_m2 = float(np.sum((values - block_mean) ** 2))
+        delta = block_mean - mean
+        n += count
+        mean += delta * (count / n)
+        m2 += block_m2 + delta * delta * (n - count) * (count / n)
+    stderr = math.sqrt(m2 / (n - 1) / n) if n > 1 else math.inf
     diagnostics = {
-        "bankrupt_paths": bankrupt_total,
+        "bankrupt_paths": bankrupt_paths,
         "runtime_ms": 1e3 * (time.perf_counter() - start),
     }
-    return EstimatorResult(
-        stats.mean, stats.stderr, cfg.n_paths, cfg.seed, estimand, diagnostics
-    )
+    return EstimatorResult(mean, stderr, cfg.n_paths, cfg.seed, estimand, diagnostics)
 
 
 def _crra_value_fn(p: float, x: float, estimand: str):
@@ -411,38 +325,36 @@ def _crra_value_fn(p: float, x: float, estimand: str):
     return value
 
 
-def _table_grid(model: MarketModel) -> np.ndarray:
-    return clustered_grid(model.horizon * (1.0 - _TABLE_CLIP), _TABLE_NODES)
+def _wealth_value(x: float):
+    # a crash that takes the whole position leaves nothing
+    def value(log_wealth: np.ndarray, bankrupt: np.ndarray) -> np.ndarray:
+        return np.where(bankrupt, 0.0, x * np.exp(log_wealth))
+
+    return value
 
 
 def estimate(model: MarketModel, cfg: SimConfig, estimand) -> EstimatorResult:
     """Mean and standard error of the requested estimand.
 
-    Every path draws one crash time and one Gaussian.  ``TerminalPrice``
-    samples S_T exactly.  ``ExpectedUtility`` samples the conditional
-    Gaussian law of log wealth under the physical measure;
-    ``BudgetUnderQ`` samples the optimal wealth under the tilted measure
-    built from the solved curve and estimates E^Q[X_T].  The wealth law is
-    exact given the crash time up to the quadrature of its tables (see the
-    module docstring).
+    Every path draws one crash time and one Gaussian and samples the
+    conditional Gaussian law of log wealth.  ``TerminalPrice`` is the
+    buy-and-hold wealth under the physical measure, ``ExpectedUtility``
+    the utility of the strategy's wealth there; ``BudgetUnderQ`` samples
+    the optimal wealth under the tilted measure built from the solved
+    curve and estimates E^Q[X_T].  The wealth law is exact given the crash
+    time up to the quadrature of its tables (see the module docstring).
     """
+    grid = horizon_grid(model.horizon, _TABLE_NODES)
     if isinstance(estimand, TerminalPrice):
-        return _estimate_terminal_price(model, cfg)
+        return _estimate(_WealthLaw(model, _BUY_AND_HOLD, grid), cfg, _wealth_value(1.0), "E_ST")
     if isinstance(estimand, ExpectedUtility):
         label = f"E_U[{estimand.strategy.label}]"
-        law = _WealthLaw(model, estimand.strategy, _table_grid(model))
-        return _estimate_wealth(
-            law, cfg, _crra_value_fn(estimand.p, estimand.x, label), label
-        )
+        law = _WealthLaw(model, estimand.strategy, grid)
+        return _estimate(law, cfg, _crra_value_fn(estimand.p, estimand.x, label), label)
     if isinstance(estimand, BudgetUnderQ):
         sol = estimand.solution
-        law = _WealthLaw(model, optimal_strategy(sol), _table_grid(model), sol)
-        x = sol.preference.x
-
-        def value(log_wealth, bankrupt):
-            return np.where(bankrupt, 0.0, x * np.exp(log_wealth))
-
-        return _estimate_wealth(law, cfg, value, "EQ_XT")
+        law = _WealthLaw(model, optimal_strategy(sol), grid, sol)
+        return _estimate(law, cfg, _wealth_value(sol.preference.x), "EQ_XT")
     raise TypeError(f"unknown estimand: {estimand!r}")
 
 

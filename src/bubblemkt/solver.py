@@ -36,7 +36,7 @@ from .hazard import (
     _elementwise,
     _finite,
     _scalar_or_array,
-    validate,
+    require_valid,
 )
 
 TERMINAL_CLIP_FRACTION = 1e-6  # grid stops at T (1 - this)
@@ -368,9 +368,7 @@ def solve_optimal(
     """
     if model.mu <= 0:
         raise DomainError("positive instantaneous expected return required")
-    report = validate(model)
-    if not report.passed:
-        raise ModelError(f"model failed validation: {report.violations[0]}")
+    require_valid(model)
 
     grid = _solver_grid(model, n_grid)
     lower, upper = bracket_curves(model, prefs, grid)

@@ -245,13 +245,16 @@ class TestErrorPaths:
             ("classify", [], {"market": {"sigma": float("-inf")}}),
             ("solve", [], {"grid": {"n": float("inf")}}),
             ("simulate", [], {"sim": {"seed": float("nan")}}),
+            ("solve", ["--tol", "nan"], {}),
+            ("solve", ["--tol", "-1"], {}),
+            ("solve", ["--tol", "0"], {}),
         ],
         ids=["paths0", "paths-5", "grid0", "grid3",
              "sim.n_paths0", "sim.n_paths-5", "sim.n_paths-null",
              "grid.n0", "grid.n3", "grid.n-abc", "sweep-sim.seed-x",
              "excess.alpha-x", "market-null", "hazard-string", "tabulated.times-a",
              "market.horizon-nan", "excess.alpha-inf", "market.sigma-neg-inf",
-             "grid.n-inf", "sim.seed-nan"],
+             "grid.n-inf", "sim.seed-nan", "tol-nan", "tol-neg", "tol0"],
     )
     def test_bad_counts(self, tmp_path, capsys, command, flags, payload):
         path = write_scenario(tmp_path, payload)
@@ -272,6 +275,16 @@ class TestErrorPaths:
         code, _, err = run_cli(["solve", "--scenario", path], capsys)
         assert code == 2
         assert "kind=validation" in err
+
+    @pytest.mark.parametrize("flags", [[], ["--under-q"]], ids=["P", "Q"])
+    def test_classify_validation_failure(self, tmp_path, capsys, flags):
+        # phi' = 1.5 exceeds the rate-1 hazard: no verdict, one error line
+        path = write_scenario(tmp_path, {"market": {"mu": 0.0}, "excess": {"params": {"alpha": 1.5}}})
+        code, out, err = run_cli(["classify", "--scenario", path, *flags], capsys)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR code=2 kind=validation")
+        assert "phi' = 1.5 exceeds kappa = 1.0" in lines[0]
 
     def test_solver_precondition(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {"market": {"mu": 0.0}})

@@ -30,13 +30,15 @@ from bubblemkt import (
 )
 from bubblemkt.elmm import TiltFunction, build_tilted_measure
 from bubblemkt.hazard import DomainError
-from bubblemkt._quad import clustered_grid
+from bubblemkt._quad import HORIZON_CLIP, horizon_grid
 from bubblemkt.montecarlo import (
-    _TABLE_CLIP,
+    _BUY_AND_HOLD,
+    _TABLE_NODES,
     _TERMINAL_BLOCK_PAIRS,
     _WealthLaw,
+    _block_plan,
+    _estimate,
     _price_path_given,
-    _table_grid,
 )
 
 
@@ -224,10 +226,10 @@ class TestEstimators:
         # nodes: the law's only discretization is converged
         sol = solve_optimal(base_model, Preference(4.0))
         strat = optimal_strategy(sol)
-        end = base_model.horizon * (1.0 - _TABLE_CLIP)
+        T = base_model.horizon
         given = sol if measure == "Q" else None
-        coarse = _WealthLaw(base_model, strat, clustered_grid(end, 2049), given)
-        fine = _WealthLaw(base_model, strat, clustered_grid(end, 4097), given)
+        coarse = _WealthLaw(base_model, strat, horizon_grid(T, 2049), given)
+        fine = _WealthLaw(base_model, strat, horizon_grid(T, 4097), given)
         assert np.max(np.abs(fine.D[::2] - coarse.D)) <= 1e-9
         assert np.max(np.abs(fine.V[::2] - coarse.V)) <= 1e-9
 
@@ -235,12 +237,59 @@ class TestEstimators:
         # a constant fraction on a no-crash path earns the whole run-up
         # phi(T-), not only the part up to the table end
         strat = merton_strategy(lppl_model, 4.0)
-        law = _WealthLaw(lppl_model, strat, _table_grid(lppl_model))
+        law = _WealthLaw(lppl_model, strat, horizon_grid(lppl_model.horizon, _TABLE_NODES))
         T, pi, sig = lppl_model.horizon, strat.post_crash, lppl_model.sigma
         mean, sd, _ = law.moments(np.array([T]))
         exact = pi * (lppl_model.mu * T + lppl_model.phi_left_limit()) - 0.5 * (pi * sig) ** 2 * T
         assert mean[0] == pytest.approx(exact, abs=1e-9)
         assert sd[0] == pytest.approx(pi * sig * math.sqrt(T), rel=1e-9)
+
+    @pytest.mark.parametrize("case", ["ex37", "baseline", "lppl0.4"])
+    def test_buy_and_hold_law_is_log_price_law(
+        self, ex37_model, base_model, lppl_model, case
+    ):
+        # with pi = 1 and x = 1 the wealth law is the law of log S_T: mean
+        # (mu - sigma^2/2) T + phi(gamma) + log(1 - delta(gamma)), sd sigma sqrt(T)
+        model = {"ex37": ex37_model, "baseline": base_model, "lppl0.4": lppl_model}[case]
+        T, sig = model.horizon, model.sigma
+        law = _WealthLaw(model, _BUY_AND_HOLD, horizon_grid(T, _TABLE_NODES))
+        table_end = T * (1.0 - HORIZON_CLIP)
+        inside = np.array([0.0, 0.1, 0.5, 0.9, 0.999, table_end])
+        past = np.array([T * (1.0 - 5e-10), np.nextafter(T, 0.0)])
+        drift = (model.mu - 0.5 * sig**2) * T
+        for gam in (inside, past):
+            mean, sd, bankrupt = law.moments(gam)
+            exact = drift + np.asarray(model.excess.phi(gam)) + np.log1p(-np.asarray(model.delta(gam)))
+            np.testing.assert_allclose(mean, exact, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(sd, sig * math.sqrt(T), rtol=1e-12)
+            assert not np.any(bankrupt)
+        if model.hazard.atom > 0.0:
+            # an atom path earns the whole run-up phi(T-) and no jump
+            mean, sd, _ = law.moments(np.array([T]))
+            assert mean[0] == pytest.approx(drift + model.phi_left_limit(), abs=1e-12)
+            assert sd[0] == pytest.approx(sig * math.sqrt(T), rel=1e-12)
+
+    def test_block_merge_matches_two_pass(self, base_model):
+        # one full block of pairs, one block with the last pair, one single
+        cfg = SimConfig(n_paths=2 * _TERMINAL_BLOCK_PAIRS + 3, seed=4)
+        law = _WealthLaw(base_model, _BUY_AND_HOLD, horizon_grid(1.0, _TABLE_NODES))
+        calls = []
+
+        def value(log_wealth, bankrupt):
+            calls.append(np.exp(log_wealth))
+            return calls[-1]
+
+        result = _estimate(law, cfg, value, "probe")
+        # a pair is one sample, the mean of its two values
+        samples = []
+        for _, paired in _block_plan(cfg.n_paths):
+            plus = calls.pop(0)
+            samples.append(0.5 * (plus + calls.pop(0)) if paired else plus)
+        v = np.concatenate(samples)
+        mean = math.fsum(v.tolist()) / len(v)
+        var = math.fsum(((v - mean) ** 2).tolist()) / (len(v) - 1)
+        assert result.mean == pytest.approx(mean, rel=1e-12)
+        assert result.stderr == pytest.approx(math.sqrt(var / len(v)), rel=1e-12)
 
     @pytest.mark.parametrize("case", ["baseline", "lppl0.4"])
     def test_budget_identity_under_tilted_measure(self, base_model, lppl_model, case):
