@@ -276,7 +276,7 @@ def integrate_toward(
     return ShellIntegral(total, INDETERMINATE, k + 1, last)
 
 
-def monotone_inverse(fn, dfn, lo, hi, targets: np.ndarray) -> np.ndarray:
+def monotone_inverse(fn, dfn, lo, hi, targets: np.ndarray, x0=None) -> np.ndarray:
     """Vectorized inverse of increasing functions on [lo, hi): safeguarded
     Newton (rtsafe, Numerical Recipes section 9.4).
 
@@ -288,7 +288,9 @@ def monotone_inverse(fn, dfn, lo, hi, targets: np.ndarray) -> np.ndarray:
     to halve the step before last, becomes a bisection step.  A point stops
     once its raw Newton step or its bracket is within a few ulps of the
     bracket's magnitude.  ``fn`` is never evaluated at ``hi``, so it may
-    blow up there.
+    blow up there.  ``x0`` (scalar or per-point) is an optional start, used
+    where it lies strictly inside the bracket; elsewhere, and where it is
+    NaN, the iteration starts at the midpoint.
     """
     targets = np.asarray(targets, dtype=float)
     out = np.empty(targets.shape)
@@ -297,6 +299,9 @@ def monotone_inverse(fn, dfn, lo, hi, targets: np.ndarray) -> np.ndarray:
     low = np.broadcast_to(np.asarray(lo, dtype=float), targets.shape).ravel()
     high = np.broadcast_to(np.asarray(hi, dtype=float), targets.shape).ravel()
     x = 0.5 * (low + high)
+    if x0 is not None:
+        start = np.broadcast_to(np.asarray(x0, dtype=float), targets.shape).ravel()
+        x = np.where((start > low) & (start < high), start, x)
     dx = dx_old = high - low
     for _ in range(_MAX_NEWTON_STEPS):
         resid = fn(x, idx) - tgt

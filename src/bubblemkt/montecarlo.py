@@ -112,9 +112,7 @@ def optimal_strategy(solution: Solution) -> Strategy:
 
 
 def myopic_only_strategy(solution: Solution) -> Strategy:
-    from .solver import myopic_curve
-
-    ym = myopic_curve(solution.model, solution.preference, solution.grid)
+    ym = solution.myopic
     denom = solution.preference.p * solution.model.sigma**2
     t_end = solution.grid[-1]
 

@@ -15,9 +15,10 @@ built from the auxiliary functions
 m(t, .) increases strictly above the boundary where it vanishes, so the
 equation inverts pointwise with a safeguarded Newton iteration; the solve
 brackets the curve between explicit backward upper/lower solutions and
-iterates a damped fixed point, which either converges or raises
-:class:`SolverError`.  Log utility (p = 1) has a quadratic closed form and
-no hedging component.
+iterates an Anderson-accelerated fixed point (Walker & Ni, SIAM J. Numer.
+Anal. 49, 2011) until the residual |m exp(int n) - 1| is below ``tol``,
+or raises :class:`SolverError`.  Log utility (p = 1) has a quadratic
+closed form and no hedging component.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .hazard import (
 
 TERMINAL_CLIP_FRACTION = 1e-6  # grid stops at T (1 - this)
 LOG_UTILITY_WINDOW = 1e-6  # |p - 1| below this routes to the closed form
+ANDERSON_DEPTH = 5  # past sweeps each fixed-point step mixes
 
 
 class SolverError(RuntimeError):
@@ -161,12 +163,13 @@ def aux_eval(model: MarketModel, prefs: Preference, t: float, y: float) -> AuxEv
     return AuxEval(a, b, m, n, da_dy, dm_dy, dn_dy, da_dt)
 
 
-def _implicit_many(c: _Coef, targets: np.ndarray) -> np.ndarray:
+def _implicit_many(c: _Coef, targets: np.ndarray, x0=None) -> np.ndarray:
     """Solve m(t_i, y_i) = f_i for each grid point, f_i > 0.
 
-    Safeguarded Newton on [boundary, growth bound]; the upper end comes
-    from the growth bounds y <= (2f)^p when phi' <= p sigma^2 kappa / (2 mu),
-    else y <= max(f^p, mu/phi'), doubled until it encloses the root.
+    Safeguarded Newton on [boundary, growth bound] from the start ``x0``;
+    the upper end comes from the growth bounds y <= (2f)^p when
+    phi' <= p sigma^2 kappa / (2 mu), else y <= max(f^p, mu/phi'), doubled
+    until it encloses the root.
     """
     f = np.asarray(targets, dtype=float)
     if np.any(f <= 0.0):
@@ -201,6 +204,7 @@ def _implicit_many(c: _Coef, targets: np.ndarray) -> np.ndarray:
         lo,
         hi,
         fa,
+        None if x0 is None else np.broadcast_to(x0, f.shape)[act],
     )
     return out
 
@@ -218,13 +222,10 @@ def _solver_grid(model: MarketModel, n_grid: int) -> np.ndarray:
     return clustered_grid(T * (1.0 - TERMINAL_CLIP_FRACTION), n_grid)
 
 
-def _bracket_targets(prefs: Preference, model: MarketModel, t: np.ndarray):
+def _growth_target(prefs: Preference, model: MarketModel, t: np.ndarray) -> np.ndarray:
+    """Target of the non-myopic bracket; the myopic one solves m = 1."""
     rate = (1.0 - prefs.p) * model.mu**2 / (2.0 * prefs.p**2 * model.sigma**2)
-    expf = np.exp(rate * (model.horizon - t))
-    ones = np.ones_like(t)
-    if prefs.p < 1.0:
-        return ones, expf  # lower solves m=1, upper the growing target
-    return expf, ones
+    return np.exp(rate * (model.horizon - t))
 
 
 def myopic_curve(model: MarketModel, prefs: Preference, grid: np.ndarray) -> Curve:
@@ -240,14 +241,15 @@ def myopic_curve(model: MarketModel, prefs: Preference, grid: np.ndarray) -> Cur
 
 def bracket_curves(model: MarketModel, prefs: Preference, grid: np.ndarray) -> tuple[Curve, Curve]:
     """Backward lower and upper solutions (y_low, y_high) enclosing the
-    optimal curve; they collapse onto each other at log utility."""
+    optimal curve; they collapse onto each other at log utility.  The
+    myopic curve m = 1 is the lower one for p < 1, else the upper one."""
     if model.mu <= 0:
         raise DomainError("positive instantaneous expected return required")
     grid = np.asarray(grid, dtype=float)
     c = _Coef(model, prefs.p, grid)
-    lo_t, hi_t = _bracket_targets(prefs, model, grid)
-    lo = _implicit_many(c, lo_t)
-    hi = _implicit_many(c, hi_t)
+    myopic = _implicit_many(c, np.ones_like(grid))
+    other = _implicit_many(c, _growth_target(prefs, model, grid))
+    lo, hi = (myopic, other) if prefs.p < 1.0 else (other, myopic)
     return Curve(grid, lo), Curve(grid, hi)
 
 
@@ -292,7 +294,8 @@ class Solution:
     """Solved scenario: tilt curve, brackets, residuals, and multipliers.
 
     ``tilt`` is the curve driving both the optimal fraction and the dual
-    measure; ``m_start`` = m(0, tilt(0), p) feeds the welfare formulas.
+    measure; ``myopic`` is whichever bracket solves m = 1;
+    ``m_start`` = m(0, tilt(0), p) feeds the welfare formulas.
     """
 
     model: MarketModel
@@ -301,6 +304,7 @@ class Solution:
     tilt: Curve
     lower: Curve
     upper: Curve
+    myopic: Curve
     residuals: np.ndarray
     m_start: float
     dual_mult: float
@@ -322,8 +326,9 @@ class Solution:
         )
 
 
-def _terminal_tail(model: MarketModel, prefs: Preference, t_end: float) -> float:
-    """int_{t_end}^T n(u, y(u)) du approximated along the myopic curve.
+def _terminal_tail(model: MarketModel, prefs: Preference, t_end: float, y_end: float) -> float:
+    """int_{t_end}^T n(u, y(u)) du approximated along the myopic curve,
+    whose inversions start from its value ``y_end`` at ``t_end``.
 
     Both brackets converge to the myopic curve at the horizon and n along
     it is bounded by |1-p| mu^2 / (2 p^2 sigma^2), so the tail is finite
@@ -336,7 +341,7 @@ def _terminal_tail(model: MarketModel, prefs: Preference, t_end: float) -> float
     def integrand(u):
         u = np.asarray(u, dtype=float)
         c = _Coef(model, prefs.p, u)
-        ym = _implicit_many(c, np.ones_like(u))
+        ym = _implicit_many(c, np.ones_like(u), x0=y_end)
         return _aux_n(c, ym)
 
     res = integrate_toward(integrand, t_end, model.horizon, rtol=1e-12)
@@ -359,12 +364,12 @@ def solve_optimal(
 ) -> Solution:
     """Solve the integral equation and package the optimal strategy.
 
-    Damped fixed point: propose y from the pointwise inversion of
-    m = exp(-int n) with n integrated along the current curve (safeguarded
-    Newton, see :func:`_quad.monotone_inverse`) and average with the
-    previous iterate.  A fixed point that does not converge within
-    ``max_iter`` sweeps, or leaves a residual above ``residual_tol``,
-    raises :class:`SolverError`.
+    Anderson-accelerated fixed point: each sweep inverts m = exp(-int n)
+    pointwise along the current curve (:func:`_quad.monotone_inverse`) and
+    mixes the last ``ANDERSON_DEPTH`` + 1 proposals, until the residual
+    |m exp(int n) - 1| is at most ``tol`` or, below 1/2, stops halving for
+    2 ``ANDERSON_DEPTH`` sweeps.  Running out of ``max_iter`` sweeps, or a
+    final residual above ``residual_tol``, raises :class:`SolverError`.
     """
     if model.mu <= 0:
         raise DomainError("positive instantaneous expected return required")
@@ -372,19 +377,20 @@ def solve_optimal(
 
     grid = _solver_grid(model, n_grid)
     lower, upper = bracket_curves(model, prefs, grid)
+    myopic = lower if prefs.p < 1.0 else upper
     c = _Coef(model, prefs.p, grid)
     rule = PanelRule(grid)
-    tail = _terminal_tail(model, prefs, float(grid[-1]))
+    tail = _terminal_tail(model, prefs, float(grid[-1]), float(myopic.values[-1]))
 
     if prefs.log_utility and use_log_closed_form:
         y = np.asarray(log_utility_solution(model, grid))
         method, iterations = "log_closed_form", 0
     else:
-        band = _bracket_targets(prefs, model, grid)
-        y, iterations = _fixed_point(c, rule, lower.values, band, tail, tol, max_iter)
+        band = (1.0, _growth_target(prefs, model, grid))
+        y, iterations = _fixed_point(c, rule, lower.values, upper.values, band, tail, tol, max_iter)
         method = "fixed_point"
 
-    resid = _residual_profile(c, rule, y, tail)
+    resid, _ = _residual_profile(c, rule, y, tail)
     if float(np.max(resid)) > residual_tol:
         raise SolverError(
             f"integral-equation residual {np.max(resid):.3e} above "
@@ -401,6 +407,7 @@ def solve_optimal(
         tilt=Curve(grid, y),
         lower=lower,
         upper=upper,
+        myopic=myopic,
         residuals=resid,
         m_start=m_start,
         dual_mult=zh,
@@ -411,42 +418,51 @@ def solve_optimal(
     )
 
 
-def _fixed_point(c, rule, y0, band, tail, tol, max_iter):
-    # targets are clipped into the bracket-target band before exponentiating,
-    # which keeps intermediate sweeps representable even when the band spans
-    # many orders of magnitude; damping adapts to the observed map stiffness
-    tmin = np.minimum(*band)
-    tmax = np.maximum(*band)
-    y = y0.copy()
-    damping = 0.5
-    prev_y = None
-    prev_prop = None
+def _fixed_point(c, rule, lower, upper, band, tail, tol, max_iter):
+    # Anderson mixing of the sweeps G(y) = m^-1(exp(-int n(y))): the next
+    # iterate combines the last proposals G(y_i) with the weights that make
+    # their defects G(y_i) - y_i least-squares smallest, kept in the bracket.
+    # Targets are clipped into the bracket-target band, which keeps early
+    # sweeps representable when the band spans many orders of magnitude.
+    tmin, tmax = np.minimum(*band), np.maximum(*band)
+    y, prop, d_prop, d_defect = lower, None, [], []
+    best, best_y, mark, stalled = np.inf, y, 1.0, 0
     for it in range(1, max_iter + 1):
-        integral = rule.cumulative_to_right(_aux_n(c, y)) + tail
+        profile, integral = _residual_profile(c, rule, y, tail)
+        resid = float(np.max(profile))
+        if resid <= tol:
+            return y, it
+        if resid < best:
+            best, best_y = resid, y
+        # a stall hands the best iterate to the caller's residual check
+        mark, stalled = (best, 0) if best <= 0.5 * mark else (mark, stalled + 1)
+        if best < 0.5 and stalled >= 2 * ANDERSON_DEPTH:
+            return best_y, it
         with np.errstate(over="ignore", under="ignore"):
             target = np.clip(np.exp(-integral), tmin, tmax)
-        prop = _implicit_many(c, target)
-        if prev_y is not None:
-            dy = float(np.max(np.abs(y - prev_y)))
-            dprop = float(np.max(np.abs(prop - prev_prop)))
-            if dy > 0:
-                stiffness = dprop / dy
-                damping = min(0.5, max(0.02, 1.0 / (1.0 + stiffness)))
-        prev_y, prev_prop = y, prop
-        defect = float(np.max(np.abs(prop - y)))  # undamped fixed-point defect
-        y = y + damping * (prop - y)
-        if defect <= tol * (1.0 + float(np.max(np.abs(y)))):
-            return y, it
+        new = _implicit_many(c, target, x0=prop)
+        defect = new - y
+        step = new
+        if prop is not None:
+            d_prop = [new - prop, *d_prop][:ANDERSON_DEPTH]
+            d_defect = [defect - last_defect, *d_defect][:ANDERSON_DEPTH]
+            gamma = np.linalg.lstsq(np.column_stack(d_defect), defect, rcond=None)[0]
+            step = np.clip(new - np.column_stack(d_prop) @ gamma, lower, upper)
+            # a step that barely moves only recombines old iterates: restart
+            if np.max(np.abs(step - y)) <= 1e-3 * np.max(np.abs(defect)):
+                step, d_prop, d_defect = new, [], []
+        y, prop, last_defect = step, new, defect
     raise SolverError(
-        f"fixed point did not converge in {max_iter} sweeps "
-        f"(last defect {defect:.3e})",
-        residuals=_residual_profile(c, rule, y, tail),
+        f"fixed point did not converge in {max_iter} sweeps (last residual {resid:.3e})",
+        residuals=profile,
     )
 
 
 def _residual_profile(c, rule, y, tail):
+    """|m e^{int n} - 1| along ``y``, and int n + tail."""
     integral = rule.cumulative_to_right(_aux_n(c, y)) + tail
-    return np.abs(_aux_m(c, y) * np.exp(integral) - 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(_aux_m(c, y) * np.exp(integral) - 1.0), integral
 
 
 def _dual_multiplier_value(model: MarketModel, prefs: Preference, m_start: float) -> float:
@@ -483,7 +499,7 @@ def decompose(solution: Solution) -> tuple[Curve, Curve]:
     """
     model, prefs = solution.model, solution.preference
     grid = solution.grid
-    ym = myopic_curve(model, prefs, grid)
+    ym = solution.myopic
     phi_p = np.asarray(model.excess.dphi(grid))
     denom = prefs.p * model.sigma**2
     pi_m = (model.mu - phi_p * ym.values) / denom

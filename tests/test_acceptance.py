@@ -117,6 +117,14 @@ def test_criterion_04_bracket_and_residual(grid_solutions):
     _passed(4, f"{len(grid_solutions)} solves bracketed; worst residual {worst:.1e}")
 
 
+def test_grid_solves_reach_the_fixed_point_tolerance(grid_solutions):
+    # the fixed point stops on the residual, so every solve ends at or below
+    # the default tol, p = 0.25 included, where targets underflow early on
+    worst = max(float(np.max(sol.residuals)) for sol in grid_solutions.values())
+    assert worst <= 1e-10
+    assert all(sol.method == "fixed_point" for (p, *_), sol in grid_solutions.items() if p != 1.0)
+
+
 def test_criterion_05_hedging_demand_signs(grid_solutions):
     edge_worst = 0.0
     for (p, _, _, _), sol in grid_solutions.items():

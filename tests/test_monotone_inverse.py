@@ -1,0 +1,151 @@
+"""The safeguarded Newton inverse with and without a start point."""
+
+import numpy as np
+import pytest
+
+from bubblemkt import (
+    ConstantExcess,
+    ExponentialCutoffHazard,
+    LPPLHazard,
+    MarketModel,
+    TabulatedHazard,
+    UniformHazard,
+    linear_delta_excess,
+)
+from bubblemkt import solver as sv
+from bubblemkt._quad import monotone_inverse
+
+EPS = np.finfo(float).eps
+EXP_LAW = ExponentialCutoffHazard(1.0, 1.0)
+UNIFORM = UniformHazard(1.0)
+
+
+def _resolution(x, targets, slope):
+    """One ulp of a root: the finder's stopping scale ulp(max(1, |x|)), or
+    the width ulp(target) / f'(x) of the set where f rounds to the target,
+    whichever is larger."""
+    return np.maximum(EPS * np.maximum(1.0, np.abs(x)), np.spacing(np.abs(targets)) / slope)
+
+
+def _near(root, rng, rel):
+    return root * (1.0 + rel * rng.uniform(-1.0, 1.0, root.shape))
+
+
+def _counted(fn):
+    calls = [0]
+
+    def wrapped(x, idx):
+        calls[0] += 1
+        return fn(x, idx)
+
+    return wrapped, calls
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        MarketModel(0.1, 0.2, EXP_LAW, ConstantExcess(0.2)),
+        MarketModel(0.3, 0.1, EXP_LAW, ConstantExcess(0.8)),
+        MarketModel(0.1, 0.2, UNIFORM, linear_delta_excess(UNIFORM, 0.9)),
+    ],
+    ids=["baseline", "steep", "uniform0.9"],
+)
+@pytest.mark.parametrize("p", [0.25, 4.0])
+def test_solver_inversion_warm_matches_cold(model, p):
+    rng = np.random.default_rng(7)
+    grid = sv._solver_grid(model, 512)
+    c = sv._Coef(model, p, grid)
+    targets = np.exp(rng.uniform(-5.0, 5.0, grid.size))
+    cold = sv._implicit_many(c, targets)
+    unit = _resolution(cold, targets, sv._aux_dm_dy(c, cold))
+    for rel in (0.1, 1e-3, 1e-8, 0.0):
+        warm = sv._implicit_many(c, targets, x0=_near(cold, rng, rel))
+        assert np.all(np.abs(warm - cold) <= 4.0 * unit)
+
+
+def _tabulated():
+    knots = np.linspace(0.0, 1.0, 9)
+    return TabulatedHazard(knots, 0.6 * -np.expm1(-2.0 * knots) / -np.expm1(-2.0))
+
+
+@pytest.mark.parametrize(
+    "law",
+    [LPPLHazard(power=0.4, horizon=1.0, b=1.2, c=0.3, omega=6.0, phase=0.5), _tabulated()],
+    ids=["lppl", "tabulated"],
+)
+def test_crash_law_inversion_warm_matches_cold(law):
+    rng = np.random.default_rng(11)
+    w = -np.log1p(-rng.uniform(1e-6, 0.55, 4000))
+    end, cap = law._table_edge or (law.horizon, np.inf)
+    w = w[w < cap]
+
+    def fn(x, _):
+        return law._cum(x)
+
+    def dfn(x, _):
+        return law._kappa(x)
+
+    cold = monotone_inverse(fn, dfn, 0.0, end, w)
+    unit = _resolution(cold, w, law._kappa(cold))
+    for rel in (0.1, 1e-3, 1e-8, 0.0):
+        warm = monotone_inverse(fn, dfn, 0.0, end, w, x0=_near(cold, rng, rel))
+        assert np.all(np.abs(warm - cold) <= 4.0 * unit)
+
+
+def _cubic(x, _):
+    return x**3 + x
+
+
+def _dcubic(x, _):
+    return 3.0 * x**2 + 1.0
+
+
+TARGETS = np.linspace(-50.0, 700.0, 64)
+
+
+@pytest.mark.parametrize(
+    "x0",
+    [np.nan, -10.0, 9.0, -11.0, 12.0, np.inf],
+    ids=["nan", "at_lo", "at_hi", "below", "above", "inf"],
+)
+def test_start_outside_the_bracket_is_the_midpoint(x0):
+    lo, hi = -10.0, 9.0
+    cold_fn, cold_calls = _counted(_cubic)
+    cold = monotone_inverse(cold_fn, _dcubic, lo, hi, TARGETS)
+    warm_fn, warm_calls = _counted(_cubic)
+    warm = monotone_inverse(warm_fn, _dcubic, lo, hi, TARGETS, x0=x0)
+    assert np.array_equal(warm, cold)
+    assert warm_calls == cold_calls
+
+
+def test_per_point_start_falls_back_pointwise():
+    lo, hi = -10.0, 9.0
+    cold = monotone_inverse(_cubic, _dcubic, lo, hi, TARGETS)
+    x0 = cold.copy()
+    x0[::2] = np.nan  # half the points start at the midpoint
+    warm = monotone_inverse(_cubic, _dcubic, lo, hi, TARGETS, x0=x0)
+    unit = _resolution(cold, TARGETS, _dcubic(cold, None))
+    assert np.all(np.abs(warm - cold) <= 4.0 * unit)
+
+
+def test_start_near_the_root_takes_fewer_evaluations():
+    lo, hi = -10.0, 9.0
+    cold_fn, cold_calls = _counted(_cubic)
+    cold = monotone_inverse(cold_fn, _dcubic, lo, hi, TARGETS)
+    warm_fn, warm_calls = _counted(_cubic)
+    monotone_inverse(warm_fn, _dcubic, lo, hi, TARGETS, x0=cold * (1.0 + 1e-6))
+    assert warm_calls[0] < cold_calls[0] / 2
+
+
+def test_solver_start_near_the_root_takes_fewer_evaluations():
+    model = MarketModel(0.1, 0.2, EXP_LAW, ConstantExcess(0.2))
+    c = sv._Coef(model, 4.0, sv._solver_grid(model, 512))
+    targets = np.exp(np.linspace(-1.0, 1.0, 512))
+    cold = sv._implicit_many(c, targets)
+
+    def run(x0):
+        fn, calls = _counted(lambda y, i: sv._aux_m(c, y, i))
+        monotone_inverse(fn, lambda y, i: sv._aux_dm_dy(c, y, i), -1.0, 10.0, targets, x0)
+        return calls[0]
+
+    assert run(cold * (1.0 + 1e-6)) < run(None)

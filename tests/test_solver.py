@@ -7,16 +7,23 @@ from hypothesis import strategies as st
 
 from bubblemkt import (
     ConstantExcess,
+    ConstantJumpSizeExcess,
     DomainError,
     ExponentialCutoffHazard,
     LinearRampExcess,
+    LPPLHazard,
     MarketModel,
     ModelError,
     Preference,
+    SolverError,
+    UniformHazard,
     ZeroExcess,
     aux_eval,
     bracket_curves,
+    certainty_equivalent,
     decompose,
+    linear_delta_excess,
+    myopic_only_strategy,
     dual_multiplier,
     implicit_solve,
     log_utility_solution,
@@ -405,3 +412,76 @@ def test_linear_ramp_scenario_solves():
     sol = solve_optimal(model, P4)
     assert np.max(sol.residuals) <= 1e-8
     assert np.max(optimal_fraction(sol, sol.grid)) > sol.merton_fraction
+
+
+EXP_LAW = ExponentialCutoffHazard(1.0, 1.0)
+
+# CE from the earlier stiffness-damped fixed point run to tol=1e-15 with
+# max_iter=3000 (maximum residual 6e-13 over the benchmark grid), as
+# (mu, sigma, alpha, p): CE.  That iteration stopped at tol=1e-10 is up to
+# 1.8e-9 away from these values.
+TIGHT_CE = {
+    (0.1, 0.2, 0.2, 4.0): 1.0218781292446106,
+    (0.1, 0.2, 0.2, 0.25): 1.30274691773711,
+    (0.3, 0.1, 0.8, 0.25): 12086147.400679715,
+    (0.2, 0.1, 0.8, 4.0): 1.2195295011337324,
+    (0.3, 0.1, 0.8, 4.0): 1.5456577188584248,
+}
+
+
+class TestFixedPoint:
+    def test_baseline_p4_sweeps_and_residual(self, base_solution):
+        assert base_solution.method == "fixed_point"
+        assert base_solution.iterations <= 12
+        assert np.max(base_solution.residuals) <= 1e-10
+
+    @pytest.mark.parametrize("key", sorted(TIGHT_CE))
+    def test_certainty_equivalent_matches_tight_reference(self, key):
+        mu, sigma, alpha, p = key
+        sol = solve_optimal(MarketModel(mu, sigma, EXP_LAW, ConstantExcess(alpha)), Preference(p))
+        assert np.max(sol.residuals) <= 1e-10
+        assert certainty_equivalent(sol) == pytest.approx(TIGHT_CE[key], rel=1e-10, abs=0.0)
+
+    def test_nonconvergence_names_the_last_residual(self, base_model):
+        with pytest.raises(SolverError, match=r"did not converge in 3 sweeps \(last residual ") as err:
+            solve_optimal(base_model, P4, max_iter=3)
+        assert err.value.residuals.shape == (512,)
+
+    @pytest.mark.parametrize("power", [-0.1, -0.3, -0.6])
+    @pytest.mark.parametrize("delta0", [0.1, 0.5])
+    @pytest.mark.parametrize("p", [0.5, 4.0])
+    def test_singular_lppl_stalls_into_the_residual_check(self, power, delta0, p):
+        # the residual floor is discretization error near the horizon: the
+        # fixed point stalls there and the residual check raises, long
+        # before the sweep budget runs out
+        law = LPPLHazard(power=power, horizon=1.0, b=1.2, c=0.3, omega=6.0, phase=0.5)
+        model = MarketModel(0.1, 0.2, law, ConstantJumpSizeExcess(law, delta0))
+        with pytest.raises(SolverError, match="^integral-equation residual "):
+            solve_optimal(model, Preference(p))
+
+
+UNIFORM = UniformHazard(1.0)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        MarketModel(0.1, 0.2, EXP_LAW, ConstantExcess(0.2)),
+        MarketModel(0.1, 0.2, UNIFORM, linear_delta_excess(UNIFORM, 0.9)),
+    ],
+    ids=["exp", "uniform0.9"],
+)
+@pytest.mark.parametrize("p", [0.25, 1.0, 4.0])
+def test_solution_carries_the_myopic_curve(model, p):
+    sol = solve_optimal(model, Preference(p))
+    cold = myopic_curve(model, Preference(p), sol.grid)
+    assert np.array_equal(sol.myopic.values, cold.values)
+    assert sol.myopic is (sol.lower if p < 1.0 else sol.upper)
+    denom = p * model.sigma**2
+    phi_p = np.asarray(model.excess.dphi(sol.grid))
+    pi_m, _ = decompose(sol)
+    assert np.array_equal(pi_m.values, (model.mu - phi_p * cold.values) / denom)
+    t = np.linspace(0.0, 1.0, 33)
+    phi_t = np.asarray(model.excess.dphi(np.minimum(t, sol.grid[-1])))
+    expected = (model.mu - phi_t * cold(t)) / denom
+    assert np.array_equal(myopic_only_strategy(sol).pre(t), expected)
