@@ -29,6 +29,12 @@ _GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
 _ULPS = 4.0 * np.finfo(float).eps  # root-finder stopping width, relative
 _MAX_NEWTON_STEPS = 200
 
+# integrate_toward: absolute shell tolerance, shell budget, and the run of
+# non-decaying shells that certifies divergence
+_SHELL_ATOL = 1e-14
+_MAX_SHELLS = 60
+_DIVERGENCE_RUN = 8
+
 CONVERGED = "converged"
 DIVERGENT = "divergent"
 INDETERMINATE = "indeterminate"
@@ -197,9 +203,6 @@ def integrate_toward(
     b: float,
     *,
     rtol: float = 1e-10,
-    atol: float = 1e-14,
-    max_shells: int = 60,
-    divergence_run: int = 8,
 ) -> ShellIntegral:
     """Integrate ``f`` over (a, b) where ``f`` may be singular at ``b``.
 
@@ -225,7 +228,7 @@ def integrate_toward(
     last = 0.0
     part = 0.0
     k = 0
-    for k in range(max_shells):
+    for k in range(_MAX_SHELLS):
         lo = b - width * 0.5**k
         hi = b - width * 0.5 ** (k + 1)
         if hi <= lo or (b - lo) <= res_limit:  # width underflow near b
@@ -237,7 +240,7 @@ def integrate_toward(
         total = tv
         last = abs(part)
         signs.append(1.0 if part >= 0 else -1.0)
-        scale = atol + rtol * max(1.0, abs(total))
+        scale = _SHELL_ATOL + rtol * max(1.0, abs(total))
         if last <= scale:
             small_run += 1
             flat_run = 0
@@ -269,7 +272,7 @@ def integrate_toward(
                 else:
                     flat_run += 1
                     decay_run = 0
-                    if flat_run >= divergence_run:
+                    if flat_run >= _DIVERGENCE_RUN:
                         sign = 1.0 if total >= 0 else -1.0
                         return ShellIntegral(sign * np.inf, DIVERGENT, k + 1, np.inf)
         prev_mag = last

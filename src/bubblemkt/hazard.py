@@ -680,7 +680,10 @@ class ValidationReport:
         return None
 
 
-def validate(model: MarketModel, n_check: int = 1024) -> ValidationReport:
+_VALIDATION_POINTS = 1024  # interior grid points validate samples
+
+
+def validate(model: MarketModel) -> ValidationReport:
     """Check the structural requirements on a horizon-clustered grid.
 
     Reports rather than raises: phi(0) = 0, kappa > 0, 0 <= phi' <= kappa,
@@ -688,7 +691,7 @@ def validate(model: MarketModel, n_check: int = 1024) -> ValidationReport:
     hence the clustered sampling.
     """
     T = model.horizon
-    grid = clustered_grid(T, n_check + 1)[:-1]  # drop the endpoint T
+    grid = clustered_grid(T, _VALIDATION_POINTS + 1)[:-1]  # drop the endpoint T
     violations: list[Violation] = []
 
     phi0 = float(model.excess.phi(0.0))

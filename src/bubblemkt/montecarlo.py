@@ -112,15 +112,10 @@ def optimal_strategy(solution: Solution) -> Strategy:
 
 
 def myopic_only_strategy(solution: Solution) -> Strategy:
-    ym = solution.myopic
-    denom = solution.preference.p * solution.model.sigma**2
-    t_end = solution.grid[-1]
-
     def pre(t):
         # frozen beyond the solved grid, like the myopic curve itself
-        t = np.minimum(np.asarray(t, dtype=float), t_end)
-        fp = np.asarray(solution.model.excess.dphi(t))
-        return (solution.model.mu - fp * ym(t)) / denom
+        t = np.minimum(np.asarray(t, dtype=float), solution.grid[-1])
+        return solution.fraction_given(t, solution.myopic(t))
 
     return Strategy("myopic", pre, solution.merton_fraction)
 

@@ -17,8 +17,10 @@ equation inverts pointwise with a safeguarded Newton iteration; the solve
 brackets the curve between explicit backward upper/lower solutions and
 iterates an Anderson-accelerated fixed point (Walker & Ni, SIAM J. Numer.
 Anal. 49, 2011) until the residual |m exp(int n) - 1| is below ``tol``,
-or raises :class:`SolverError`.  Log utility (p = 1) has a quadratic
-closed form and no hedging component.
+or raises :class:`SolverError`.  The same iteration serves every p: at
+log utility (p = 1) the brackets coincide with the myopic curve m = 1,
+which then is the solution (a quadratic with a closed form,
+:func:`log_utility_solution`), so one sweep confirms it.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from .hazard import (
 )
 
 TERMINAL_CLIP_FRACTION = 1e-6  # grid stops at T (1 - this)
-LOG_UTILITY_WINDOW = 1e-6  # |p - 1| below this routes to the closed form
 ANDERSON_DEPTH = 5  # past sweeps each fixed-point step mixes
+RESIDUAL_TOL = 1e-8  # a returned curve's largest residual |m e^{int n} - 1|
 
 
 class SolverError(RuntimeError):
@@ -66,10 +68,6 @@ class Preference:
             raise ModelError("relative risk aversion must be positive")
         if self.x <= 0:
             raise ModelError("initial capital must be positive")
-
-    @property
-    def log_utility(self) -> bool:
-        return abs(self.p - 1.0) < LOG_UTILITY_WINDOW
 
 
 @dataclass(frozen=True)
@@ -98,8 +96,6 @@ class _Coef:
         self.phi_p = np.asarray(model.excess.dphi(t))
         self.kap = np.asarray(model.hazard.hazard(t))
         self.dlt = np.asarray(model.delta(t))
-        self.phi_pp = np.asarray(model.excess.d2phi(t))
-        self.ddlt = np.asarray(model.ddelta(t))
 
 
 # ``i`` selects the grid points that ``y`` belongs to (all by default)
@@ -124,18 +120,17 @@ def _aux_dm_dy(c: _Coef, y: np.ndarray, i=...) -> np.ndarray:
     return one_plus ** (1.0 / c.p) * (a / (c.p * one_plus) + da)
 
 
+def _aux_floor(c: _Coef, i=...) -> np.ndarray:
+    phi_p = c.phi_p[i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = c.mu / phi_p - c.sig2p * c.kap[i] / phi_p**2
+    return np.where(phi_p > 0.0, np.maximum(-1.0, val), -1.0)
+
+
 def lower_boundary(model: MarketModel, prefs: Preference, t):
     """Below this tilt level the function m is nonpositive: -1 where the
     excess return vanishes, else max(-1, mu/phi' - p sigma^2 kappa/phi'^2)."""
-
-    def boundary(t):
-        phi_p = np.asarray(model.excess.dphi(t))
-        kap = np.asarray(model.hazard.hazard(t))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = model.mu / phi_p - prefs.p * model.sigma**2 * kap / phi_p**2
-        return np.where(phi_p > 0.0, np.maximum(-1.0, val), -1.0)
-
-    return _scalar_or_array(boundary, t)
+    return _scalar_or_array(lambda t: _aux_floor(_Coef(model, prefs.p, t)), t)
 
 
 def aux_eval(model: MarketModel, prefs: Preference, t: float, y: float) -> AuxEval:
@@ -157,9 +152,8 @@ def aux_eval(model: MarketModel, prefs: Preference, t: float, y: float) -> AuxEv
     da_dy = float((c.dlt * c.phi_p / c.sig2p)[0])
     dm_dy = float(_aux_dm_dy(c, yv)[0])
     dn_dy = float((c.kap * (a / prefs.p + (1.0 + y) * da_dy))[0])
-    da_dt = float(
-        (-(c.ddlt * (c.mu - c.phi_p * y) - c.dlt * c.phi_pp * y) / c.sig2p)[0]
-    )
+    ddlt, phi_pp = np.asarray(model.ddelta(c.t)), np.asarray(model.excess.d2phi(c.t))
+    da_dt = float((-(ddlt * (c.mu - c.phi_p * y) - c.dlt * phi_pp * y) / c.sig2p)[0])
     return AuxEval(a, b, m, n, da_dy, dm_dy, dn_dy, da_dt)
 
 
@@ -187,7 +181,7 @@ def _implicit_many(c: _Coef, targets: np.ndarray, x0=None) -> np.ndarray:
     phi_p = c.phi_p[act]
     kap = c.kap[act]
     fa = f[act]
-    lo = np.maximum(-1.0, mu / phi_p - sig2p * kap / phi_p**2)
+    lo = _aux_floor(c, act)
     small = phi_p <= sig2p * kap / (2.0 * mu)
     hi = np.where(small, (2.0 * fa) ** p, np.maximum(fa**p, mu / phi_p))
     hi = hi + 1.0  # slack over the growth bound
@@ -228,29 +222,36 @@ def _growth_target(prefs: Preference, model: MarketModel, t: np.ndarray) -> np.n
     return np.exp(rate * (model.horizon - t))
 
 
+def _require_drift(model: MarketModel) -> None:
+    if model.mu <= 0:
+        raise DomainError("positive instantaneous expected return required")
+
+
+def _brackets(c: _Coef, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) on the grid of ``c``: the myopic curve m = 1 and the
+    curve m = ``target``, the growth target."""
+    myopic = _implicit_many(c, np.ones_like(c.t))
+    # a unit target (log utility) makes the other bracket the myopic curve
+    other = myopic if np.all(target == 1.0) else _implicit_many(c, target)
+    return (myopic, other) if c.p < 1.0 else (other, myopic)
+
+
 def myopic_curve(model: MarketModel, prefs: Preference, grid: np.ndarray) -> Curve:
     """Pointwise solution of m(t, y, p) = 1; optimal for an investor who
     ignores everything beyond the next instant."""
-    if model.mu <= 0:
-        raise DomainError("positive instantaneous expected return required")
-    grid = np.asarray(grid, dtype=float)
+    _require_drift(model)
     c = _Coef(model, prefs.p, grid)
-    vals = _implicit_many(c, np.ones_like(grid))
-    return Curve(grid, vals)
+    return Curve(c.t, _implicit_many(c, np.ones_like(c.t)))
 
 
 def bracket_curves(model: MarketModel, prefs: Preference, grid: np.ndarray) -> tuple[Curve, Curve]:
     """Backward lower and upper solutions (y_low, y_high) enclosing the
     optimal curve; they collapse onto each other at log utility.  The
     myopic curve m = 1 is the lower one for p < 1, else the upper one."""
-    if model.mu <= 0:
-        raise DomainError("positive instantaneous expected return required")
-    grid = np.asarray(grid, dtype=float)
+    _require_drift(model)
     c = _Coef(model, prefs.p, grid)
-    myopic = _implicit_many(c, np.ones_like(grid))
-    other = _implicit_many(c, _growth_target(prefs, model, grid))
-    lo, hi = (myopic, other) if prefs.p < 1.0 else (other, myopic)
-    return Curve(grid, lo), Curve(grid, hi)
+    lo, hi = _brackets(c, _growth_target(prefs, model, c.t))
+    return Curve(c.t, lo), Curve(c.t, hi)
 
 
 def ode_rhs(model: MarketModel, prefs: Preference, t: float, y: float) -> float:
@@ -295,7 +296,8 @@ class Solution:
 
     ``tilt`` is the curve driving both the optimal fraction and the dual
     measure; ``myopic`` is whichever bracket solves m = 1;
-    ``m_start`` = m(0, tilt(0), p) feeds the welfare formulas.
+    ``m_start`` = m(0, tilt(0), p) feeds the welfare formulas.  ``method``
+    is always ``"fixed_point"``.
     """
 
     model: MarketModel
@@ -317,13 +319,16 @@ class Solution:
     def merton_fraction(self) -> float:
         return self.model.mu / (self.preference.p * self.model.sigma**2)
 
+    def fraction_given(self, t, y):
+        """Pre-crash fraction (mu - phi'(t) y) / (p sigma^2) for the curve
+        values ``y`` at the times ``t``."""
+        phi_p = np.asarray(self.model.excess.dphi(t))
+        return (self.model.mu - phi_p * y) / (self.preference.p * self.model.sigma**2)
+
     def fraction_pre_crash(self, t):
         # frozen beyond the solved grid, where the tilt is frozen too
         t = np.minimum(np.asarray(t, dtype=float), self.grid[-1])
-        phi_p = np.asarray(self.model.excess.dphi(t))
-        return (self.model.mu - phi_p * self.tilt(t)) / (
-            self.preference.p * self.model.sigma**2
-        )
+        return self.fraction_given(t, self.tilt(t))
 
 
 def _terminal_tail(model: MarketModel, prefs: Preference, t_end: float, y_end: float) -> float:
@@ -335,8 +340,6 @@ def _terminal_tail(model: MarketModel, prefs: Preference, t_end: float, y_end: f
     and tiny; a non-convergent verdict therefore signals a model outside
     the solver's assumptions.
     """
-    if prefs.log_utility:
-        return 0.0
 
     def integrand(u):
         u = np.asarray(u, dtype=float)
@@ -358,48 +361,44 @@ def solve_optimal(
     prefs: Preference,
     n_grid: int = 512,
     tol: float = 1e-10,
-    residual_tol: float = 1e-8,
     max_iter: int = 600,
-    use_log_closed_form: bool = True,
 ) -> Solution:
     """Solve the integral equation and package the optimal strategy.
 
-    Anderson-accelerated fixed point: each sweep inverts m = exp(-int n)
-    pointwise along the current curve (:func:`_quad.monotone_inverse`) and
-    mixes the last ``ANDERSON_DEPTH`` + 1 proposals, until the residual
-    |m exp(int n) - 1| is at most ``tol`` or, below 1/2, stops halving for
-    2 ``ANDERSON_DEPTH`` sweeps.  Running out of ``max_iter`` sweeps, or a
-    final residual above ``residual_tol``, raises :class:`SolverError`.
+    One Anderson-accelerated fixed point for every p: each sweep inverts
+    m = exp(-int n) pointwise along the current curve
+    (:func:`_quad.monotone_inverse`) and mixes the last ``ANDERSON_DEPTH``
+    + 1 proposals, until the residual |m exp(int n) - 1| is at most ``tol``
+    or, below 1/2, stops halving for 2 ``ANDERSON_DEPTH`` sweeps.  At log
+    utility the start, the myopic curve, already solves the equation, so
+    one sweep ends it.  Running out of ``max_iter`` sweeps, or a final
+    residual above ``RESIDUAL_TOL``, raises :class:`SolverError`.
     """
-    if model.mu <= 0:
-        raise DomainError("positive instantaneous expected return required")
+    _require_drift(model)
     require_valid(model)
 
     grid = _solver_grid(model, n_grid)
-    lower, upper = bracket_curves(model, prefs, grid)
-    myopic = lower if prefs.p < 1.0 else upper
     c = _Coef(model, prefs.p, grid)
+    target = _growth_target(prefs, model, grid)
+    lo, hi = _brackets(c, target)
+    lower, upper = Curve(grid, lo), Curve(grid, hi)
+    myopic = lower if prefs.p < 1.0 else upper
     rule = PanelRule(grid)
     tail = _terminal_tail(model, prefs, float(grid[-1]), float(myopic.values[-1]))
 
-    if prefs.log_utility and use_log_closed_form:
-        y = np.asarray(log_utility_solution(model, grid))
-        method, iterations = "log_closed_form", 0
-    else:
-        band = (1.0, _growth_target(prefs, model, grid))
-        y, iterations = _fixed_point(c, rule, lower.values, upper.values, band, tail, tol, max_iter)
-        method = "fixed_point"
-
-    resid, _ = _residual_profile(c, rule, y, tail)
-    if float(np.max(resid)) > residual_tol:
+    y, iterations, resid = _fixed_point(c, rule, lo, hi, (1.0, target), tail, tol, max_iter)
+    if float(np.max(resid)) > RESIDUAL_TOL:
         raise SolverError(
             f"integral-equation residual {np.max(resid):.3e} above "
-            f"{residual_tol:.1e} after {method}",
+            f"{RESIDUAL_TOL:.1e} after {iterations} sweeps",
             residuals=resid,
         )
 
+    p = prefs.p
     m_start = float(_aux_m(c, y)[0])
-    zh = _dual_multiplier_value(model, prefs, m_start)
+    root = prefs.x * m_start * math.exp(
+        -(1.0 - p) * model.mu**2 * model.horizon / (2.0 * p**2 * model.sigma**2)
+    )
     return Solution(
         model=model,
         preference=prefs,
@@ -410,10 +409,10 @@ def solve_optimal(
         myopic=myopic,
         residuals=resid,
         m_start=m_start,
-        dual_mult=zh,
+        dual_mult=root ** (-p),
         terminal_clip=model.horizon * TERMINAL_CLIP_FRACTION,
         tail=tail,
-        method=method,
+        method="fixed_point",
         iterations=iterations,
     )
 
@@ -424,20 +423,21 @@ def _fixed_point(c, rule, lower, upper, band, tail, tol, max_iter):
     # their defects G(y_i) - y_i least-squares smallest, kept in the bracket.
     # Targets are clipped into the bracket-target band, which keeps early
     # sweeps representable when the band spans many orders of magnitude.
+    # Returns the iterate, the sweep count and the iterate's residual profile.
     tmin, tmax = np.minimum(*band), np.maximum(*band)
     y, prop, d_prop, d_defect = lower, None, [], []
-    best, best_y, mark, stalled = np.inf, y, 1.0, 0
+    best, best_y, best_profile, mark, stalled = np.inf, y, None, 1.0, 0
     for it in range(1, max_iter + 1):
         profile, integral = _residual_profile(c, rule, y, tail)
         resid = float(np.max(profile))
         if resid <= tol:
-            return y, it
+            return y, it, profile
         if resid < best:
-            best, best_y = resid, y
+            best, best_y, best_profile = resid, y, profile
         # a stall hands the best iterate to the caller's residual check
         mark, stalled = (best, 0) if best <= 0.5 * mark else (mark, stalled + 1)
         if best < 0.5 and stalled >= 2 * ANDERSON_DEPTH:
-            return best_y, it
+            return best_y, it, best_profile
         with np.errstate(over="ignore", under="ignore"):
             target = np.clip(np.exp(-integral), tmin, tmax)
         new = _implicit_many(c, target, x0=prop)
@@ -465,17 +465,9 @@ def _residual_profile(c, rule, y, tail):
         return np.abs(_aux_m(c, y) * np.exp(integral) - 1.0), integral
 
 
-def _dual_multiplier_value(model: MarketModel, prefs: Preference, m_start: float) -> float:
-    p = prefs.p
-    root = prefs.x * m_start * math.exp(
-        -(1.0 - p) * model.mu**2 * model.horizon / (2.0 * p**2 * model.sigma**2)
-    )
-    return root**(-p)
-
-
 def dual_multiplier(solution: Solution) -> float:
     """Lagrange multiplier of the budget constraint in the dual problem."""
-    return _dual_multiplier_value(solution.model, solution.preference, solution.m_start)
+    return solution.dual_mult
 
 
 @_elementwise
@@ -497,11 +489,8 @@ def decompose(solution: Solution) -> tuple[Curve, Curve]:
     is nonnegative for p > 1 (riding the bubble), nonpositive for p < 1,
     and identically zero at log utility.
     """
-    model, prefs = solution.model, solution.preference
-    grid = solution.grid
-    ym = solution.myopic
-    phi_p = np.asarray(model.excess.dphi(grid))
-    denom = prefs.p * model.sigma**2
-    pi_m = (model.mu - phi_p * ym.values) / denom
+    grid, ym = solution.grid, solution.myopic
+    phi_p = np.asarray(solution.model.excess.dphi(grid))
+    denom = solution.preference.p * solution.model.sigma**2
     pi_h = phi_p * (ym.values - solution.tilt.values) / denom
-    return Curve(grid, pi_m), Curve(grid, pi_h)
+    return Curve(grid, solution.fraction_given(grid, ym.values)), Curve(grid, pi_h)

@@ -4,7 +4,10 @@ safe rates, and the wealth-compensator identity check.
 The certainty equivalent discounts the crash-free Merton benchmark
 x exp(mu^2 T / (2 p sigma^2)); for power utility the whole discount is the
 single factor m(0, y(0), p)^(-p/(1-p)), for log utility it splits into a
-trading-loss and a jump-loss integral against the crash-time law.
+trading-loss and a jump-loss integral against the crash-time law.  The
+log formula serves |p - 1| < ``LOG_UTILITY_WINDOW`` too: there the power
+exponent -p/(1-p) is so large that the last digits of m(0, y(0), p) swamp
+the factor.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ import numpy as np
 
 from ._quad import CONVERGED, PanelRule, integrate_toward
 from .hazard import MarketModel
-from .solver import Preference, Solution, aux_eval
+from .solver import Preference, Solution, SolverError, aux_eval, log_utility_solution
+
+LOG_UTILITY_WINDOW = 1e-6  # |p - 1| below this takes the log-utility formula
 
 
 @dataclass(frozen=True)
@@ -41,56 +46,45 @@ def _log_utility_loss_integrals(
 ) -> tuple[float, float]:
     """(trading loss, jump loss) integrals of the log-utility formula.
 
-    Integrated over the solver grid plus the clipped sliver up to the
-    horizon with the curve frozen at its last value; both integrands stay
-    bounded there, so the sliver is O(clip).
+    Integrated along ``y`` over the solver grid, and along the closed-form
+    p = 1 curve over the clipped sliver up to the horizon, where the
+    hazard may blow up; a sliver integral without a CONVERGED certificate
+    raises :class:`SolverError`.
     """
     sig2 = model.sigma**2
-    phi_p = np.asarray(model.excess.dphi(grid))
-    surv = np.exp(-np.asarray(model.hazard.cumulative_hazard(grid)))
-    dens = np.asarray(model.hazard.hazard(grid)) * surv
+
+    def losses(u, yu):
+        surv = np.exp(-np.asarray(model.hazard.cumulative_hazard(u)))
+        dens = np.asarray(model.hazard.hazard(u)) * surv
+        trade = (np.asarray(model.excess.dphi(u)) * yu) ** 2 * surv / (2.0 * sig2)
+        return trade, (np.log1p(yu) - yu / (1.0 + yu)) * dens
+
     rule = PanelRule(grid)
-
-    trade_vals = (phi_p * y) ** 2 * surv / (2.0 * sig2)
-    jump_vals = (np.log1p(y) - y / (1.0 + y)) * dens
-    trade = rule.integral(trade_vals)
-    jump = rule.integral(jump_vals)
-
+    totals = [rule.integral(vals) for vals in losses(grid, y)]
     t_end = float(grid[-1])
-    y_end = float(y[-1])
-    T = model.horizon
-    if T > t_end:
-
-        def trade_tail(u):
-            u = np.asarray(u, dtype=float)
-            fp = np.asarray(model.excess.dphi(u))
-            sv = np.exp(-np.asarray(model.hazard.cumulative_hazard(u)))
-            return (fp * y_end) ** 2 * sv / (2.0 * sig2)
-
-        def jump_tail(u):
-            u = np.asarray(u, dtype=float)
-            sv = np.exp(-np.asarray(model.hazard.cumulative_hazard(u)))
-            dn = np.asarray(model.hazard.hazard(u)) * sv
-            return (math.log1p(y_end) - y_end / (1.0 + y_end)) * dn
-
-        for f, acc in ((trade_tail, "trade"), (jump_tail, "jump")):
-            res = integrate_toward(f, t_end, T)
-            if res.status == CONVERGED:
-                if acc == "trade":
-                    trade += res.value
-                else:
-                    jump += res.value
-    return trade, jump
+    if model.horizon > t_end:
+        for k in range(2):
+            res = integrate_toward(
+                lambda u: losses(u, np.asarray(log_utility_solution(model, u)))[k],
+                t_end,
+                model.horizon,
+            )
+            if res.status != CONVERGED:
+                raise SolverError(
+                    f"log-utility loss integral over [{t_end!r}, T) is {res.status}"
+                )
+            totals[k] += res.value
+    return totals[0], totals[1]
 
 
 def _certainty_equivalent(
     model: MarketModel, prefs: Preference, grid: np.ndarray, y: np.ndarray, m_start: float
 ) -> float:
     base = black_scholes_ce(model, prefs)
-    if prefs.log_utility:
+    p = prefs.p
+    if abs(p - 1.0) < LOG_UTILITY_WINDOW:
         trade, jump = _log_utility_loss_integrals(model, grid, y)
         return base * math.exp(-trade) * math.exp(-jump)
-    p = prefs.p
     return base * m_start ** (-p / (1.0 - p))
 
 

@@ -100,7 +100,7 @@ def test_criterion_03_log_utility_equivalence():
     ]
     worst = 0.0
     for model in scenarios:
-        numeric = solve_optimal(model, Preference(1.0), use_log_closed_form=False)
+        numeric = solve_optimal(model, Preference(1.0))
         closed = np.asarray(log_utility_solution(model, numeric.grid))
         worst = max(worst, float(np.max(np.abs(numeric.tilt.values - closed))))
     assert worst <= 1e-8

@@ -274,11 +274,10 @@ class TestSolveOptimal:
         assert np.all(pi == sol.merton_fraction)
 
     def test_log_utility_numeric_matches_closed_form(self, base_model):
-        closed = solve_optimal(base_model, P1)
-        numeric = solve_optimal(base_model, P1, use_log_closed_form=False)
-        assert closed.method == "log_closed_form"
-        assert numeric.method != "log_closed_form"
-        assert np.max(np.abs(numeric.tilt.values - closed.tilt.values)) <= 1e-8
+        numeric = solve_optimal(base_model, P1)
+        closed = np.asarray(log_utility_solution(base_model, numeric.grid))
+        assert numeric.method == "fixed_point"
+        assert np.max(np.abs(numeric.tilt.values - closed)) <= 1e-8
 
     def test_p4_bracketed_with_small_residual(self, base_solution):
         sol = base_solution
@@ -485,3 +484,20 @@ def test_solution_carries_the_myopic_curve(model, p):
     phi_t = np.asarray(model.excess.dphi(np.minimum(t, sol.grid[-1])))
     expected = (model.mu - phi_t * cold(t)) / denom
     assert np.array_equal(myopic_only_strategy(sol).pre(t), expected)
+
+
+NEAR_LOG = [1.0 - 5e-7, 1.0, 1.0 + 5e-7, 1.0 + 1e-6]
+
+
+@pytest.mark.parametrize("p", NEAR_LOG, ids=[f"p{p!r}" for p in NEAR_LOG])
+def test_one_solve_path_next_to_log_utility(base_model, p):
+    # the fixed point solves every p; at p = 1 it reproduces the closed form
+    sol = solve_optimal(base_model, Preference(p))
+    assert sol.method == "fixed_point"
+    assert np.max(sol.residuals) <= 1e-8
+    ce_log = certainty_equivalent(solve_optimal(base_model, P1))
+    if p == 1.0:
+        closed = np.asarray(log_utility_solution(base_model, sol.grid))
+        assert np.max(np.abs(sol.tilt.values - closed)) <= 1e-12
+    elif p in (1.0 - 5e-7, 1.0 + 5e-7):
+        assert abs(certainty_equivalent(sol) / ce_log - 1.0) <= 1e-7

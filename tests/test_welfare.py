@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import bubblemkt.welfare as wf
 from bubblemkt import (
     ConstantExcess,
+    ConstantJumpSizeExcess,
     ExponentialCutoffHazard,
+    LPPLHazard,
     MarketModel,
     Preference,
+    SolverError,
     ZeroExcess,
     certainty_equivalent,
     safe_rates,
@@ -15,6 +19,8 @@ from bubblemkt import (
     welfare_from_curve,
     xihat_identity_check,
 )
+from bubblemkt._quad import CONVERGED, INDETERMINATE, ShellIntegral
+from bubblemkt.cli import main
 from bubblemkt.welfare import black_scholes_ce
 
 
@@ -54,6 +60,37 @@ class TestCertaintyEquivalent:
         for p in (1.0 + 1e-4, 1.0 - 1e-4):
             ce_p = certainty_equivalent(solve_optimal(base_model, Preference(p)))
             assert abs(ce_p / ce_log - 1.0) <= 1e-3
+
+
+class TestLogUtilityTail:
+    """The sliver between the solver grid and the horizon is integrated
+    along the closed-form p = 1 curve, and its certificate is never dropped."""
+
+    def test_singular_lppl_tail_converges(self, monkeypatch):
+        law = LPPLHazard(power=0.4, horizon=1.0, b=1.2, c=0.3, omega=6.0, phase=0.5)
+        sol = solve_optimal(MarketModel(0.1, 0.2, law, ConstantJumpSizeExcess(law, 0.3)), Preference(1.0))
+        statuses, integrate = [], wf.integrate_toward
+
+        def recording(*args, **kwargs):
+            res = integrate(*args, **kwargs)
+            statuses.append(res.status)
+            return res
+
+        monkeypatch.setattr(wf, "integrate_toward", recording)
+        assert math.isfinite(certainty_equivalent(sol))
+        assert statuses == [CONVERGED, CONVERGED]
+
+    def test_uncertified_tail_raises(self, base_model, tmp_path, capsys, monkeypatch):
+        sol = solve_optimal(base_model, Preference(1.0))
+        monkeypatch.setattr(
+            wf, "integrate_toward", lambda *a, **k: ShellIntegral(0.0, INDETERMINATE, 60, 1.0)
+        )
+        with pytest.raises(SolverError, match="indeterminate"):
+            certainty_equivalent(sol)
+        path = tmp_path / "scenario.json"
+        path.write_text('{"preference": {"p": 1.0}}')
+        assert main(["welfare", "--scenario", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("ERROR code=3 kind=solver")
 
 
 class TestSafeRates:
