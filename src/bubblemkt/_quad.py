@@ -10,15 +10,18 @@ Four tools live here:
   certifies convergence or divergence from the shell magnitudes.  Naive
   adaptive quadrature stalls on integrable endpoint singularities and
   silently truncates nonintegrable ones; the shell ladder makes the decay
-  rate observable.
+  rate observable.  The integrand is evaluated on a batch of shells per
+  call, and the verdict is still reached shell by shell.
 * :func:`monotone_inverse` inverts increasing functions pointwise with a
   safeguarded Newton iteration; every root solve in the package uses it.
+  A point stops as soon as the function resolves its target to a few ulps.
 * :class:`Curve` is the monotone cubic, with two derivatives, behind every
   tabulated object in the package.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,11 +32,12 @@ _GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
 _ULPS = 4.0 * np.finfo(float).eps  # root-finder stopping width, relative
 _MAX_NEWTON_STEPS = 200
 
-# integrate_toward: absolute shell tolerance, shell budget, and the run of
-# non-decaying shells that certifies divergence
+# integrate_toward: absolute shell tolerance, shell budget, the run of
+# non-decaying shells that certifies divergence, and the shells per call
 _SHELL_ATOL = 1e-14
 _MAX_SHELLS = 60
 _DIVERGENCE_RUN = 8
+_SHELL_BATCH = 8  # shells per call of the integrand
 
 CONVERGED = "converged"
 DIVERGENT = "divergent"
@@ -141,9 +145,15 @@ class Curve:
             raise ValueError("grid and values must be 1-d arrays of one length >= 2")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("grid and values must be finite")
-        h = np.diff(x)
-        if np.any(h <= 0.0):
+        if np.any(np.diff(x) <= 0.0):
             raise ValueError("grid must be strictly increasing")
+        self.grid, self.values = x, y
+
+    @functools.cached_property
+    def _coef(self) -> np.ndarray:
+        # fitted on the first evaluation: many curves are only read as tables
+        x, y = self.grid, self.values
+        h = np.diff(x)
         m = np.diff(y) / h
         d = np.full_like(y, m[0])  # knot slopes; two knots give the straight line
         if len(x) > 2:
@@ -158,8 +168,7 @@ class Curve:
             over = (np.sign(m0) != np.sign(m1)) & (np.abs(e) > 3.0 * np.abs(m0))
             d[[0, -1]] = np.where(np.sign(e) != np.sign(m0), 0.0, np.where(over, 3.0 * m0, e))
         t = (d[:-1] + d[1:] - 2.0 * m) / h
-        self.grid, self.values = x, y
-        self._coef = np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+        return np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
 
     def __call__(self, t, nu: int = 0):
         if nu not in (0, 1, 2):
@@ -197,6 +206,37 @@ def _gauss_shell(f, lo: float, hi: float) -> float:
     return half * float(f(mid + half * _GL15_X) @ _GL15_W)
 
 
+def _shell_parts(f, a: float, b: float):
+    """Yield the Gauss integrals of ``f`` over the dyadic shells of (a, b)
+    in order, until a shell's width underflows near ``b``.
+
+    ``f`` is called once per batch of ``_SHELL_BATCH`` shells, on all their
+    nodes.  The batch's floating-point errors are held back; shells of a
+    batch that raised one are evaluated again one at a time as they are
+    consumed, so an error surfaces for exactly the shells whose values the
+    caller uses.
+    """
+    width = b - a
+    res_limit = 64.0 * np.finfo(float).eps * max(abs(a), abs(b), 1.0)
+    edges = []
+    for k in range(_MAX_SHELLS):
+        lo, hi = b - width * 0.5**k, b - width * 0.5 ** (k + 1)
+        if hi <= lo or (b - lo) <= res_limit:
+            break
+        edges.append((lo, hi))
+    held = {kind: "call" for kind, mode in np.geterr().items() if mode != "ignore"}
+    for start in range(0, len(edges), _SHELL_BATCH):
+        batch = edges[start : start + _SHELL_BATCH]
+        lo, hi = np.array(batch).T
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        nodes = (mid[:, None] + half[:, None] * _GL15_X).ravel()
+        flagged = []
+        with np.errstate(call=lambda *_: flagged.append(True), **held):
+            values = f(nodes).reshape(len(batch), _GL15_X.size)
+        for (l, h), w, row in zip(batch, half.tolist(), values):
+            yield _gauss_shell(f, l, h) if flagged else w * float(row @ _GL15_W)
+
+
 def integrate_toward(
     f,
     a: float,
@@ -207,16 +247,17 @@ def integrate_toward(
     """Integrate ``f`` over (a, b) where ``f`` may be singular at ``b``.
 
     Shell k covers (b - w 2^-k, b - w 2^-k-1], w = b - a, and is integrated
-    with 15-point Gauss (vectorized calls).  Shell magnitudes |I_k| decay
-    geometrically for integrable power singularities and stay flat or grow
-    for nonintegrable ones; the run-length rules below turn that into a
-    converged / divergent / indeterminate verdict.
+    with 15-point Gauss; ``f`` is called once per batch of
+    ``_SHELL_BATCH`` consecutive shells, so it must act elementwise.  Shell
+    magnitudes |I_k| decay geometrically for integrable power singularities
+    and stay flat or grow for nonintegrable ones; the run-length rules
+    below, applied shell by shell, turn that into a converged / divergent /
+    indeterminate verdict.  Shells evaluated past the verdict are
+    discarded, and so are their floating-point errors.
     """
     if not b > a:
         raise ValueError("need b > a")
-    f = _vectorized(f)
-    width = b - a
-    res_limit = 64.0 * np.finfo(float).eps * max(abs(a), abs(b), 1.0)
+    parts = _shell_parts(_vectorized(f), a, b)
     total = 0.0
     comp = 0.0  # Kahan carry
     prev_mag = None
@@ -229,11 +270,9 @@ def integrate_toward(
     part = 0.0
     k = 0
     for k in range(_MAX_SHELLS):
-        lo = b - width * 0.5**k
-        hi = b - width * 0.5 ** (k + 1)
-        if hi <= lo or (b - lo) <= res_limit:  # width underflow near b
+        part = next(parts, None)
+        if part is None:  # width underflow near b
             break
-        part = _gauss_shell(f, lo, hi)
         yv = part - comp
         tv = total + yv
         comp = (tv - total) - yv
@@ -289,11 +328,16 @@ def monotone_inverse(fn, dfn, lo, hi, targets: np.ndarray, x0=None) -> np.ndarra
     ``lo`` and ``hi`` are scalars or per-point arrays.  Each evaluation
     shrinks the bracket; a Newton step that would leave it, or that fails
     to halve the step before last, becomes a bisection step.  A point stops
-    once its raw Newton step or its bracket is within a few ulps of the
-    bracket's magnitude.  ``fn`` is never evaluated at ``hi``, so it may
-    blow up there.  ``x0`` (scalar or per-point) is an optional start, used
-    where it lies strictly inside the bracket; elsewhere, and where it is
-    NaN, the iteration starts at the midpoint.
+    once ``fn`` resolves its target (|fn(x) - target| within 4 ulps of the
+    target), or once its raw Newton step or its bracket is within 4 ulps
+    of the bracket's magnitude; it returns its Newton point where that lies
+    in the bracket, else x.  Newton closes in from one side, so the far end
+    of the bracket rarely moves: without the residual test the last points
+    would bisect through the rounding noise of ``fn``.  ``fn`` is never
+    evaluated at ``hi``, so it may blow up there.  ``x0`` (scalar or
+    per-point) is an optional start, used where it lies strictly inside the
+    bracket; elsewhere, and where it is NaN, the iteration starts at the
+    midpoint.
     """
     targets = np.asarray(targets, dtype=float)
     out = np.empty(targets.shape)
@@ -315,7 +359,8 @@ def monotone_inverse(fn, dfn, lo, hi, targets: np.ndarray, x0=None) -> np.ndarra
             step = resid / dfn(x, idx)
         newton = x - step
         tol = _ULPS * np.maximum(np.abs(low), np.abs(high))
-        done = (resid == 0.0) | (np.abs(step) <= tol) | (high - low <= tol)
+        resolved = np.abs(resid) <= _ULPS * np.abs(tgt)
+        done = resolved | (np.abs(step) <= tol) | (high - low <= tol)
         if np.any(done):
             inside = (newton >= low) & (newton <= high)
             out.flat[idx[done]] = np.where(inside, newton, x)[done]

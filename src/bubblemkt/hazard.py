@@ -287,27 +287,22 @@ class LPPLHazard(CrashHazard):
             + self.c * self.omega * np.sin(th)
         )
 
-    def _power_primitive(self, s: np.ndarray) -> np.ndarray:
-        # int_s^T u^(m-1) du
-        T, m = self.horizon, self.power
-        if m == 0.0:
-            return np.log(T) - np.log(s)
-        return (T**m - s**m) / m
-
     def _cum(self, t):
-        s = self.horizon - t
+        # int_0^t (T-u)^(z-1) du = T^z (1 - (1 - t/T)^z) / z per term, formed
+        # from t through expm1 and log1p: T^z - (T-t)^z cancels for small t
         T, m, w = self.horizon, self.power, self.omega
-        base = self.b * self._power_primitive(s)
+        with np.errstate(divide="ignore"):
+            lg = np.log1p(-t / T)  # -inf at the horizon
+        base = self.b * (-lg if m == 0.0 else -(T**m) * np.expm1(m * lg) / m)
         if self.c != 0.0:
             if m == 0.0 and w == 0.0:
-                osc = math.cos(self.phase) * self._power_primitive(s)
+                osc = -math.cos(self.phase) * lg
             else:
                 z = complex(m, w)
-                coef = np.exp(-1j * self.phase)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    sz = np.where(s > 0, s, 1.0).astype(complex) ** z
-                sz = np.where(s > 0, sz, 0.0 if m > 0 else np.nan)
-                osc = np.real(coef * (complex(T) ** z - sz) / z)
+                end = lg == -np.inf  # there (1 - t/T)^z is 0 for m > 0, else undefined
+                rel = np.expm1(z * np.where(end, 0.0, lg))
+                rel = np.where(end, -1.0 if m > 0 else np.nan, rel)
+                osc = np.real(np.exp(-1j * self.phase) * -(complex(T) ** z) * rel / z)
             base = base + self.c * osc
         return base
 

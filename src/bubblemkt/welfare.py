@@ -63,12 +63,17 @@ def _log_utility_loss_integrals(
     totals = [rule.integral(vals) for vals in losses(grid, y)]
     t_end = float(grid[-1])
     if model.horizon > t_end:
+        # both sliver integrals see the same shell nodes: evaluate once
+        seen = {}
+
+        def sliver(u, k):
+            key = u.tobytes()
+            if key not in seen:
+                seen[key] = losses(u, np.asarray(log_utility_solution(model, u)))
+            return seen[key][k]
+
         for k in range(2):
-            res = integrate_toward(
-                lambda u: losses(u, np.asarray(log_utility_solution(model, u)))[k],
-                t_end,
-                model.horizon,
-            )
+            res = integrate_toward(lambda u: sliver(u, k), t_end, model.horizon)
             if res.status != CONVERGED:
                 raise SolverError(
                     f"log-utility loss integral over [{t_end!r}, T) is {res.status}"

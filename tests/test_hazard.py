@@ -95,6 +95,24 @@ def test_cumulative_hazard_consistency(law):
     assert abs(res.value - float(law.cumulative_hazard(t0))) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "law",
+    [
+        LPPLHazard(b=1.0, c=0.0, power=0.5, horizon=1.0),
+        LPPLHazard(b=1.2, c=0.3, power=0.3, omega=7.0, phase=0.8, horizon=1.0),
+        LPPLHazard(b=1.0, c=0.2, power=-0.4, omega=5.0, phase=0.1, horizon=2.0),
+    ],
+    ids=["lppl-plain", "lppl-osc", "lppl-neg"],
+)
+@pytest.mark.parametrize("t", [1e-8, 1e-6, 1e-4])
+def test_lppl_cumulative_hazard_near_zero(law, t):
+    # kappa is smooth on [0, t], so 15-point Gauss is exact to rounding;
+    # T^m - (T-t)^m formed directly loses up to 1e-8 here
+    x, w = np.polynomial.legendre.leggauss(15)
+    ref = 0.5 * t * float(np.asarray(law.hazard(0.5 * t * (1.0 + x))) @ w)
+    assert abs(float(law.cumulative_hazard(t)) / ref - 1.0) <= 1e-14
+
+
 class TestJumpSize:
     def test_ex37(self, ex37_model):
         assert jump_size(ex37_model, 0.3) == pytest.approx(0.3, abs=1e-12)

@@ -149,3 +149,21 @@ def test_solver_start_near_the_root_takes_fewer_evaluations():
         return calls[0]
 
     assert run(cold * (1.0 + 1e-6)) < run(None)
+
+
+def test_baseline_solve_stops_once_m_resolves_its_target(monkeypatch):
+    # the step and bracket tests alone took 151 evaluations of m here
+    calls = [0]
+    inverse = sv.monotone_inverse
+
+    def counting(fn, *args):
+        def counted(y, i):
+            calls[0] += 1
+            return fn(y, i)
+
+        return inverse(counted, *args)
+
+    monkeypatch.setattr(sv, "monotone_inverse", counting)
+    model = MarketModel(0.1, 0.2, EXP_LAW, ConstantExcess(0.2))
+    sv.solve_optimal(model, sv.Preference(4.0))
+    assert calls[0] <= 60

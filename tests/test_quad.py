@@ -1,15 +1,18 @@
 """The package's monotone cubic against SciPy's ``PchipInterpolator``, the
-reference it reproduces bit for bit (SciPy is a test-only dependency)."""
+reference it reproduces bit for bit (SciPy is a test-only dependency), and
+the batched shell quadrature against its one-shell-per-call evaluation."""
 
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
-from bubblemkt import Curve
+from bubblemkt import Curve, _quad
+from bubblemkt._quad import CONVERGED, DIVERGENT, INDETERMINATE, integrate_toward
 
 
 def _knots(n, shape, seed):
@@ -87,3 +90,46 @@ def test_runtime_never_imports_scipy():
         [sys.executable, "-c", script], capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+SHELL_INTEGRANDS = {
+    "sqrt": (lambda x: (1.0 - x) ** -0.5, CONVERGED),
+    "cos": (np.cos, CONVERGED),
+    "log-divergent": (lambda x: 1.0 / (1.0 - x), DIVERGENT),
+    # shells past the verdict overflow; their values are discarded
+    "overflow-past-verdict": (lambda x: np.exp(1.0 / (1.0 - x)), DIVERGENT),
+    "oscillating": (
+        lambda x: (1.0 - x) ** -0.9 * (2.0 + np.sin(3.0 * np.log(1.0 - x))),
+        INDETERMINATE,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SHELL_INTEGRANDS)
+def test_batched_shells_match_one_shell_per_call(name, monkeypatch):
+    f, status = SHELL_INTEGRANDS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batched = integrate_toward(f, 0.0, 1.0)
+    assert batched.status == status
+    monkeypatch.setattr(_quad, "_SHELL_BATCH", 1)
+    assert integrate_toward(f, 0.0, 1.0) == batched  # value, status, shells, tail_bound
+
+
+def test_tail_converging_in_one_batch_calls_f_once():
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return (1.0 - x) ** -0.5
+
+    res = integrate_toward(f, 0.0, 1.0)
+    assert res.status == CONVERGED and res.shells <= _quad._SHELL_BATCH
+    assert len(sizes) == 1
+
+
+def test_overflow_in_a_used_shell_still_warns():
+    # shell 8, the verdict's last, overflows; so do the discarded ones after it
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        res = integrate_toward(lambda x: np.exp(2.0 / (1.0 - x)), 0.0, 1.0)
+    assert res.status == DIVERGENT
