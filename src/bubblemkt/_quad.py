@@ -267,12 +267,8 @@ def integrate_toward(
     flat_run = 0
     small_run = 0
     last = 0.0
-    part = 0.0
-    k = 0
-    for k in range(_MAX_SHELLS):
-        part = next(parts, None)
-        if part is None:  # width underflow near b
-            break
+    k = 0  # shells summed; the parts stop at width underflow near b
+    for k, part in enumerate(parts, start=1):
         yv = part - comp
         tv = total + yv
         comp = (tv - total) - yv
@@ -284,7 +280,7 @@ def integrate_toward(
             small_run += 1
             flat_run = 0
             if small_run >= 3:
-                return ShellIntegral(total, CONVERGED, k + 1, last)
+                return ShellIntegral(total, CONVERGED, k, last)
         else:
             small_run = 0
             if prev_mag is not None and prev_mag > 0:
@@ -295,7 +291,7 @@ def integrate_toward(
                     flat_run = 0
                     tail = last * ratio / (1.0 - ratio)
                     if decay_run >= 4 and tail <= scale:
-                        return ShellIntegral(total, CONVERGED, k + 1, tail)
+                        return ShellIntegral(total, CONVERGED, k, tail)
                     # stable one-signed geometric decay: extrapolate the tail
                     if decay_run >= 6 and len(set(signs[-5:])) == 1:
                         recent = ratios[-5:]
@@ -305,17 +301,15 @@ def integrate_toward(
                             tail = part * rbar / (1.0 - rbar)
                             err = abs(tail) * spread / max(1.0 - rbar, 1e-6)
                             if err <= scale:
-                                return ShellIntegral(
-                                    total + tail, CONVERGED, k + 1, err
-                                )
+                                return ShellIntegral(total + tail, CONVERGED, k, err)
                 else:
                     flat_run += 1
                     decay_run = 0
                     if flat_run >= _DIVERGENCE_RUN:
                         sign = 1.0 if total >= 0 else -1.0
-                        return ShellIntegral(sign * np.inf, DIVERGENT, k + 1, np.inf)
+                        return ShellIntegral(sign * np.inf, DIVERGENT, k, np.inf)
         prev_mag = last
-    return ShellIntegral(total, INDETERMINATE, k + 1, last)
+    return ShellIntegral(total, INDETERMINATE, k, last)
 
 
 def monotone_inverse(fn, dfn, lo, hi, targets: np.ndarray, x0=None) -> np.ndarray:

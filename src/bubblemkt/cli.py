@@ -383,7 +383,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument(
         "--under-q", action="store_true", help="classify under the tilted measure"
     )
-    parser.add_argument("--tol", help="fixed-point residual tolerance override (> 0)")
+    parser.add_argument("--tol", help="integral-equation residual tolerance override (> 0)")
     args = parser.parse_args(argv)
 
     if args.seed is None and SEED_ENV_VAR in os.environ:

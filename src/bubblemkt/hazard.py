@@ -193,7 +193,7 @@ class UniformHazard(CrashHazard):
         return (self.horizon - t) ** -2.0
 
     def _cum(self, t):
-        return np.log(self.horizon) - np.log(self.horizon - t)
+        return -np.log1p(-t / self.horizon)  # log T - log(T - t), uncancelled
 
     def _inverse_cdf(self, u):
         return self.horizon * u

@@ -13,14 +13,14 @@ built from the auxiliary functions
     n(t, y) = -(1-p) (phi' y)^2 / (2 p^2 sigma^2) + kappa (b - 1).
 
 m(t, .) increases strictly above the boundary where it vanishes, so the
-equation inverts pointwise with a safeguarded Newton iteration; the solve
-brackets the curve between explicit backward upper/lower solutions and
-iterates an Anderson-accelerated fixed point (Walker & Ni, SIAM J. Numer.
-Anal. 49, 2011) until the residual |m exp(int n) - 1| is below ``tol``,
-or raises :class:`SolverError`.  The same iteration serves every p: at
-log utility (p = 1) the brackets coincide with the myopic curve m = 1,
-which then is the solution (a quadratic with a closed form,
-:func:`log_utility_solution`), so one sweep confirms it.
+equation inverts pointwise with a safeguarded Newton iteration, which gives
+backward lower/upper solutions bracketing the curve.  On the grid, inexact
+Newton (Kelley, SIAM 1995, ch. 5-6) solves F(y) = log m + int n = 0 from
+the myopic bracket until the residual |m exp(int n) - 1| is below ``tol``,
+or raises :class:`SolverError`.  The same iteration serves every p: at log
+utility (p = 1) the brackets coincide with the myopic curve m = 1, which
+then is the solution (a quadratic with a closed form,
+:func:`log_utility_solution`).
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from .hazard import (
 )
 
 TERMINAL_CLIP_FRACTION = 1e-6  # grid stops at T (1 - this)
-ANDERSON_DEPTH = 5  # past sweeps each fixed-point step mixes
 RESIDUAL_TOL = 1e-8  # a returned curve's largest residual |m e^{int n} - 1|
+MAX_HALVINGS = 20  # halvings of one Newton step before the solve stalls
 
 
 class SolverError(RuntimeError):
@@ -120,6 +120,11 @@ def _aux_dm_dy(c: _Coef, y: np.ndarray, i=...) -> np.ndarray:
     return one_plus ** (1.0 / c.p) * (a / (c.p * one_plus) + da)
 
 
+def _aux_dn_dy(c: _Coef, y: np.ndarray) -> np.ndarray:
+    # n's y-derivative: the jump size delta = phi'/kappa cancels its (1-p) term
+    return c.kap * (_aux_a(c, y) / c.p + (1.0 + y) * c.dlt * c.phi_p / c.sig2p)
+
+
 def _aux_floor(c: _Coef, i=...) -> np.ndarray:
     phi_p = c.phi_p[i]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -151,7 +156,7 @@ def aux_eval(model: MarketModel, prefs: Preference, t: float, y: float) -> AuxEv
     n = float(_aux_n(c, yv)[0])
     da_dy = float((c.dlt * c.phi_p / c.sig2p)[0])
     dm_dy = float(_aux_dm_dy(c, yv)[0])
-    dn_dy = float((c.kap * (a / prefs.p + (1.0 + y) * da_dy))[0])
+    dn_dy = float(_aux_dn_dy(c, yv)[0])
     ddlt, phi_pp = np.asarray(model.ddelta(c.t)), np.asarray(model.excess.d2phi(c.t))
     da_dt = float((-(ddlt * (c.mu - c.phi_p * y) - c.dlt * phi_pp * y) / c.sig2p)[0])
     return AuxEval(a, b, m, n, da_dy, dm_dy, dn_dy, da_dt)
@@ -216,23 +221,18 @@ def _solver_grid(model: MarketModel, n_grid: int) -> np.ndarray:
     return clustered_grid(T * (1.0 - TERMINAL_CLIP_FRACTION), n_grid)
 
 
-def _growth_target(prefs: Preference, model: MarketModel, t: np.ndarray) -> np.ndarray:
-    """Target of the non-myopic bracket; the myopic one solves m = 1."""
-    rate = (1.0 - prefs.p) * model.mu**2 / (2.0 * prefs.p**2 * model.sigma**2)
-    return np.exp(rate * (model.horizon - t))
-
-
 def _require_drift(model: MarketModel) -> None:
     if model.mu <= 0:
         raise DomainError("positive instantaneous expected return required")
 
 
-def _brackets(c: _Coef, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _brackets(model: MarketModel, c: _Coef) -> tuple[np.ndarray, np.ndarray]:
     """(lower, upper) on the grid of ``c``: the myopic curve m = 1 and the
-    curve m = ``target``, the growth target."""
+    curve m = exp(rate (T - t)) of the growth bound."""
+    rate = (1.0 - c.p) * model.mu**2 / (2.0 * c.p**2 * model.sigma**2)
     myopic = _implicit_many(c, np.ones_like(c.t))
-    # a unit target (log utility) makes the other bracket the myopic curve
-    other = myopic if np.all(target == 1.0) else _implicit_many(c, target)
+    # at log utility (rate 0) the other bracket is the myopic curve
+    other = myopic if rate == 0.0 else _implicit_many(c, np.exp(rate * (model.horizon - c.t)))
     return (myopic, other) if c.p < 1.0 else (other, myopic)
 
 
@@ -250,7 +250,7 @@ def bracket_curves(model: MarketModel, prefs: Preference, grid: np.ndarray) -> t
     myopic curve m = 1 is the lower one for p < 1, else the upper one."""
     _require_drift(model)
     c = _Coef(model, prefs.p, grid)
-    lo, hi = _brackets(c, _growth_target(prefs, model, c.t))
+    lo, hi = _brackets(model, c)
     return Curve(c.t, lo), Curve(c.t, hi)
 
 
@@ -365,32 +365,31 @@ def solve_optimal(
 ) -> Solution:
     """Solve the integral equation and package the optimal strategy.
 
-    One Anderson-accelerated fixed point for every p: each sweep inverts
-    m = exp(-int n) pointwise along the current curve
-    (:func:`_quad.monotone_inverse`) and mixes the last ``ANDERSON_DEPTH``
-    + 1 proposals, until the residual |m exp(int n) - 1| is at most ``tol``
-    or, below 1/2, stops halving for 2 ``ANDERSON_DEPTH`` sweeps.  At log
-    utility the start, the myopic curve, already solves the equation, so
-    one sweep ends it.  Running out of ``max_iter`` sweeps, or a final
-    residual above ``RESIDUAL_TOL``, raises :class:`SolverError`.
+    Newton on F(y) = log m + int n from the myopic bracket: each step
+    solves the trapezoid Jacobian diag(m_y/m) + W diag(n_y), which is upper
+    triangular, by back substitution.  A step whose max |F| does not fall
+    is halved, up to ``MAX_HALVINGS`` times, and iterates stay in the
+    brackets.  It stops once the residual |m exp(int n) - 1| is at most
+    ``tol`` at every node, or when halving fails.  ``iterations`` counts
+    the iterates examined, the start included.  Exhausting ``max_iter``,
+    or a final residual above ``RESIDUAL_TOL``, raises :class:`SolverError`.
     """
     _require_drift(model)
     require_valid(model)
 
     grid = _solver_grid(model, n_grid)
     c = _Coef(model, prefs.p, grid)
-    target = _growth_target(prefs, model, grid)
-    lo, hi = _brackets(c, target)
+    lo, hi = _brackets(model, c)
     lower, upper = Curve(grid, lo), Curve(grid, hi)
     myopic = lower if prefs.p < 1.0 else upper
     rule = PanelRule(grid)
     tail = _terminal_tail(model, prefs, float(grid[-1]), float(myopic.values[-1]))
 
-    y, iterations, resid = _fixed_point(c, rule, lo, hi, (1.0, target), tail, tol, max_iter)
+    y, iterations, resid = _newton(c, rule, lo, hi, myopic.values, tail, tol, max_iter)
     if float(np.max(resid)) > RESIDUAL_TOL:
         raise SolverError(
             f"integral-equation residual {np.max(resid):.3e} above "
-            f"{RESIDUAL_TOL:.1e} after {iterations} sweeps",
+            f"{RESIDUAL_TOL:.1e} after {iterations} Newton iterations",
             residuals=resid,
         )
 
@@ -417,52 +416,58 @@ def solve_optimal(
     )
 
 
-def _fixed_point(c, rule, lower, upper, band, tail, tol, max_iter):
-    # Anderson mixing of the sweeps G(y) = m^-1(exp(-int n(y))): the next
-    # iterate combines the last proposals G(y_i) with the weights that make
-    # their defects G(y_i) - y_i least-squares smallest, kept in the bracket.
-    # Targets are clipped into the bracket-target band, which keeps early
-    # sweeps representable when the band spans many orders of magnitude.
-    # Returns the iterate, the sweep count and the iterate's residual profile.
-    tmin, tmax = np.minimum(*band), np.maximum(*band)
-    y, prop, d_prop, d_defect = lower, None, [], []
-    best, best_y, best_profile, mark, stalled = np.inf, y, None, 1.0, 0
+def _newton(c, rule, lower, upper, start, tail, tol, max_iter):
+    # Returns the iterate, the iterates examined and its residual profile;
+    # a stall returns the current iterate, the best so far.
+    half = 0.5 * np.diff(c.t)
+    y = start
+    F, profile = _defect(c, rule, y, tail)
     for it in range(1, max_iter + 1):
-        profile, integral = _residual_profile(c, rule, y, tail)
-        resid = float(np.max(profile))
-        if resid <= tol:
+        if float(np.max(profile)) <= tol:
             return y, it, profile
-        if resid < best:
-            best, best_y, best_profile = resid, y, profile
-        # a stall hands the best iterate to the caller's residual check
-        mark, stalled = (best, 0) if best <= 0.5 * mark else (mark, stalled + 1)
-        if best < 0.5 and stalled >= 2 * ANDERSON_DEPTH:
-            return best_y, it, best_profile
-        with np.errstate(over="ignore", under="ignore"):
-            target = np.clip(np.exp(-integral), tmin, tmax)
-        new = _implicit_many(c, target, x0=prop)
-        defect = new - y
-        step = new
-        if prop is not None:
-            d_prop = [new - prop, *d_prop][:ANDERSON_DEPTH]
-            d_defect = [defect - last_defect, *d_defect][:ANDERSON_DEPTH]
-            gamma = np.linalg.lstsq(np.column_stack(d_defect), defect, rcond=None)[0]
-            step = np.clip(new - np.column_stack(d_prop) @ gamma, lower, upper)
-            # a step that barely moves only recombines old iterates: restart
-            if np.max(np.abs(step - y)) <= 1e-3 * np.max(np.abs(defect)):
-                step, d_prop, d_defect = new, [], []
-        y, prop, last_defect = step, new, defect
+        d = _newton_step(c, y, F, half)
+        for _ in range(MAX_HALVINGS + 1):
+            trial = np.clip(y + d, lower, upper)
+            F_trial, profile_trial = _defect(c, rule, trial, tail)
+            if np.max(np.abs(F_trial)) < np.max(np.abs(F)):
+                break
+            d = 0.5 * d
+        else:
+            return y, it, profile
+        y, F, profile = trial, F_trial, profile_trial
     raise SolverError(
-        f"fixed point did not converge in {max_iter} sweeps (last residual {resid:.3e})",
+        f"Newton iteration did not converge (max_iter={max_iter}, "
+        f"last residual {np.max(profile):.3e})",
         residuals=profile,
     )
 
 
-def _residual_profile(c, rule, y, tail):
-    """|m e^{int n} - 1| along ``y``, and int n + tail."""
-    integral = rule.cumulative_to_right(_aux_n(c, y)) + tail
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.abs(_aux_m(c, y) * np.exp(integral) - 1.0), integral
+def _newton_step(c, y, F, half):
+    """Solve (diag(L) + W diag(N)) d = -F by back substitution, with
+    L = m_y/m, N = n_y and W the trapezoid integral to the right on panels
+    of half-widths ``half``; W makes the matrix upper triangular."""
+    L = _aux_dm_dy(c, y) / _aux_m(c, y)
+    N = _aux_dn_dy(c, y)
+    left = half * N[:-1]
+    # on Python floats: numpy scalars would triple the loop's cost
+    rhs, diag = (-F).tolist(), (L + np.append(left, 0.0)).tolist()
+    left, right = left.tolist(), (half * N[1:]).tolist()
+    d = [0.0] * len(rhs)
+    d[-1] = step = rhs[-1] / diag[-1]
+    u = 0.0  # W (N d) at the node right of i
+    for i in range(len(rhs) - 2, -1, -1):
+        w = right[i] * step
+        step = (rhs[i] - u - w) / diag[i]
+        u += w + left[i] * step
+        d[i] = step
+    return np.array(d)
+
+
+def _defect(c, rule, y, tail):
+    """F = log m + int n + tail along ``y``, and the residual |e^F - 1|."""
+    F = np.log(_aux_m(c, y)) + rule.cumulative_to_right(_aux_n(c, y)) + tail
+    with np.errstate(over="ignore"):
+        return F, np.abs(np.expm1(F))
 
 
 def dual_multiplier(solution: Solution) -> float:

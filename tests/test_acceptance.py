@@ -118,8 +118,8 @@ def test_criterion_04_bracket_and_residual(grid_solutions):
 
 
 def test_grid_solves_reach_the_fixed_point_tolerance(grid_solutions):
-    # the fixed point stops on the residual, so every solve ends at or below
-    # the default tol, p = 0.25 included, where targets underflow early on
+    # Newton stops on the residual, so every solve ends at or below the
+    # default tol, p = 0.25 included
     worst = max(float(np.max(sol.residuals)) for sol in grid_solutions.values())
     assert worst <= 1e-10
     assert all(sol.method == "fixed_point" for (p, *_), sol in grid_solutions.items() if p != 1.0)

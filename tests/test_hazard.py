@@ -113,6 +113,15 @@ def test_lppl_cumulative_hazard_near_zero(law, t):
     assert abs(float(law.cumulative_hazard(t)) / ref - 1.0) <= 1e-14
 
 
+@pytest.mark.parametrize("horizon", [1.0, 3.0])
+def test_uniform_cumulative_hazard_near_zero(horizon):
+    # -log(1 - x) = x + x^2/2 + x^3/3 + O(x^4); at x = 1e-8 the rest is 2.5e-33
+    x = 1e-8
+    series = x + x * x / 2.0 + x**3 / 3.0
+    got = float(UniformHazard(horizon).cumulative_hazard(x * horizon))
+    assert abs(got / series - 1.0) <= 1e-15
+
+
 class TestJumpSize:
     def test_ex37(self, ex37_model):
         assert jump_size(ex37_model, 0.3) == pytest.approx(0.3, abs=1e-12)

@@ -2,6 +2,7 @@
 reference it reproduces bit for bit (SciPy is a test-only dependency), and
 the batched shell quadrature against its one-shell-per-call evaluation."""
 
+import math
 import subprocess
 import sys
 import textwrap
@@ -114,6 +115,26 @@ def test_batched_shells_match_one_shell_per_call(name, monkeypatch):
     assert batched.status == status
     monkeypatch.setattr(_quad, "_SHELL_BATCH", 1)
     assert integrate_toward(f, 0.0, 1.0) == batched  # value, status, shells, tail_bound
+
+
+def test_width_underflow_reports_the_shells_summed(monkeypatch):
+    # the oscillating tail never settles, so the shells run out at the
+    # width underflow near b; every shell yielded is summed and counted
+    summed = []
+    shell_parts = _quad._shell_parts
+
+    def recording(*args):
+        for part in shell_parts(*args):
+            summed.append(part)
+            yield part
+
+    monkeypatch.setattr(_quad, "_shell_parts", recording)
+    f, status = SHELL_INTEGRANDS["oscillating"]
+    res = integrate_toward(f, 0.0, 1.0)
+    assert res.status == status == INDETERMINATE
+    assert len(summed) < _quad._MAX_SHELLS  # stopped by the underflow
+    assert res.shells == len(summed) == 46
+    assert res.value == pytest.approx(math.fsum(summed), rel=1e-15)
 
 
 def test_tail_converging_in_one_batch_calls_f_once():

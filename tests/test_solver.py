@@ -34,6 +34,7 @@ from bubblemkt import (
     solve_optimal,
     verify_tilt_bounds,
 )
+from bubblemkt import solver
 from bubblemkt.elmm import TiltFunction
 
 P4 = Preference(4.0)
@@ -101,6 +102,26 @@ class TestAuxEval:
         ) / (2.0 * h)
         analytic = aux_eval(base_model, prefs, t, y).dm_dy
         assert analytic == pytest.approx(fd, rel=2e-6, abs=1e-9)
+
+    @pytest.mark.parametrize("p", [0.25, 1.0, 4.0])
+    def test_dn_dy_matches_finite_differences(self, base_model, p):
+        # the closed form needs delta = phi'/kappa, which every model has
+        uniform = UniformHazard(1.0)
+        models = (
+            base_model,
+            MarketModel(0.1, 0.2, uniform, linear_delta_excess(uniform, 0.9)),
+            _singular_lppl(-0.1, 0.5),
+        )
+        prefs, h = Preference(p), 1e-6
+        rng = np.random.default_rng(7)
+        for model in models:
+            for t in rng.uniform(0.0, 0.95, 20):
+                y = float(rng.uniform(max(lower_boundary(model, prefs, t), -0.9) + 0.05, 3.0))
+                fd = (
+                    aux_eval(model, prefs, t, y + h).n - aux_eval(model, prefs, t, y - h).n
+                ) / (2.0 * h)
+                analytic = aux_eval(model, prefs, t, y).dn_dy
+                assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
     def test_n_identity(self, base_model):
         # n from its definition equals the drift-completed form using the
@@ -441,22 +462,58 @@ class TestFixedPoint:
         assert np.max(sol.residuals) <= 1e-10
         assert certainty_equivalent(sol) == pytest.approx(TIGHT_CE[key], rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("p", [0.25, 4.0])
+    def test_newton_step_solves_the_trapezoid_jacobian(self, base_model, p):
+        # back substitution against a dense solve of
+        # (diag(m_y/m) + W diag(n_y)) d = -F, W the trapezoid rule to the right
+        grid = solver._solver_grid(base_model, 24)
+        c = solver._Coef(base_model, p, grid)
+        rng = np.random.default_rng(3)
+        y = solver._implicit_many(c, rng.uniform(0.5, 2.0, grid.size))
+        F = rng.standard_normal(grid.size)
+        half = 0.5 * np.diff(grid)
+        W = np.zeros((grid.size, grid.size))
+        for i in range(grid.size - 1):
+            W[: i + 1, i] += half[i]
+            W[: i + 1, i + 1] += half[i]
+        L = solver._aux_dm_dy(c, y) / solver._aux_m(c, y)
+        J = np.diag(L) + W * solver._aux_dn_dy(c, y)
+        expected = np.linalg.solve(J, -F)
+        got = solver._newton_step(c, y, F, half)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
     def test_nonconvergence_names_the_last_residual(self, base_model):
-        with pytest.raises(SolverError, match=r"did not converge in 3 sweeps \(last residual ") as err:
-            solve_optimal(base_model, P4, max_iter=3)
+        with pytest.raises(SolverError, match=r"did not converge \(max_iter=1, last residual ") as err:
+            solve_optimal(base_model, P4, max_iter=1)
         assert err.value.residuals.shape == (512,)
 
     @pytest.mark.parametrize("power", [-0.1, -0.3, -0.6])
     @pytest.mark.parametrize("delta0", [0.1, 0.5])
     @pytest.mark.parametrize("p", [0.5, 4.0])
     def test_singular_lppl_stalls_into_the_residual_check(self, power, delta0, p):
-        # the residual floor is discretization error near the horizon: the
-        # fixed point stalls there and the residual check raises, long
-        # before the sweep budget runs out
-        law = LPPLHazard(power=power, horizon=1.0, b=1.2, c=0.3, omega=6.0, phase=0.5)
-        model = MarketModel(0.1, 0.2, law, ConstantJumpSizeExcess(law, delta0))
+        # not a discretization floor: the discrete solution leaves the
+        # brackets in the last nodes while Newton's iterates stay inside
+        # them, so the iteration stalls and the residual check raises
         with pytest.raises(SolverError, match="^integral-equation residual "):
-            solve_optimal(model, Preference(p))
+            solve_optimal(_singular_lppl(power, delta0), Preference(p))
+
+    @pytest.mark.parametrize("delta0", [0.1, 0.5])
+    @pytest.mark.parametrize("p", [0.5, 4.0])
+    def test_singular_lppl_solves_on_a_finer_grid(self, delta0, p):
+        # at 2048 nodes the discrete solution of power -0.1 lies inside the
+        # brackets, and the certainty equivalent has settled
+        model, prefs, tol = _singular_lppl(-0.1, delta0), Preference(p), 1e-10
+        sol = solve_optimal(model, prefs, n_grid=2048, tol=tol)
+        assert np.max(sol.residuals) <= tol
+        assert np.all(sol.lower.values - 1e-12 <= sol.tilt.values)
+        assert np.all(sol.tilt.values <= sol.upper.values + 1e-12)
+        fine = certainty_equivalent(solve_optimal(model, prefs, n_grid=4096, tol=tol))
+        assert abs(certainty_equivalent(sol) / fine - 1.0) <= 1e-9
+
+
+def _singular_lppl(power, delta0):
+    law = LPPLHazard(power=power, horizon=1.0, b=1.2, c=0.3, omega=6.0, phase=0.5)
+    return MarketModel(0.1, 0.2, law, ConstantJumpSizeExcess(law, delta0))
 
 
 UNIFORM = UniformHazard(1.0)
@@ -491,7 +548,7 @@ NEAR_LOG = [1.0 - 5e-7, 1.0, 1.0 + 5e-7, 1.0 + 1e-6]
 
 @pytest.mark.parametrize("p", NEAR_LOG, ids=[f"p{p!r}" for p in NEAR_LOG])
 def test_one_solve_path_next_to_log_utility(base_model, p):
-    # the fixed point solves every p; at p = 1 it reproduces the closed form
+    # one Newton solve serves every p; at p = 1 it reproduces the closed form
     sol = solve_optimal(base_model, Preference(p))
     assert sol.method == "fixed_point"
     assert np.max(sol.residuals) <= 1e-8
