@@ -56,6 +56,11 @@ class ScenarioError(ValueError):
     """Scenario file cannot be interpreted."""
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # a parse error (exit 1), not argparse's exit 2
+        raise ScenarioError(message)
+
+
 def _merge(base: dict, override: dict) -> dict:
     out = copy.deepcopy(base)
     for key, val in override.items():
@@ -87,10 +92,12 @@ def _object(value, name: str) -> dict:
 
 
 def _number(value, name: str, kind: type = float):
+    # JSON true/false are not numbers, and an integer field takes no fraction
     try:
-        number = kind(value)
-        if math.isfinite(number):
-            return number
+        number = float(value)
+        if math.isfinite(number) and not isinstance(value, bool):
+            if kind is float or number.is_integer():
+                return kind(value)
     except (TypeError, ValueError, OverflowError):
         pass
     raise ScenarioError(f"{name} must be a finite {kind.__name__}, got {value!r}")
@@ -366,7 +373,7 @@ def _error(kind: str, code: int, message: str) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="bubblemkt",
         description="Bubble-market scenarios: classification, optimal "
         "investment, welfare, and Monte Carlo checks.",
@@ -384,15 +391,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--under-q", action="store_true", help="classify under the tilted measure"
     )
     parser.add_argument("--tol", help="integral-equation residual tolerance override (> 0)")
-    args = parser.parse_args(argv)
-
-    if args.seed is None and SEED_ENV_VAR in os.environ:
-        try:
-            args.seed = int(os.environ[SEED_ENV_VAR])
-        except ValueError:
-            return _error("parse", EXIT_PARSE, f"bad {SEED_ENV_VAR} value")
-
     try:
+        args = parser.parse_args(argv)
+        if args.seed is None and SEED_ENV_VAR in os.environ:
+            args.seed = _number(os.environ[SEED_ENV_VAR], SEED_ENV_VAR, int)
         if args.tol is not None:
             args.tol = _number(args.tol, "--tol")
             if args.tol <= 0.0:

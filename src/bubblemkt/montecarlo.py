@@ -1,32 +1,32 @@
 """Monte Carlo verification engine.
 
 Estimators are conditional Monte Carlo (Glasserman, *Monte Carlo Methods
-in Financial Engineering*, 2004, ch. 4): each path draws one crash time
-gamma and one Gaussian, and is exact given gamma.  The pre-crash log price
-is (mu - sigma^2/2) t + phi(t) + sigma W_t and the crash multiplies the
-price by 1 - delta(gamma), so S_T is the terminal wealth of a unit held
-throughout (pi = 1, x = 1).  The pre-crash wealth fraction pi(t) is
-deterministic and the post-crash one constant, so given gamma < T,
-log(X_T / x) is Gaussian with mean D(gamma) + log(1 - pi(gamma)
-delta(gamma)) + r_post (T - gamma) and variance V(gamma) + pi_post^2
-sigma^2 (T - gamma), where D(t) = int_0^t pi (mu_eff ds + dE) - sigma^2/2
-int_0^t pi^2 ds, V(t) = sigma^2 int_0^t pi^2 ds and r_post = pi_post mu_eff
-- pi_post^2 sigma^2 / 2.  Under the physical measure mu_eff = mu and the
-exponent E is phi; under the tilted measure the drift vanishes, E = int
-phi'(1 + y), and the crash time is drawn from the tilted law.  D and V are
-tabulated once per estimate; that quadrature is the only discretization
-error.  The single-path simulators step on a uniform grid of ``n_steps``
-split at the crash.
+in Financial Engineering*, 2004, section 4.7): each sample draws one crash
+time gamma and takes the estimand's closed-form mean given gamma, so no
+Gaussian is drawn.  The pre-crash log price is (mu - sigma^2/2) t + phi(t)
++ sigma W_t and the crash multiplies the price by 1 - delta(gamma), so S_T
+is the terminal wealth of a unit held throughout (pi = 1, x = 1).  The
+pre-crash wealth fraction pi(t) is deterministic and the post-crash one
+constant, so given gamma < T, log(X_T / x) is Gaussian with mean D(gamma)
++ log(1 - pi(gamma) delta(gamma)) + r_post (T - gamma) and variance
+V(gamma) + pi_post^2 sigma^2 (T - gamma), where D(t) = int_0^t pi (mu_eff
+ds + dE) - sigma^2/2 int_0^t pi^2 ds, V(t) = sigma^2 int_0^t pi^2 ds and
+r_post = pi_post mu_eff - pi_post^2 sigma^2 / 2.  Under the physical
+measure mu_eff = mu and the exponent E is phi; under the tilted measure
+the drift vanishes, E = int phi'(1 + y), and the crash time is drawn from
+the tilted law.  D and V are tabulated once per estimate; that quadrature
+is the only discretization error.  The single-path simulators step on a
+uniform grid of ``n_steps`` split at the crash.
 
 Randomness is counter-based (Philox) keyed by (seed, block), with a fixed
 block layout, so estimates are pure functions of (config, model, strategy)
-and blocks can fan out across workers without changing the result.
-Gaussians are paired antithetically; the crash time is shared within a
-pair.  Each block's uniforms are sorted, so its crash times reach the
-table lookup in order; the Gaussians are iid and independent of them, so
-the sample law is unchanged.  Block means and squared deviations come
-from numpy and merge in block order (Chan, Golub & LeVeque, *Amer.
-Statist.* 37, 1983), which keeps the estimate deterministic.
+and blocks can fan out across workers without changing the result.  Each
+sample stands for two of the ``n_paths`` paths (an odd last path is a
+sample of its own).  Each block's uniforms are sorted, so its crash times
+reach the table lookup in order, which the block statistics ignore.  Block
+means and squared deviations come from numpy and merge in block order
+(Chan, Golub & LeVeque, *Amer. Statist.* 37, 1983), which keeps the
+estimate deterministic.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 from ._quad import Curve, PanelRule, horizon_grid
 from .elmm import TiltFunction, build_tilted_measure
 from .hazard import MarketModel
-from .solver import Solution
+from .solver import Preference, Solution
 
 _TERMINAL_BLOCK_PAIRS = 1 << 15
 _PATH_KEY_OFFSET = 1 << 60
@@ -146,6 +146,9 @@ class ExpectedUtility:
     p: float
     x: float = 1.0
 
+    def __post_init__(self):
+        Preference(self.p, self.x)  # same checks, same ModelError
+
 
 @dataclass(frozen=True)
 class BudgetUnderQ:
@@ -169,13 +172,13 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _block_plan(n_paths: int):
-    """Fixed block layout as (count, paired) tuples: full blocks of
-    antithetic pairs, then a one-path block if n_paths is odd.  The layout
-    depends only on n_paths, never on workers."""
+def _block_plan(n_paths: int) -> list[int]:
+    """Fixed block layout as sample counts: full blocks of samples that
+    stand for two paths each, then a one-path sample if n_paths is odd.
+    The layout depends only on n_paths, never on workers."""
     n_pairs, odd = divmod(n_paths, 2)
     size = _TERMINAL_BLOCK_PAIRS
-    return [(min(size, n_pairs - s), True) for s in range(0, n_pairs, size)] + [(1, False)] * odd
+    return [min(size, n_pairs - s) for s in range(0, n_pairs, size)] + [1] * odd
 
 
 # -- wealth ------------------------------------------------------------------
@@ -268,22 +271,17 @@ class _WealthLaw:
 def _estimate(law: _WealthLaw, cfg: SimConfig, value_fn, estimand: str) -> EstimatorResult:
     """The block loop behind every estimate.
 
-    Each path draws one uniform, inverted through the law's crash law into
-    its crash time, and one Gaussian; an antithetic pair shares the crash
-    time and flips the Gaussian and counts as one sample, its mean value.
-    ``value_fn(log_wealth, bankrupt)`` maps log(X_T / x) to the estimand.
+    Each sample inverts one uniform through the law's crash law into its
+    crash time; ``value_fn(mean, sd, bankrupt)`` maps the moments of
+    log(X_T / x) given it to the estimand's conditional mean.
     """
     start = time.perf_counter()
-    n, mean, m2, bankrupt_paths = 0, 0.0, 0.0, 0
-    for block, (count, paired) in enumerate(_block_plan(cfg.n_paths)):
-        rng = _block_rng(cfg.seed, block)
-        u = np.sort(rng.random(count))
-        z = rng.standard_normal(count)
+    n, mean, m2, bankrupt_samples = 0, 0.0, 0.0, 0
+    for block, count in enumerate(_block_plan(cfg.n_paths)):
+        u = np.sort(_block_rng(cfg.seed, block).random(count))
         loc, sd, bankrupt = law.moments(np.asarray(law.crash_law.inverse_cdf(u)))
-        values = value_fn(loc + sd * z, bankrupt)
-        bankrupt_paths += (1 + paired) * int(np.sum(bankrupt))
-        if paired:
-            values = 0.5 * (values + value_fn(loc - sd * z, bankrupt))
+        values = value_fn(loc, sd, bankrupt)
+        bankrupt_samples += int(np.sum(bankrupt))
         block_mean = float(np.mean(values))
         block_m2 = float(np.sum((values - block_mean) ** 2))
         delta = block_mean - mean
@@ -292,7 +290,7 @@ def _estimate(law: _WealthLaw, cfg: SimConfig, value_fn, estimand: str) -> Estim
         m2 += block_m2 + delta * delta * (n - count) * (count / n)
     stderr = math.sqrt(m2 / (n - 1) / n) if n > 1 else math.inf
     diagnostics = {
-        "bankrupt_paths": bankrupt_paths,
+        "bankrupt_samples": bankrupt_samples,
         "runtime_ms": 1e3 * (time.perf_counter() - start),
     }
     return EstimatorResult(mean, stderr, cfg.n_paths, cfg.seed, estimand, diagnostics)
@@ -303,25 +301,24 @@ def _crra_value_fn(p: float, x: float, estimand: str):
     # inadmissible, its utility is -inf, and the estimate aborts (optimal
     # strategies never trigger this: their post-crash wealth share stays
     # positive)
-    def value(log_wealth: np.ndarray, bankrupt: np.ndarray) -> np.ndarray:
+    def value(loc: np.ndarray, sd: np.ndarray, bankrupt: np.ndarray) -> np.ndarray:
         if np.any(bankrupt):
+            count = int(np.sum(bankrupt))
             raise SimulationDiagnostic(
-                f"{int(np.sum(bankrupt))} bankrupt paths make expected utility "
-                f"-inf ({estimand})",
-                {"bankrupt_paths": int(np.sum(bankrupt))},
-            )
-        wealth = x * np.exp(log_wealth)
+                f"{count} bankrupt crash-time samples in one block make expected "
+                f"utility -inf ({estimand})", {"bankrupt_samples": count})
         if abs(p - 1.0) < 1e-12:
-            return np.log(wealth)
-        return wealth ** (1.0 - p) / (1.0 - p)
+            return math.log(x) + loc
+        q = 1.0 - p
+        return x**q * np.exp(q * loc + 0.5 * (q * sd) ** 2) / q
 
     return value
 
 
 def _wealth_value(x: float):
     # a crash that takes the whole position leaves nothing
-    def value(log_wealth: np.ndarray, bankrupt: np.ndarray) -> np.ndarray:
-        return np.where(bankrupt, 0.0, x * np.exp(log_wealth))
+    def value(loc: np.ndarray, sd: np.ndarray, bankrupt: np.ndarray) -> np.ndarray:
+        return np.where(bankrupt, 0.0, x * np.exp(loc + 0.5 * sd**2))
 
     return value
 
@@ -329,13 +326,13 @@ def _wealth_value(x: float):
 def estimate(model: MarketModel, cfg: SimConfig, estimand) -> EstimatorResult:
     """Mean and standard error of the requested estimand.
 
-    Every path draws one crash time and one Gaussian and samples the
-    conditional Gaussian law of log wealth.  ``TerminalPrice`` is the
-    buy-and-hold wealth under the physical measure, ``ExpectedUtility``
-    the utility of the strategy's wealth there; ``BudgetUnderQ`` samples
-    the optimal wealth under the tilted measure built from the solved
-    curve and estimates E^Q[X_T].  The wealth law is exact given the crash
-    time up to the quadrature of its tables (see the module docstring).
+    Every sample draws one crash time and takes the estimand's exact mean
+    given it.  ``TerminalPrice`` is the buy-and-hold wealth under the
+    physical measure, ``ExpectedUtility`` the utility of the strategy's
+    wealth there; ``BudgetUnderQ`` takes the optimal wealth under the
+    tilted measure built from the solved curve and estimates E^Q[X_T].
+    The wealth law is exact given the crash time up to the quadrature of
+    its tables (see the module docstring).
     """
     grid = horizon_grid(model.horizon, _TABLE_NODES)
     if isinstance(estimand, TerminalPrice):

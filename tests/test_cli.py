@@ -168,6 +168,14 @@ class TestSimulate:
         assert code == 0
         assert int(parse_csv(out)[0]["seed"]) == 77
 
+    @pytest.mark.parametrize("value", ["1.5", "x", "true"])
+    def test_bad_seed_env_is_a_parse_error(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("BUBBLEMKT_SEED", value)
+        code, out, err = run_cli(["simulate", "--scenario", write_scenario(tmp_path, EX37)], capsys)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR code=1 kind=parse")
+
 
 class TestSweep:
     def _sweep_scenario(self, values):
@@ -248,13 +256,29 @@ class TestErrorPaths:
             ("solve", ["--tol", "nan"], {}),
             ("solve", ["--tol", "-1"], {}),
             ("solve", ["--tol", "0"], {}),
+            ("simulate", [], {"sim": {"n_paths": 2.7}}),
+            ("simulate", [], {"sim": {"seed": 1.9}}),
+            ("solve", [], {"grid": {"n": 64.9}}),
+            ("simulate", [], {"sim": {"n_paths": True}}),
+            ("simulate", [], {"sim": {"seed": True}}),
+            ("solve", [], {"grid": {"n": True}}),
+            ("sweep", [], {"sim": {"seed": 1.5}, "sweep": {
+                "command": "classify", "parameter": "market.mu", "values": [0.1]}}),
+            ("classify", [], {"market": {"mu": True}}),
+            ("simulate", ["--paths", "2.7"], {}),
+            ("solve", ["--grid", "64.9"], {}),
+            ("simulate", ["--seed", "1.9"], {}),
+            ("classify", ["--bogus"], {}),
         ],
         ids=["paths0", "paths-5", "grid0", "grid3",
              "sim.n_paths0", "sim.n_paths-5", "sim.n_paths-null",
              "grid.n0", "grid.n3", "grid.n-abc", "sweep-sim.seed-x",
              "excess.alpha-x", "market-null", "hazard-string", "tabulated.times-a",
              "market.horizon-nan", "excess.alpha-inf", "market.sigma-neg-inf",
-             "grid.n-inf", "sim.seed-nan", "tol-nan", "tol-neg", "tol0"],
+             "grid.n-inf", "sim.seed-nan", "tol-nan", "tol-neg", "tol0",
+             "sim.n_paths-2.7", "sim.seed-1.9", "grid.n-64.9", "sim.n_paths-true",
+             "sim.seed-true", "grid.n-true", "sweep-sim.seed-1.5", "market.mu-true",
+             "paths-2.7", "grid-64.9", "seed-1.9", "unknown-flag"],
     )
     def test_bad_counts(self, tmp_path, capsys, command, flags, payload):
         path = write_scenario(tmp_path, payload)
@@ -419,3 +443,19 @@ def test_console_entry_point():
     )
     assert result.returncode == 1
     assert "ERROR code=1" in result.stderr
+
+
+def test_cli_runtime_never_imports_scipy(tmp_path):
+    # SciPy is a test dependency only; the command line must run without it
+    out = str(tmp_path / "o.csv")
+    args = ["classify", "--scenario", write_scenario(tmp_path, EX37), "--out", out]
+    script = (
+        "import sys\n"
+        "from bubblemkt.cli import main\n"
+        f"assert main({args!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

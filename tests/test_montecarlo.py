@@ -29,7 +29,7 @@ from bubblemkt import (
     solve_optimal,
 )
 from bubblemkt.elmm import TiltFunction, build_tilted_measure
-from bubblemkt.hazard import DomainError
+from bubblemkt.hazard import DomainError, ModelError
 from bubblemkt._quad import HORIZON_CLIP, horizon_grid
 from bubblemkt.montecarlo import (
     _BUY_AND_HOLD,
@@ -37,8 +37,11 @@ from bubblemkt.montecarlo import (
     _TERMINAL_BLOCK_PAIRS,
     _WealthLaw,
     _block_plan,
+    _block_rng,
+    _crra_value_fn,
     _estimate,
     _price_path_given,
+    _wealth_value,
 )
 
 
@@ -273,19 +276,14 @@ class TestEstimators:
         # one full block of pairs, one block with the last pair, one single
         cfg = SimConfig(n_paths=2 * _TERMINAL_BLOCK_PAIRS + 3, seed=4)
         law = _WealthLaw(base_model, _BUY_AND_HOLD, horizon_grid(1.0, _TABLE_NODES))
-        calls = []
-
-        def value(log_wealth, bankrupt):
-            calls.append(np.exp(log_wealth))
-            return calls[-1]
-
-        result = _estimate(law, cfg, value, "probe")
-        # a pair is one sample, the mean of its two values
-        samples = []
-        for _, paired in _block_plan(cfg.n_paths):
-            plus = calls.pop(0)
-            samples.append(0.5 * (plus + calls.pop(0)) if paired else plus)
-        v = np.concatenate(samples)
+        result = _estimate(law, cfg, _wealth_value(1.0), "probe")
+        # one conditional mean per crash time, the whole sample at once
+        gam = np.concatenate([
+            law.crash_law.inverse_cdf(np.sort(_block_rng(cfg.seed, block).random(count)))
+            for block, count in enumerate(_block_plan(cfg.n_paths))
+        ])
+        loc, sd, _ = law.moments(gam)
+        v = np.exp(loc + 0.5 * sd**2)
         mean = math.fsum(v.tolist()) / len(v)
         var = math.fsum(((v - mean) ** 2).tolist()) / (len(v) - 1)
         assert result.mean == pytest.approx(mean, rel=1e-12)
@@ -304,12 +302,44 @@ class TestEstimators:
             ex37_model.mu, ex37_model.sigma, ex37_model.hazard, ex37_model.excess
         )
         greedy = Strategy("greedy", lambda t: np.full(np.shape(np.asarray(t)), 5.0), 5.0)
-        with pytest.raises(SimulationDiagnostic):
-            estimate(
-                model,
-                SimConfig(n_paths=4_000, n_steps=64, seed=2),
-                ExpectedUtility(greedy, 0.5),
-            )
+        cfg = SimConfig(n_paths=4_000, n_steps=64, seed=2)
+        with pytest.raises(SimulationDiagnostic) as info:
+            estimate(model, cfg, ExpectedUtility(greedy, 0.5))
+        # the abort names the bankrupt crash times of block 0, the only block
+        law = _WealthLaw(model, greedy, horizon_grid(1.0, _TABLE_NODES))
+        u = np.sort(_block_rng(cfg.seed, 0).random(_block_plan(cfg.n_paths)[0]))
+        count = int(np.sum(law.moments(model.hazard.inverse_cdf(u))[2]))
+        assert 0 < count < len(u)
+        assert info.value.diagnostics == {"bankrupt_samples": count}
+        assert str(info.value).startswith(f"{count} bankrupt crash-time samples ")
+
+    @pytest.mark.parametrize(
+        "p, x", [(-2.0, 1.0), (0.0, 1.0), (math.nan, 1.0), (0.5, -1.0), (1.0, 0.0), (4.0, math.inf)]
+    )
+    def test_expected_utility_rejects_bad_preference(self, p, x):
+        with pytest.raises(ModelError):
+            ExpectedUtility(_BUY_AND_HOLD, p, x)
+
+    def test_conditional_mean_beats_antithetic_pairs(self, base_model):
+        # reference: on the same crash times, the antithetic pair average
+        # over a Gaussian drawn after the uniforms in each block's stream
+        p = 0.25
+        sol = solve_optimal(base_model, Preference(p))
+        strat = optimal_strategy(sol)
+        cfg = SimConfig(n_paths=40_000, seed=17)
+        result = estimate(base_model, cfg, ExpectedUtility(strat, p))
+        law = _WealthLaw(base_model, strat, horizon_grid(1.0, _TABLE_NODES))
+        samples = []
+        for block, count in enumerate(_block_plan(cfg.n_paths)):
+            rng = _block_rng(cfg.seed, block)
+            loc, sd, _ = law.moments(law.crash_law.inverse_cdf(np.sort(rng.random(count))))
+            z = rng.standard_normal(count)
+            pair = [np.exp((1 - p) * (loc + s * sd * z)) / (1 - p) for s in (1.0, -1.0)]
+            samples.append(0.5 * (pair[0] + pair[1]))
+        v = np.concatenate(samples)
+        antithetic_se = float(np.std(v, ddof=1)) / math.sqrt(len(v))
+        assert abs(result.mean - float(np.mean(v))) <= 3.0 * antithetic_se
+        assert antithetic_se >= 1.8 * result.stderr
 
     def test_crash_law_under_tilted_measure(self, base_model):
         # empirical crash times under the tilted law match its CDF
@@ -329,6 +359,25 @@ class TestEstimators:
         ks = stats.kstest(crashed, conditional_cdf)
         # 1% critical value for the KS statistic, n = number of crashes
         assert ks.statistic < 1.63 / math.sqrt(len(crashed))
+
+
+@pytest.mark.parametrize(
+    "p, x", [(0.25, 1.0), (0.5, 2.5), (1.0, 1.0), (1.0, 0.3), (4.0, 1.0), (4.0, 2.5)]
+)
+def test_conditional_means_match_gauss_hermite(p, x):
+    # each closed form against 60-point Gauss-Hermite quadrature of the
+    # sample value x e^w or its CRRA utility over w ~ N(loc, sd^2)
+    nodes, weights = np.polynomial.hermite_e.hermegauss(60)
+    weights = weights / math.sqrt(2.0 * math.pi)
+    loc = np.repeat([-1.5, -0.2, 0.4, 0.7, 2.0], 5)
+    sd = np.tile([1e-3, 0.05, 0.3, 0.6, 1.0], 5)
+    bankrupt = np.zeros(loc.shape, dtype=bool)
+    wealth = x * np.exp(loc[:, None] + sd[:, None] * nodes)
+    utility = np.log(wealth) if p == 1.0 else wealth ** (1 - p) / (1 - p)
+    for value_fn, sample in ((_wealth_value(x), wealth), (_crra_value_fn(p, x, "u"), utility)):
+        np.testing.assert_allclose(
+            value_fn(loc, sd, bankrupt), sample @ weights, rtol=1e-12, atol=0.0
+        )
 
 
 class TestStochasticExponentialIdentity:
