@@ -44,8 +44,8 @@ DIVERGENT = "divergent"
 INDETERMINATE = "indeterminate"
 
 
-def clustered_grid(end: float, n: int, start: float = 0.0) -> np.ndarray:
-    """Strictly increasing grid on [start, end] clustered toward ``end``.
+def clustered_grid(end: float, n: int) -> np.ndarray:
+    """Strictly increasing grid on [0, end] clustered toward ``end``.
 
     Uses quarter-period sine spacing, so node density grows without bound
     at the right endpoint where hazard-rate singularities concentrate.
@@ -53,7 +53,7 @@ def clustered_grid(end: float, n: int, start: float = 0.0) -> np.ndarray:
     if n < 2:
         raise ValueError("grid needs at least 2 points")
     i = np.arange(n)
-    return start + (end - start) * np.sin(0.5 * np.pi * i / (n - 1))
+    return end * np.sin(0.5 * np.pi * i / (n - 1))
 
 
 HORIZON_CLIP = 1e-9  # horizon tables stop at T (1 - HORIZON_CLIP)

@@ -390,7 +390,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument(
         "--under-q", action="store_true", help="classify under the tilted measure"
     )
-    parser.add_argument("--tol", help="integral-equation residual tolerance override (> 0)")
+    parser.add_argument(
+        "--tol",
+        help="integral-equation residual tolerance override (> 0); a solved curve "
+        "meets it, and one the solve cannot reach (below about 1e-15) exits 3",
+    )
     try:
         args = parser.parse_args(argv)
         if args.seed is None and SEED_ENV_VAR in os.environ:

@@ -30,6 +30,9 @@ from .hazard import (
     require_valid,
 )
 
+TILTED_GRID_POINTS = 2049  # nodes of the tilted law's table when no grid is given
+TILT_BOUND_C_MAX = 2.0**16  # largest C that verify_tilt_bounds tries
+
 
 class RejectedTiltError(ValueError):
     """The tilt fails one of the admissibility conditions; the message
@@ -176,13 +179,13 @@ def build_tilted_measure(
     model: MarketModel,
     tilt: TiltFunction,
     grid: Optional[np.ndarray] = None,
-    n_grid: int = 2049,
 ) -> TiltedMeasure:
     """Construct the tilted crash-time law after admissibility checks.
 
     Rejections name the violated condition: positivity of 1 + y, square
     integrability of phi' y, and (only when the law has an atom)
-    integrability of kappa (1 + y).
+    integrability of kappa (1 + y).  The law is tabulated on ``grid``,
+    by default the ``TILTED_GRID_POINTS``-node horizon grid.
     """
     probe = _probe_grid(model)
     one_plus = 1.0 + tilt(probe)
@@ -227,20 +230,16 @@ def build_tilted_measure(
                 )
 
     if grid is None:
-        grid = horizon_grid(model.horizon, n_grid)
+        grid = horizon_grid(model.horizon, TILTED_GRID_POINTS)
     return TiltedMeasure(model, tilt, np.asarray(grid, dtype=float))
 
 
-def verify_tilt_bounds(
-    model: MarketModel,
-    tilt: TiltFunction,
-    c_max: float = 2.0**16,
-) -> Optional[tuple[float, float]]:
+def verify_tilt_bounds(model: MarketModel, tilt: TiltFunction) -> Optional[tuple[float, float]]:
     """Certify eps <= 1 + y <= C + (C/phi') 1{kappa < C phi'} on [0, T).
 
-    Searches C over powers of two up to ``c_max`` and checks the bound on
-    a 1025-point horizon-clustered grid (its every fourth and every second
-    point are exactly the 257- and 513-point grids); the certificate
+    Searches C over powers of two up to ``TILT_BOUND_C_MAX`` and checks the
+    bound on a 1025-point horizon-clustered grid (its every fourth and every
+    second point are exactly the 257- and 513-point grids); the certificate
     transfers the strict-local dichotomy from the physical measure to the
     tilted one.  Returns (eps, C) or None: failure is a value, not an
     exception.
@@ -257,7 +256,7 @@ def verify_tilt_bounds(
     dphi = np.asarray(model.excess.dphi(grid))
     kap = np.asarray(model.hazard.hazard(grid))
     c = 1.0
-    while c <= c_max:
+    while c <= TILT_BOUND_C_MAX:
         with np.errstate(divide="ignore"):
             slack = np.where(
                 (dphi > 0) & (kap < c * dphi), c / np.maximum(dphi, 1e-300), 0.0
@@ -278,7 +277,8 @@ def classify_under_Q(model: MarketModel, tilt: TiltFunction) -> Classification:
     :class:`~bubblemkt.hazard.ModelError`.
     """
     require_valid(model)
-    build_tilted_measure(model, tilt, n_grid=257)  # admissibility gate
+    # admissibility gate; a coarse table suffices
+    build_tilted_measure(model, tilt, grid=horizon_grid(model.horizon, 257))
     atom = model.hazard.atom
     defect, status = excess_defect_integral(model)
     lim = limsup_jump_size(model)

@@ -16,8 +16,9 @@ m(t, .) increases strictly above the boundary where it vanishes, so the
 equation inverts pointwise with a safeguarded Newton iteration, which gives
 backward lower/upper solutions bracketing the curve.  On the grid, inexact
 Newton (Kelley, SIAM 1995, ch. 5-6) solves F(y) = log m + int n = 0 from
-the myopic bracket until the residual |m exp(int n) - 1| is below ``tol``,
-or raises :class:`SolverError`.  The same iteration serves every p: at log
+the myopic bracket; a curve is returned exactly when its residual
+|m exp(int n) - 1| is at most ``tol`` at every node, and every other outcome
+raises :class:`SolverError`.  The same iteration serves every p: at log
 utility (p = 1) the brackets coincide with the myopic curve m = 1, which
 then is the solution (a quadratic with a closed form,
 :func:`log_utility_solution`).
@@ -43,7 +44,7 @@ from .hazard import (
 )
 
 TERMINAL_CLIP_FRACTION = 1e-6  # grid stops at T (1 - this)
-RESIDUAL_TOL = 1e-8  # a returned curve's largest residual |m e^{int n} - 1|
+MAX_NEWTON_ITER = 600  # iterates examined, the start included, before the solve fails
 MAX_HALVINGS = 20  # halvings of one Newton step before the solve stalls
 
 
@@ -165,10 +166,10 @@ def aux_eval(model: MarketModel, prefs: Preference, t: float, y: float) -> AuxEv
 def _implicit_many(c: _Coef, targets: np.ndarray, x0=None) -> np.ndarray:
     """Solve m(t_i, y_i) = f_i for each grid point, f_i > 0.
 
-    Safeguarded Newton on [boundary, growth bound] from the start ``x0``;
-    the upper end comes from the growth bounds y <= (2f)^p when
-    phi' <= p sigma^2 kappa / (2 mu), else y <= max(f^p, mu/phi'), doubled
-    until it encloses the root.
+    Safeguarded Newton on [boundary, growth bound + 1] from the start
+    ``x0``.  The growth bound always encloses the root: if phi' <= p sigma^2
+    kappa / (2 mu), then a >= 1/2 at y = (2f)^p + 1, so m > f; otherwise
+    y = max(f^p, mu/phi') + 1 gives a >= 1 and (1 + y)^(1/p) > f.
     """
     f = np.asarray(targets, dtype=float)
     if np.any(f <= 0.0):
@@ -190,12 +191,6 @@ def _implicit_many(c: _Coef, targets: np.ndarray, x0=None) -> np.ndarray:
     small = phi_p <= sig2p * kap / (2.0 * mu)
     hi = np.where(small, (2.0 * fa) ** p, np.maximum(fa**p, mu / phi_p))
     hi = hi + 1.0  # slack over the growth bound
-
-    for _ in range(64):
-        bad = _aux_m(c, hi, act) < fa
-        if not np.any(bad):
-            break
-        hi = np.where(bad, lo + 2.0 * (hi - lo), hi)
 
     out[act] = monotone_inverse(
         lambda y, i: _aux_m(c, y, act[i]),
@@ -292,12 +287,14 @@ def log_utility_solution(model: MarketModel, t):
 
 @dataclass(frozen=True)
 class Solution:
-    """Solved scenario: tilt curve, brackets, residuals, and multipliers.
+    """Solved scenario: tilt curve, brackets and residuals.
 
     ``tilt`` is the curve driving both the optimal fraction and the dual
     measure; ``myopic`` is whichever bracket solves m = 1;
-    ``m_start`` = m(0, tilt(0), p) feeds the welfare formulas.  ``method``
-    is always ``"fixed_point"``.
+    ``m_start`` = m(0, tilt(0), p) feeds the welfare formulas and the dual
+    multiplier.  ``residuals`` is the profile |m e^{int n} - 1| of ``tilt``,
+    at most the solve's ``tol`` at every node.  ``method`` is always
+    ``"fixed_point"``.
     """
 
     model: MarketModel
@@ -309,9 +306,6 @@ class Solution:
     myopic: Curve
     residuals: np.ndarray
     m_start: float
-    dual_mult: float
-    terminal_clip: float
-    tail: float
     method: str
     iterations: int
 
@@ -361,7 +355,6 @@ def solve_optimal(
     prefs: Preference,
     n_grid: int = 512,
     tol: float = 1e-10,
-    max_iter: int = 600,
 ) -> Solution:
     """Solve the integral equation and package the optimal strategy.
 
@@ -369,10 +362,11 @@ def solve_optimal(
     solves the trapezoid Jacobian diag(m_y/m) + W diag(n_y), which is upper
     triangular, by back substitution.  A step whose max |F| does not fall
     is halved, up to ``MAX_HALVINGS`` times, and iterates stay in the
-    brackets.  It stops once the residual |m exp(int n) - 1| is at most
-    ``tol`` at every node, or when halving fails.  ``iterations`` counts
-    the iterates examined, the start included.  Exhausting ``max_iter``,
-    or a final residual above ``RESIDUAL_TOL``, raises :class:`SolverError`.
+    brackets.  It returns the first iterate whose residual
+    |m exp(int n) - 1| is at most ``tol`` at every node; ``iterations``
+    counts the iterates examined, the start included.  A stall (halving
+    fails) or ``MAX_NEWTON_ITER`` iterates above ``tol`` raise
+    :class:`SolverError` with the last residual profile.
     """
     _require_drift(model)
     require_valid(model)
@@ -385,19 +379,7 @@ def solve_optimal(
     rule = PanelRule(grid)
     tail = _terminal_tail(model, prefs, float(grid[-1]), float(myopic.values[-1]))
 
-    y, iterations, resid = _newton(c, rule, lo, hi, myopic.values, tail, tol, max_iter)
-    if float(np.max(resid)) > RESIDUAL_TOL:
-        raise SolverError(
-            f"integral-equation residual {np.max(resid):.3e} above "
-            f"{RESIDUAL_TOL:.1e} after {iterations} Newton iterations",
-            residuals=resid,
-        )
-
-    p = prefs.p
-    m_start = float(_aux_m(c, y)[0])
-    root = prefs.x * m_start * math.exp(
-        -(1.0 - p) * model.mu**2 * model.horizon / (2.0 * p**2 * model.sigma**2)
-    )
+    y, iterations, resid = _newton(c, rule, lo, hi, myopic.values, tail, tol)
     return Solution(
         model=model,
         preference=prefs,
@@ -407,24 +389,23 @@ def solve_optimal(
         upper=upper,
         myopic=myopic,
         residuals=resid,
-        m_start=m_start,
-        dual_mult=root ** (-p),
-        terminal_clip=model.horizon * TERMINAL_CLIP_FRACTION,
-        tail=tail,
+        m_start=float(_aux_m(c, y)[0]),
         method="fixed_point",
         iterations=iterations,
     )
 
 
-def _newton(c, rule, lower, upper, start, tail, tol, max_iter):
-    # Returns the iterate, the iterates examined and its residual profile;
-    # a stall returns the current iterate, the best so far.
+def _newton(c, rule, lower, upper, start, tail, tol):
+    # Returns the first iterate within ``tol``, the iterates examined and its
+    # residual profile; a stall or running out of iterations raises.
     half = 0.5 * np.diff(c.t)
     y = start
     F, profile = _defect(c, rule, y, tail)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_NEWTON_ITER + 1):
         if float(np.max(profile)) <= tol:
             return y, it, profile
+        if it == MAX_NEWTON_ITER:
+            break
         d = _newton_step(c, y, F, half)
         for _ in range(MAX_HALVINGS + 1):
             trial = np.clip(y + d, lower, upper)
@@ -433,11 +414,11 @@ def _newton(c, rule, lower, upper, start, tail, tol, max_iter):
                 break
             d = 0.5 * d
         else:
-            return y, it, profile
+            break  # stalled: no halving lowers max |F|
         y, F, profile = trial, F_trial, profile_trial
     raise SolverError(
-        f"Newton iteration did not converge (max_iter={max_iter}, "
-        f"last residual {np.max(profile):.3e})",
+        f"integral-equation residual {np.max(profile):.3e} above tol {tol:.1e} "
+        f"after {it} Newton iterations",
         residuals=profile,
     )
 
@@ -472,7 +453,11 @@ def _defect(c, rule, y, tail):
 
 def dual_multiplier(solution: Solution) -> float:
     """Lagrange multiplier of the budget constraint in the dual problem."""
-    return solution.dual_mult
+    model, p = solution.model, solution.preference.p
+    root = solution.preference.x * solution.m_start * math.exp(
+        -(1.0 - p) * model.mu**2 * model.horizon / (2.0 * p**2 * model.sigma**2)
+    )
+    return root ** (-p)
 
 
 @_elementwise

@@ -3,9 +3,9 @@ safe rates, and the wealth-compensator identity check.
 
 The certainty equivalent discounts the crash-free Merton benchmark
 x exp(mu^2 T / (2 p sigma^2)); for power utility the whole discount is the
-single factor m(0, y(0), p)^(-p/(1-p)), for log utility it splits into a
-trading-loss and a jump-loss integral against the crash-time law.  The
-log formula serves |p - 1| < ``LOG_UTILITY_WINDOW`` too: there the power
+single factor m(0, y(0), p)^(-p/(1-p)), for log utility it is exp(-L) with
+L the integral of the trading and jump losses against the crash-time law.
+The log formula serves |p - 1| < ``LOG_UTILITY_WINDOW`` too: there the power
 exponent -p/(1-p) is so large that the last digits of m(0, y(0), p) swamp
 the factor.
 """
@@ -41,45 +41,34 @@ def black_scholes_ce(model: MarketModel, prefs: Preference) -> float:
     )
 
 
-def _log_utility_loss_integrals(
-    model: MarketModel, grid: np.ndarray, y: np.ndarray
-) -> tuple[float, float]:
-    """(trading loss, jump loss) integrals of the log-utility formula.
+def _log_utility_loss_integral(model: MarketModel, grid: np.ndarray, y: np.ndarray) -> float:
+    """Integral of the trading loss plus the jump loss of the log-utility
+    formula.
 
     Integrated along ``y`` over the solver grid, and along the closed-form
     p = 1 curve over the clipped sliver up to the horizon, where the
-    hazard may blow up; a sliver integral without a CONVERGED certificate
-    raises :class:`SolverError`.
+    hazard may blow up.  Both losses are nonnegative, so their sum
+    converges exactly when each does; a sliver integral without a
+    CONVERGED certificate raises :class:`SolverError`.
     """
     sig2 = model.sigma**2
 
-    def losses(u, yu):
+    def loss(u, yu):
         surv = np.exp(-np.asarray(model.hazard.cumulative_hazard(u)))
         dens = np.asarray(model.hazard.hazard(u)) * surv
         trade = (np.asarray(model.excess.dphi(u)) * yu) ** 2 * surv / (2.0 * sig2)
-        return trade, (np.log1p(yu) - yu / (1.0 + yu)) * dens
+        return trade + (np.log1p(yu) - yu / (1.0 + yu)) * dens
 
-    rule = PanelRule(grid)
-    totals = [rule.integral(vals) for vals in losses(grid, y)]
+    total = PanelRule(grid).integral(loss(grid, y))
     t_end = float(grid[-1])
     if model.horizon > t_end:
-        # both sliver integrals see the same shell nodes: evaluate once
-        seen = {}
-
-        def sliver(u, k):
-            key = u.tobytes()
-            if key not in seen:
-                seen[key] = losses(u, np.asarray(log_utility_solution(model, u)))
-            return seen[key][k]
-
-        for k in range(2):
-            res = integrate_toward(lambda u: sliver(u, k), t_end, model.horizon)
-            if res.status != CONVERGED:
-                raise SolverError(
-                    f"log-utility loss integral over [{t_end!r}, T) is {res.status}"
-                )
-            totals[k] += res.value
-    return totals[0], totals[1]
+        res = integrate_toward(
+            lambda u: loss(u, np.asarray(log_utility_solution(model, u))), t_end, model.horizon
+        )
+        if res.status != CONVERGED:
+            raise SolverError(f"log-utility loss integral over [{t_end!r}, T) is {res.status}")
+        total += res.value
+    return total
 
 
 def _certainty_equivalent(
@@ -88,8 +77,7 @@ def _certainty_equivalent(
     base = black_scholes_ce(model, prefs)
     p = prefs.p
     if abs(p - 1.0) < LOG_UTILITY_WINDOW:
-        trade, jump = _log_utility_loss_integrals(model, grid, y)
-        return base * math.exp(-trade) * math.exp(-jump)
+        return base * math.exp(-_log_utility_loss_integral(model, grid, y))
     return base * m_start ** (-p / (1.0 - p))
 
 
@@ -145,7 +133,7 @@ def xihat_identity_check(solution: Solution, v: float) -> float:
     """
     model, prefs = solution.model, solution.preference
     T = model.horizon
-    if not 0.0 < v < T - solution.terminal_clip:
+    if not 0.0 < v < solution.grid[-1]:
         raise ValueError("v must lie strictly inside the solved window")
 
     p_sig2 = prefs.p * model.sigma**2

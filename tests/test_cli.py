@@ -76,6 +76,19 @@ class TestSolve:
         sol = solve_optimal(build_model(scenario), build_preference(scenario), n_grid=32)
         assert float(rows[0]["y_hat"]) == sol.tilt.values[0]  # lossless
 
+    def test_loose_tol_is_met(self, tmp_path, capsys):
+        # a returned curve meets --tol, however loose
+        path = write_scenario(tmp_path, {})
+        code, out, err = run_cli(["solve", "--scenario", path, "--tol", "1e-4"], capsys)
+        assert code == 0 and err == ""
+        assert all(float(r["residual"]) <= 1e-4 for r in parse_csv(out))
+
+    def test_unreachable_tol_exits_3(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {})
+        code, out, err = run_cli(["solve", "--scenario", path, "--tol", "1e-16"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("ERROR code=3 kind=solver message=\"integral-equation residual ")
+
 
 class TestWelfareRoundTrip:
     @pytest.mark.parametrize("p", [1.0, 4.0])

@@ -135,7 +135,7 @@ class TestVerifyTiltBounds:
             y=lambda t: 1.0 / (0.2 * (1.0 - np.asarray(t, dtype=float))),
             label="reciprocal",
         )
-        assert verify_tilt_bounds(model, bad, c_max=2.0**16) is None
+        assert verify_tilt_bounds(model, bad) is None
 
 
 class TestClassifyUnderQ:

@@ -482,9 +482,13 @@ class TestFixedPoint:
         got = solver._newton_step(c, y, F, half)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
-    def test_nonconvergence_names_the_last_residual(self, base_model):
-        with pytest.raises(SolverError, match=r"did not converge \(max_iter=1, last residual ") as err:
-            solve_optimal(base_model, P4, max_iter=1)
+    def test_nonconvergence_names_the_last_residual(self, base_model, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_NEWTON_ITER", 1)
+        with pytest.raises(
+            SolverError,
+            match=r"^integral-equation residual \S+ above tol 1\.0e-10 after 1 Newton iterations$",
+        ) as err:
+            solve_optimal(base_model, P4)
         assert err.value.residuals.shape == (512,)
 
     @pytest.mark.parametrize("power", [-0.1, -0.3, -0.6])
@@ -558,3 +562,74 @@ def test_one_solve_path_next_to_log_utility(base_model, p):
         assert np.max(np.abs(sol.tilt.values - closed)) <= 1e-12
     elif p in (1.0 - 5e-7, 1.0 + 5e-7):
         assert abs(certainty_equivalent(sol) / ce_log - 1.0) <= 1e-7
+
+
+class TestToleranceContract:
+    """A solve returns a curve exactly when its residual meets ``tol``."""
+
+    @pytest.mark.parametrize("p, tol", [(4.0, 1e-4), (0.25, 1e-6)])
+    def test_loose_tol_is_met(self, base_model, p, tol):
+        sol = solve_optimal(base_model, Preference(p), tol=tol)
+        assert np.max(sol.residuals) <= tol
+
+    def test_unreachable_tol_raises(self, base_model):
+        with pytest.raises(SolverError, match=r"^integral-equation residual \S+ above tol 1\.0e-16 ") as err:
+            solve_optimal(base_model, P4, tol=1e-16)
+        assert err.value.residuals.shape == (512,)
+        assert np.max(err.value.residuals) > 1e-16
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-7, 1e-10, 1e-13, 1e-16])
+    @pytest.mark.parametrize(
+        "mu, sigma, alpha, p",
+        [
+            (mu, sigma, alpha, p)
+            for mu in (0.05, 0.2)
+            for sigma in (0.1, 0.4)
+            for alpha in (0.1, 0.8)
+            for p in (0.25, 1.0, 4.0)
+        ],
+    )
+    def test_returns_within_tol_or_raises(self, mu, sigma, alpha, p, tol):
+        model = MarketModel(mu, sigma, EXP_LAW, ConstantExcess(alpha))
+        try:
+            sol = solve_optimal(model, Preference(p), tol=tol)
+        except SolverError as err:
+            # every tolerance down to the default is reached on this family
+            assert tol < 1e-10
+            assert np.max(err.residuals) > tol
+            return
+        assert np.max(sol.residuals) <= tol
+
+
+def _growth_bound_models():
+    lppl = LPPLHazard(power=-0.3, horizon=1.0, b=1.2, c=0.3, omega=6.0, phase=0.5)
+    return {
+        "exp": MarketModel(0.1, 0.2, EXP_LAW, ConstantExcess(0.2)),
+        "exp-steep": MarketModel(0.2, 0.2, EXP_LAW, ConstantExcess(0.8)),
+        # a = 1/2 at y = 0 when p = 30: the (2f)^p bound is tight there
+        "exp-tight": MarketModel(0.12, 0.08, EXP_LAW, ConstantExcess(0.8)),
+        "ramp": MarketModel(0.2, 0.2, EXP_LAW, LinearRampExcess(0.2)),
+        "uniform": MarketModel(0.1, 0.2, UNIFORM, linear_delta_excess(UNIFORM, 0.9)),
+        "lppl": MarketModel(0.1, 0.2, lppl, ConstantJumpSizeExcess(lppl, 0.5)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_growth_bound_models()))
+@pytest.mark.parametrize("p", [0.05, 0.25, 1.0, 4.0, 30.0])
+def test_growth_bound_encloses_the_root(name, p, monkeypatch):
+    # _implicit_many hands monotone_inverse the growth bound as the upper
+    # end of every bracket; m must reach the target there
+    model = _growth_bound_models()[name]
+    c = solver._Coef(model, p, solver._solver_grid(model, 65))
+    rate = (1.0 - p) * model.mu**2 / (2.0 * p**2 * model.sigma**2)
+    ratios = []
+
+    def bracket_top(fn, dfn, lo, hi, targets, x0=None):
+        ratios.append(np.min(fn(hi, np.arange(targets.size)) / targets))
+        return hi  # the inversion itself is not under test
+
+    monkeypatch.setattr(solver, "monotone_inverse", bracket_top)
+    # constant targets from 1e-8 to 1e8 (1 among them), and the upper bracket's
+    for target in (*np.logspace(-8.0, 8.0, 65), np.exp(rate * (model.horizon - c.t))):
+        solver._implicit_many(c, np.broadcast_to(target, c.t.shape))
+    assert len(ratios) == 66 and min(ratios) > 1.0

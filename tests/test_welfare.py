@@ -78,7 +78,7 @@ class TestLogUtilityTail:
 
         monkeypatch.setattr(wf, "integrate_toward", recording)
         assert math.isfinite(certainty_equivalent(sol))
-        assert statuses == [CONVERGED, CONVERGED]
+        assert statuses == [CONVERGED]
 
     def test_uncertified_tail_raises(self, base_model, tmp_path, capsys, monkeypatch):
         sol = solve_optimal(base_model, Preference(1.0))
