@@ -56,7 +56,6 @@ from .solver import (
     log_utility_solution,
     lower_boundary,
     myopic_curve,
-    ode_rhs,
     optimal_fraction,
     solve_optimal,
 )

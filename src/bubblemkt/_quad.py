@@ -15,7 +15,7 @@ Four tools live here:
 * :func:`monotone_inverse` inverts increasing functions pointwise with a
   safeguarded Newton iteration; every root solve in the package uses it.
   A point stops as soon as the function resolves its target to a few ulps.
-* :class:`Curve` is the monotone cubic, with two derivatives, behind every
+* :class:`Curve` is the monotone cubic, with its derivative, behind every
   tabulated object in the package.
 """
 
@@ -132,10 +132,10 @@ class Curve:
     Fritsch & Carlson (SIAM J. Numer. Anal. 17, 1980) with the knot slopes
     of ``pchip`` (Moler, Numerical Computing with MATLAB, 2004, section
     3.4); coefficients and evaluation order are those of SciPy's
-    ``PchipInterpolator`` and its ``derivative(nu)``, which it matches bit
+    ``PchipInterpolator`` and its ``derivative()``, which it matches bit
     for bit.
-    ``curve(t, nu)`` is the ``nu``-th derivative (nu = 0, 1, 2) at ``t``
-    clamped to the grid: the curve stays frozen past its table.
+    ``curve(t)`` is the value and ``curve(t, nu=1)`` the derivative at
+    ``t`` clamped to the grid: the curve stays frozen past its table.
     """
 
     def __init__(self, grid, values):
@@ -171,8 +171,8 @@ class Curve:
         return np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
 
     def __call__(self, t, nu: int = 0):
-        if nu not in (0, 1, 2):
-            raise ValueError("derivative order must be 0, 1 or 2")
+        if nu not in (0, 1):
+            raise ValueError("derivative order must be 0 or 1")
         x = self.grid
         t = np.clip(np.asarray(t, dtype=float), x[0], x[-1])
         i = np.searchsorted(x[1:-1], t, side="right")  # panel holding t
@@ -181,9 +181,7 @@ class Curve:
         if nu == 0:
             s2 = s * s
             return c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s)
-        if nu == 1:
-            return c[2] + 2.0 * c[1] * s + 3.0 * c[0] * (s * s)
-        return 2.0 * c[1] + 6.0 * c[0] * s
+        return c[2] + 2.0 * c[1] * s + 3.0 * c[0] * (s * s)
 
 
 @dataclass(frozen=True)
@@ -194,10 +192,6 @@ class ShellIntegral:
     status: str
     shells: int
     tail_bound: float
-
-    @property
-    def finite(self) -> bool:
-        return self.status == CONVERGED
 
 
 def _gauss_shell(f, lo: float, hi: float) -> float:

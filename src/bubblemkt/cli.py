@@ -10,8 +10,10 @@ Numbers are printed with 17 significant digits so binary doubles
 round-trip.
 
 Exit codes: 1 parse error, 2 model validation error, 3 solver failure,
-4 simulation diagnostic.  Errors print one machine-readable line on
-standard error: ``ERROR code=<n> kind=<kind> message="..."``.
+4 simulation diagnostic, 5 output error (``--out`` cannot be written, or
+standard output was closed early, as by ``| head``).  Errors print one
+machine-readable line on standard error:
+``ERROR code=<n> kind=<kind> message="..."``.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ EXIT_PARSE = 1
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_SIMULATION = 4
+EXIT_OUTPUT = 5
 
 
 class ScenarioError(ValueError):
@@ -353,16 +356,13 @@ def _run_sweep(scenario: dict, args, out) -> int:
     if inner not in _COMMANDS:
         raise ScenarioError(f"sweep cannot wrap command {inner!r}")
     base_seed = _number(scenario["sim"]["seed"], "sim.seed", int)
-    # buffered, so a failing point leaves no partial output
-    buf = io.StringIO()
     status = 0
     for index, value in enumerate(sweep["values"]):
         point = copy.deepcopy(scenario)
         _set_path(point, sweep["parameter"], value)
         point["sim"]["seed"] = base_seed + index
-        buf.write(f"# {sweep['parameter']} = {_fmt(value)}\n")
-        status = max(status, _COMMANDS[inner](point, args, buf))
-    out.write(buf.getvalue())
+        out.write(f"# {sweep['parameter']} = {_fmt(value)}\n")
+        status = max(status, _COMMANDS[inner](point, args, out))
     return status
 
 
@@ -411,11 +411,10 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     runner = _run_sweep if args.command == "sweep" else _COMMANDS[args.command]
 
+    # buffered, so a failing command leaves no partial output
+    buf = io.StringIO()
     try:
-        if args.out:
-            with open(args.out, "w") as fh:
-                return runner(scenario, args, fh)
-        return runner(scenario, args, sys.stdout)
+        status = runner(scenario, args, buf)
     except ScenarioError as exc:
         return _error("parse", EXIT_PARSE, exc)
     except (KeyError, TypeError) as exc:
@@ -426,6 +425,22 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _error("solver", EXIT_SOLVER, exc)
     except mc.SimulationDiagnostic as exc:
         return _error("simulation", EXIT_SIMULATION, exc)
+
+    try:
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(buf.getvalue())
+        else:
+            # line by line: on an unbuffered stdout, one long write that a
+            # closing pipe cuts short drops its tail without an error
+            sys.stdout.writelines(buf.getvalue().splitlines(keepends=True))
+            sys.stdout.flush()
+    except OSError as exc:  # --out cannot be written, or stdout was closed
+        if not args.out:
+            # the exit-time flush of the unwritable stdout would raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _error("output", EXIT_OUTPUT, exc)
+    return status
 
 
 if __name__ == "__main__":

@@ -79,12 +79,11 @@ def _elementwise(method: Callable) -> Callable:
 class CrashHazard:
     """Law of the crash time on (0, T] described by its hazard rate.
 
-    A family supplies array-level hooks: ``_kappa`` (the hazard),
-    ``_dkappa`` (its derivative), ``_cum`` (the cumulative hazard
-    ``H(t) = int_0^t kappa``) and the survival ``atom`` at T.  This class
-    owns the public surface on top of them: every method takes a scalar or
-    an array and returns a float for scalar input; ``hazard``,
-    ``hazard_derivative`` and ``density`` need t in ``[0, T)`` and
+    A family supplies array-level hooks: ``_kappa`` (the hazard), ``_cum``
+    (the cumulative hazard ``H(t) = int_0^t kappa``) and the survival
+    ``atom`` at T.  This class owns the public surface on top of them:
+    every method takes a scalar or an array and returns a float for scalar
+    input; ``hazard`` and ``density`` need t in ``[0, T)`` and
     ``inverse_cdf`` a variate in ``(0, 1)``.  CDF, density and survival
     follow from ``1 - G(t) = exp(-H(t))`` on ``[0, T)``.  Sampling inverts
     H with a safeguarded Newton iteration (dH/dt is the hazard); a family
@@ -114,11 +113,6 @@ class CrashHazard:
     def hazard(self, t):
         self._check_interior(t)
         return self._kappa(t)
-
-    @_elementwise
-    def hazard_derivative(self, t):
-        self._check_interior(t)
-        return self._dkappa(t)
 
     @_elementwise
     def cumulative_hazard(self, t):
@@ -189,9 +183,6 @@ class UniformHazard(CrashHazard):
     def _kappa(self, t):
         return 1.0 / (self.horizon - t)
 
-    def _dkappa(self, t):
-        return (self.horizon - t) ** -2.0
-
     def _cum(self, t):
         return -np.log1p(-t / self.horizon)  # log T - log(T - t), uncancelled
 
@@ -221,9 +212,6 @@ class ExponentialCutoffHazard(CrashHazard):
 
     def _kappa(self, t):
         return np.full_like(t, self.rate)
-
-    def _dkappa(self, t):
-        return np.zeros_like(t)
 
     def _cum(self, t):
         return self.rate * t
@@ -279,14 +267,6 @@ class LPPLHazard(CrashHazard):
         s = self.horizon - t
         return s ** (self.power - 1.0) * (self.b + self.c * np.cos(self._theta(s)))
 
-    def _dkappa(self, t):
-        s = self.horizon - t
-        th = self._theta(s)
-        return s ** (self.power - 2.0) * (
-            (1.0 - self.power) * (self.b + self.c * np.cos(th))
-            + self.c * self.omega * np.sin(th)
-        )
-
     def _cum(self, t):
         # int_0^t (T-u)^(z-1) du = T^z (1 - (1 - t/T)^z) / z per term, formed
         # from t through expm1 and log1p: T^z - (T-t)^z cancels for small t
@@ -325,11 +305,10 @@ class TabulatedHazard(CrashHazard):
     """Crash-time law given by CDF values on a knot grid.
 
     The monotone cubic :class:`~bubblemkt._quad.Curve` is built on the
-    cumulative hazard -log(1 - G), so the hazard and its derivative are the
-    curve's first and second derivatives and the survival identity holds
-    exactly for the interpolated law.  The horizon is the last knot and the
-    atom is 1 - G(last knot), which must be positive (a tabulated CDF
-    cannot resolve a hazard blow-up).
+    cumulative hazard -log(1 - G), so the hazard is the curve's derivative
+    and the survival identity holds exactly for the interpolated law.  The
+    horizon is the last knot and the atom is 1 - G(last knot), which must
+    be positive (a tabulated CDF cannot resolve a hazard blow-up).
     """
 
     family = "tabulated"
@@ -352,7 +331,6 @@ class TabulatedHazard(CrashHazard):
         self.horizon = float(t[-1])
         self._cum = Curve(t, -np.log1p(-g))
         self._kappa = functools.partial(self._cum, nu=1)
-        self._dkappa = functools.partial(self._cum, nu=2)
         self.atom = float(1.0 - g[-1])
 
 
@@ -362,22 +340,21 @@ class TabulatedHazard(CrashHazard):
 
 
 class ExcessReturn:
-    """Deterministic pre-crash excess return ``phi`` with two derivatives.
+    """Deterministic pre-crash excess return ``phi`` and its derivative.
 
-    A profile supplies array-level hooks ``_phi``, ``_dphi`` and
-    ``_d2phi``, and, when it fixes the relative jump size itself,
-    ``_delta`` and ``_ddelta``; this class gives them the scalar-or-array
-    convention of the crash laws.  ``bounded_dphi`` advertises that
-    ``phi'`` is bounded on [0, T), which lets the classifier decide
-    integrability of ``kappa - phi'`` without quadrature.  Profiles tied to
-    a hazard (constant or supplied relative jump size) carry the hazard.
+    A profile supplies array-level hooks ``_phi`` and ``_dphi``, and, when
+    it fixes the relative jump size itself, ``_delta``; this class gives
+    them the scalar-or-array convention of the crash laws.
+    ``bounded_dphi`` advertises that ``phi'`` is bounded on [0, T), which
+    lets the classifier decide integrability of ``kappa - phi'`` without
+    quadrature.  Profiles tied to a hazard (constant or supplied relative
+    jump size) carry the hazard.
     """
 
     family = "generic"
     bounded_dphi = True
     hazard: Optional[CrashHazard] = None
     _delta: Optional[Callable] = None
-    _ddelta: Optional[Callable] = None
 
     @_elementwise
     def phi(self, t):
@@ -387,17 +364,10 @@ class ExcessReturn:
     def dphi(self, t):
         return self._dphi(t)
 
-    @_elementwise
-    def d2phi(self, t):
-        return self._d2phi(t)
-
     def delta(self, t):
         """Relative jump size where the profile fixes it; None leaves the
         market model to derive it from phi' / kappa."""
         return None if self._delta is None else _scalar_or_array(self._delta, t)
-
-    def ddelta(self, t):
-        return None if self._ddelta is None else _scalar_or_array(self._ddelta, t)
 
 
 class ZeroExcess(ExcessReturn):
@@ -409,7 +379,7 @@ class ZeroExcess(ExcessReturn):
     def _phi(self, t):
         return np.zeros_like(t)
 
-    _dphi = _d2phi = _phi
+    _dphi = _phi
 
 
 class ConstantExcess(ExcessReturn):
@@ -427,9 +397,6 @@ class ConstantExcess(ExcessReturn):
     def _dphi(self, t):
         return np.full_like(t, self.alpha)
 
-    def _d2phi(self, t):
-        return np.zeros_like(t)
-
 
 class LinearRampExcess(ExcessReturn):
     """phi'(t) = slope * t: excess return ramps up as the horizon nears."""
@@ -445,9 +412,6 @@ class LinearRampExcess(ExcessReturn):
 
     def _dphi(self, t):
         return self.slope * t
-
-    def _d2phi(self, t):
-        return np.full_like(t, self.slope)
 
 
 class ConstantJumpSizeExcess(ExcessReturn):
@@ -475,43 +439,28 @@ class ConstantJumpSizeExcess(ExcessReturn):
     def _dphi(self, t):
         return self.delta0 * np.asarray(self.hazard.hazard(t))
 
-    def _d2phi(self, t):
-        return self.delta0 * np.asarray(self.hazard.hazard_derivative(t))
-
     def _delta(self, t):
         return np.full_like(t, self.delta0)
-
-    def _ddelta(self, t):
-        return np.zeros_like(t)
 
 
 class RelaxedJLSExcess(ExcessReturn):
     """phi' = delta(t) * kappa(t) for a supplied relative jump size.
 
-    ``delta_fn`` and its derivative must be vectorized callables mapping
-    [0, T) to [0, 1].  ``phi_fn`` may supply a closed-form primitive of
-    phi'; without one, phi is tabulated once by cumulative quadrature on a
-    clustered grid and interpolated (values near the horizon then carry the
-    interpolation error, which only matters for price simulation of crashes
-    very close to T).
+    ``delta_fn`` must be a vectorized callable mapping [0, T) to [0, 1].
+    ``phi_fn`` may supply a closed-form primitive of phi'; without one, phi
+    is tabulated once by cumulative quadrature on a clustered grid and
+    interpolated (values near the horizon then carry the interpolation
+    error, which only matters for price simulation of crashes very close
+    to T).
     """
 
     family = "jls_relaxed"
     bounded_dphi = False
 
-    def __init__(
-        self,
-        hazard: CrashHazard,
-        delta_fn: Callable,
-        ddelta_fn: Callable,
-        phi_fn: Optional[Callable] = None,
-        label: str = "custom",
-    ):
+    def __init__(self, hazard: CrashHazard, delta_fn: Callable, phi_fn: Optional[Callable] = None):
         self.hazard = hazard
         self._delta = delta_fn
-        self._ddelta = ddelta_fn
         self._phi_fn = phi_fn
-        self.label = label
         self._phi_interp = None
 
     def _phi(self, t):
@@ -529,18 +478,14 @@ class RelaxedJLSExcess(ExcessReturn):
     def _dphi(self, t):
         return np.asarray(self._delta(t)) * np.asarray(self.hazard.hazard(t))
 
-    def _d2phi(self, t):
-        return np.asarray(self._ddelta(t)) * np.asarray(self.hazard.hazard(t)) + np.asarray(
-            self._delta(t)
-        ) * np.asarray(self.hazard.hazard_derivative(t))
-
 
 def linear_delta_excess(hazard: CrashHazard, slope: float) -> RelaxedJLSExcess:
     """Relative jump size growing linearly in time: delta(t) = slope * t.
 
     On the uniform law this is the canonical bubble whose crash severity
     ramps from 0 to slope * T; phi then has the closed form
-    slope * (T log(T/(T-t)) - t).
+    slope * (T log(T/(T-t)) - t), formed through log1p so it does not
+    cancel near t = 0.
     """
     _finite(slope=slope)
     T = hazard.horizon
@@ -551,14 +496,12 @@ def linear_delta_excess(hazard: CrashHazard, slope: float) -> RelaxedJLSExcess:
 
         def phi_fn(t, _T=T, _s=slope):
             t = np.asarray(t, dtype=float)
-            return _s * (_T * (np.log(_T) - np.log(_T - t)) - t)
+            return _s * (-_T * np.log1p(-t / _T) - t)
 
     return RelaxedJLSExcess(
         hazard,
         delta_fn=lambda t, _s=slope: _s * np.asarray(t, dtype=float),
-        ddelta_fn=lambda t, _s=slope: np.full(np.shape(np.asarray(t)), _s),
         phi_fn=phi_fn,
-        label=f"linear_delta(slope={slope:g})",
     )
 
 
@@ -567,10 +510,9 @@ class CustomExcess(ExcessReturn):
 
     family = "custom"
 
-    def __init__(self, phi_fn, dphi_fn, d2phi_fn, bounded_dphi: bool = True):
+    def __init__(self, phi_fn, dphi_fn, bounded_dphi: bool = True):
         self._phi = phi_fn
         self._dphi = dphi_fn
-        self._d2phi = d2phi_fn
         self.bounded_dphi = bounded_dphi
 
 
@@ -615,17 +557,6 @@ class MarketModel:
         kap = np.asarray(self.hazard.hazard(t))
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(dphi == 0.0, 0.0, dphi / kap)
-
-    @_elementwise
-    def ddelta(self, t):
-        direct = self.excess.ddelta(t)
-        if direct is not None:
-            return direct
-        dphi = np.asarray(self.excess.dphi(t))
-        d2phi = np.asarray(self.excess.d2phi(t))
-        kap = np.asarray(self.hazard.hazard(t))
-        dkap = np.asarray(self.hazard.hazard_derivative(t))
-        return (d2phi * kap - dphi * dkap) / kap**2
 
     def phi_left_limit(self) -> float:
         """phi(T-), finite whenever the hazard is integrable."""
@@ -972,7 +903,7 @@ def excess_defect_integral(model: MarketModel) -> tuple[float, str]:
     T = model.horizon
     if hz.kappa_integrable:
         total = -math.log(hz.atom)
-        return total - float(ex.phi(T * (1.0 - 1e-12))), CONVERGED
+        return total - model.phi_left_limit(), CONVERGED
     # hazard nonintegrable from here on
     if ex.bounded_dphi:
         return math.inf, CONVERGED

@@ -82,7 +82,6 @@ class AuxEval:
     da_dy: float
     dm_dy: float
     dn_dy: float
-    da_dt: float
 
 
 class _Coef:
@@ -158,9 +157,7 @@ def aux_eval(model: MarketModel, prefs: Preference, t: float, y: float) -> AuxEv
     da_dy = float((c.dlt * c.phi_p / c.sig2p)[0])
     dm_dy = float(_aux_dm_dy(c, yv)[0])
     dn_dy = float(_aux_dn_dy(c, yv)[0])
-    ddlt, phi_pp = np.asarray(model.ddelta(c.t)), np.asarray(model.excess.d2phi(c.t))
-    da_dt = float((-(ddlt * (c.mu - c.phi_p * y) - c.dlt * phi_pp * y) / c.sig2p)[0])
-    return AuxEval(a, b, m, n, da_dy, dm_dy, dn_dy, da_dt)
+    return AuxEval(a, b, m, n, da_dy, dm_dy, dn_dy)
 
 
 def _implicit_many(c: _Coef, targets: np.ndarray, x0=None) -> np.ndarray:
@@ -247,19 +244,6 @@ def bracket_curves(model: MarketModel, prefs: Preference, grid: np.ndarray) -> t
     c = _Coef(model, prefs.p, grid)
     lo, hi = _brackets(model, c)
     return Curve(c.t, lo), Curve(c.t, hi)
-
-
-def ode_rhs(model: MarketModel, prefs: Preference, t: float, y: float) -> float:
-    """Slope of the solution curve: the integral equation in ODE form.
-
-    Defined only above the admissible boundary, where the denominator is
-    positive.
-    """
-    if y <= lower_boundary(model, prefs, t):
-        raise DomainError("(t, y) lies outside the admissible domain")
-    ev = aux_eval(model, prefs, t, y)
-    denom = ev.a / (prefs.p * (1.0 + y)) + ev.da_dy
-    return (ev.a * ev.n - ev.da_dt) / denom
 
 
 @_elementwise

@@ -309,9 +309,11 @@ class TestErrorPaths:
         path = write_scenario(
             tmp_path, {"excess": {"family": "constant", "params": {"alpha": 1.5}}}
         )
-        code, _, err = run_cli(["solve", "--scenario", path], capsys)
+        target = tmp_path / "out.csv"
+        code, _, err = run_cli(["solve", "--scenario", path, "--out", str(target)], capsys)
         assert code == 2
         assert "kind=validation" in err
+        assert not target.exists()  # a failed command writes no output file
 
     @pytest.mark.parametrize("flags", [[], ["--under-q"]], ids=["P", "Q"])
     def test_classify_validation_failure(self, tmp_path, capsys, flags):
@@ -345,6 +347,14 @@ class TestErrorPaths:
         code, _, err = run_cli(["simulate", "--scenario", path], capsys)
         assert code == 4
         assert "kind=simulation" in err
+
+    def test_missing_out_directory(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {})
+        target = str(tmp_path / "missing" / "out.csv")
+        code, out, err = run_cli(["classify", "--scenario", path, "--out", target], capsys)
+        assert code == 5 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR code=5 kind=output")
 
     def test_unknown_family(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {"hazard": {"family": "cauchy"}})
@@ -456,6 +466,24 @@ def test_console_entry_point():
     )
     assert result.returncode == 1
     assert "ERROR code=1" in result.stderr
+
+
+def test_closed_stdout_is_an_output_error(tmp_path):
+    # the 4096-row CSV (about 450 KB) outgrows a pipe buffer, so the solve is
+    # still writing when the reader closes after the header
+    args = ["solve", "--scenario", write_scenario(tmp_path, {}), "--grid", "4096"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "bubblemkt.cli", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as proc:
+        assert proc.stdout.readline().startswith("t,y_hat,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 5
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR code=5 kind=output"), err
 
 
 def test_cli_runtime_never_imports_scipy(tmp_path):

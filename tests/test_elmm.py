@@ -128,7 +128,6 @@ class TestVerifyTiltBounds:
         excess = CustomExcess(
             phi_fn=lambda t: 0.2 * (np.asarray(t) - 0.5 * np.asarray(t) ** 2),
             dphi_fn=lambda t: 0.2 * (1.0 - np.asarray(t)),
-            d2phi_fn=lambda t: np.full(np.shape(np.asarray(t)), -0.2),
         )
         model = MarketModel(0.1, 0.2, law, excess)
         bad = TiltFunction(

@@ -122,6 +122,18 @@ def test_uniform_cumulative_hazard_near_zero(horizon):
     assert abs(got / series - 1.0) <= 1e-15
 
 
+@pytest.mark.parametrize("t, bound", [(1e-8, 2e-8), (1e-6, 1e-9), (1e-4, 1e-11)])
+def test_uniform_linear_delta_phi_near_zero(t, bound):
+    # phi = slope (-T log(1 - t/T) - t) = slope T sum_{k>=2} (t/T)^k / k; past
+    # k = 12 the terms are below 1e-40 of the first.  The leading t cancels,
+    # so the bound grows as t shrinks; the log(T) - log(T - t) form misses by
+    # 1.0, 5.8e-5 and 2.2e-9 here
+    law = UniformHazard(1.0)
+    series = sum(t**k / k for k in range(2, 13))
+    got = float(linear_delta_excess(law, 1.0).phi(t))
+    assert abs(got / series - 1.0) <= bound
+
+
 class TestJumpSize:
     def test_ex37(self, ex37_model):
         assert jump_size(ex37_model, 0.3) == pytest.approx(0.3, abs=1e-12)

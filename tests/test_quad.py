@@ -36,9 +36,8 @@ def test_bit_identical_to_pchip(n, shape):
     curve = Curve(x, y)
     t = np.concatenate([np.random.default_rng(n + 1).uniform(x[0], x[-1], 4000), x])
     np.testing.assert_array_equal(curve(t), ref(t))
-    # SciPy's derivative polynomials, as TabulatedHazard used them
+    # SciPy's derivative polynomial, as TabulatedHazard uses it
     np.testing.assert_array_equal(curve(t, 1), ref.derivative(1)(t))
-    np.testing.assert_array_equal(curve(t, 2), ref.derivative(2)(t))
 
 
 def test_held_at_end_values_outside_the_knots():

@@ -29,7 +29,6 @@ from bubblemkt import (
     log_utility_solution,
     lower_boundary,
     myopic_curve,
-    ode_rhs,
     optimal_fraction,
     solve_optimal,
     verify_tilt_bounds,
@@ -241,32 +240,21 @@ class TestBracketCurves:
         assert np.all(lo.values <= hi.values + 1e-12)
 
 
-class TestOdeRhs:
-    def test_zero_profile_flat(self, zero_profile):
-        assert ode_rhs(zero_profile, P4, 0.3, 0.0) == 0.0
+class TestDifferentialForm:
+    def test_log_m_slope_is_n(self, base_model, base_solution):
+        # m(t, y(t)) = exp(-int_t^T n) differentiates to d/dt log m = n
+        for sol in (solve_optimal(base_model, PQ), base_solution):
+            prefs, grid, h = sol.preference, sol.grid, 1e-5
 
-    def test_constant_solution_has_zero_slope(self, base_model):
-        yhat = log_utility_solution(base_model, 0.4)
-        assert ode_rhs(base_model, P1, 0.4, yhat) == pytest.approx(0.0, abs=1e-12)
+            def log_m(t):
+                return math.log(aux_eval(base_model, prefs, t, float(sol.tilt(t))).m)
 
-    def test_outside_domain(self, base_model):
-        with pytest.raises(DomainError):
-            ode_rhs(base_model, P4, 0.3, -1.0)
-
-    def test_solved_curve_self_consistency(self, base_model, base_solution):
-        grid = base_solution.grid
-        idx = np.arange(40, len(grid) - 40, 29)
-        h = 1e-5
-        fd = (base_solution.tilt(grid[idx] + h) - base_solution.tilt(grid[idx] - h)) / (
-            2.0 * h
-        )
-        rhs = np.array(
-            [
-                ode_rhs(base_model, P4, float(grid[j]), float(base_solution.tilt.values[j]))
-                for j in idx
+            gaps = [
+                (log_m(float(t) + h) - log_m(float(t) - h)) / (2.0 * h)
+                - aux_eval(base_model, prefs, float(t), float(y)).n
+                for t, y in zip(grid[40:-40:29], sol.tilt.values[40:-40:29])
             ]
-        )
-        assert np.max(np.abs(fd - rhs)) <= 1e-4
+            assert np.max(np.abs(gaps)) <= 1e-5, prefs.p
 
 
 class TestLogUtilitySolution:
