@@ -1,6 +1,6 @@
 """Quadrature plumbing shared across the package.
 
-Four tools live here:
+Five tools live here:
 
 * :class:`PanelRule` integrates grid-sampled functions on a fixed,
   nonuniform grid with a local-cubic rule (O(h^4) globally), giving fast
@@ -17,6 +17,9 @@ Four tools live here:
   A point stops as soon as the function resolves its target to a few ulps.
 * :class:`Curve` is the monotone cubic, with its derivative, behind every
   tabulated object in the package.
+* :func:`local_slope` differentiates exp(int g) by central differences
+  over locally re-integrated increments, for the identity checks that
+  must not restate the formulas they check.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _GL5_X, _GL5_W = np.polynomial.legendre.leggauss(5)
+_GL7_X, _GL7_W = np.polynomial.legendre.leggauss(7)
 _GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
 
 _ULPS = 4.0 * np.finfo(float).eps  # root-finder stopping width, relative
@@ -363,6 +367,33 @@ def monotone_inverse(fn, dfn, lo, hi, targets: np.ndarray, x0=None) -> np.ndarra
         x = np.where(bisect, 0.5 * (low + high), newton)
     out.flat[idx] = x
     return out
+
+
+def local_step(horizon: float, t):
+    """Step of :func:`local_slope` at ``t``: it shrinks with the distance
+    to the horizon, so truncation stays O(1e-10) even against a hazard
+    blow-up."""
+    return 3e-6 * np.minimum(horizon, horizon - t)
+
+
+def local_slope(g, t: np.ndarray, h) -> np.ndarray:
+    """g(t) recovered as exp(-G) d/dt exp(G), G' = g, by central differences.
+
+    The increments of G over [t - h, t] and [t, t + h] are re-integrated
+    with 7-point Gauss, vectorized over the 1-d array ``t`` (``h`` is a
+    scalar or a matching array), and differenced through expm1, which keeps
+    the numerator accurate when they are tiny.  The width is
+    (t + h) - (t - h), an exact difference of the stencil's floats, so it
+    does not amplify eps(t) / h.
+    """
+    lo, hi = t - h, t + h
+
+    def increment(a, b):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        nodes = mid[:, None] + half[:, None] * _GL7_X
+        return half * (g(nodes.ravel()).reshape(nodes.shape) @ _GL7_W)
+
+    return (np.expm1(increment(t, hi)) - np.expm1(-increment(lo, t))) / (hi - lo)
 
 
 def _vectorized(f):

@@ -19,14 +19,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._quad import CONVERGED, Curve, PanelRule, horizon_grid, integrate_toward
+from ._quad import local_slope, local_step
 from .hazard import (
     Classification,
     CrashHazard,
     MarketModel,
     ModelError,
     Verdict,
-    excess_defect_integral,
-    limsup_jump_size,
+    _classification,
     require_valid,
 )
 
@@ -123,39 +123,20 @@ class TiltedMeasure(CrashHazard):
         """
         hazard = self.model.hazard
         inner = self.grid[1:-1]
-        # the step shrinks with the distance to the horizon so truncation
-        # stays O(1e-10) even against a hazard blow-up
-        h_all = 3e-6 * np.minimum(self.horizon, self.horizon - inner)
+        h_all = local_step(self.horizon, inner)
         keep = (inner + h_all < self.grid[-1]) & (inner - h_all > 0.0)
         t, h = inner[keep], h_all[keep]
         kap = np.asarray(hazard.hazard(t))
         yv = self.tilt(t)
         zeta = np.exp(-np.asarray(self._tilt_interp(t)))
 
-        def local_increment(f, a, b):
-            # two-panel Gauss on [a, b], vectorized over node arrays
-            x1, w1 = np.polynomial.legendre.leggauss(7)
-            mid = 0.5 * (a + b)
-            half = 0.5 * (b - a)
-            nodes = mid[:, None] + half[:, None] * x1[None, :]
-            return half * (f(nodes.ravel()).reshape(nodes.shape) @ w1)
-
-        def kappa_y(x):
-            return np.asarray(hazard.hazard(x)) * self.tilt(x)
+        def minus_kappa_y(x):  # the log-slope of zeta
+            return -np.asarray(hazard.hazard(x)) * self.tilt(x)
 
         def kappa_total(x):
             return np.asarray(hazard.hazard(x)) * (1.0 + self.tilt(x))
 
-        # snap the stencil to exact floats: the width (hi - lo) is then an
-        # exact difference of nearby floats and no longer amplifies eps(t)/h
-        lo = t - h
-        hi = t + h
-        width = hi - lo
-
-        inc_up = local_increment(kappa_y, t, hi)
-        inc_dn = local_increment(kappa_y, lo, t)
-        # expm1 keeps the FD numerator accurate when the increments are tiny
-        dzeta = zeta * (np.expm1(-inc_up) - np.expm1(inc_dn)) / width
+        dzeta = zeta * local_slope(minus_kappa_y, t, h)
         res1 = np.abs((zeta - dzeta / kap) - zeta * (1.0 + yv)) / zeta
 
         surv_t = np.asarray(self.survival(t))
@@ -163,9 +144,7 @@ class TiltedMeasure(CrashHazard):
             surv_t, 1e-300
         )
 
-        kap_h_fd = (
-            local_increment(kappa_total, t, hi) + local_increment(kappa_total, lo, t)
-        ) / width
+        kap_h_fd = local_slope(kappa_total, t, h)  # log-slope of 1 / tilted survival
         res3 = np.abs(kap_h_fd - kap * (1.0 + yv)) / (kap * (1.0 + yv))
 
         return np.vstack([res1, res2, res3])
@@ -175,18 +154,9 @@ def _probe_grid(model: MarketModel, n: int = 1024) -> np.ndarray:
     return horizon_grid(model.horizon, n)
 
 
-def build_tilted_measure(
-    model: MarketModel,
-    tilt: TiltFunction,
-    grid: Optional[np.ndarray] = None,
-) -> TiltedMeasure:
-    """Construct the tilted crash-time law after admissibility checks.
-
-    Rejections name the violated condition: positivity of 1 + y, square
-    integrability of phi' y, and (only when the law has an atom)
-    integrability of kappa (1 + y).  The law is tabulated on ``grid``,
-    by default the ``TILTED_GRID_POINTS``-node horizon grid.
-    """
+def _admit_tilt(model: MarketModel, tilt: TiltFunction) -> None:
+    """Raise :class:`RejectedTiltError` naming the first admissibility
+    condition that ``tilt`` violates (see :func:`build_tilted_measure`)."""
     probe = _probe_grid(model)
     one_plus = 1.0 + tilt(probe)
     floor = float(np.min(one_plus))
@@ -229,6 +199,22 @@ def build_tilted_measure(
                     "tilt violates integrability of kappa (1 + y) for an atom law"
                 )
 
+
+def build_tilted_measure(
+    model: MarketModel,
+    tilt: TiltFunction,
+    grid: Optional[np.ndarray] = None,
+) -> TiltedMeasure:
+    """Construct the tilted crash-time law after admissibility checks.
+
+    Rejections name the violated condition: positivity of 1 + y, square
+    integrability of phi' y (skipped when the profile declares phi'
+    bounded and phi' y is finite on the probe grid), and (only when the
+    law has an atom) integrability of kappa (1 + y).  The law is tabulated
+    on ``grid``, by default the ``TILTED_GRID_POINTS``-node horizon grid.
+    :func:`classify_under_Q` runs the same checks without tabulating.
+    """
+    _admit_tilt(model, tilt)
     if grid is None:
         grid = horizon_grid(model.horizon, TILTED_GRID_POINTS)
     return TiltedMeasure(model, tilt, np.asarray(grid, dtype=float))
@@ -270,37 +256,21 @@ def verify_tilt_bounds(model: MarketModel, tilt: TiltFunction) -> Optional[tuple
 def classify_under_Q(model: MarketModel, tilt: TiltFunction) -> Classification:
     """Martingale status of the asset under the measure built from ``tilt``.
 
-    An atom forces a true martingale for every admissible tilt.  Without
-    an atom the verdict needs the two-sided tilt bounds, after which it is
-    tilt-free: strict local iff int (kappa - phi') < infinity.  A model
-    that fails :func:`~bubblemkt.hazard.validate` raises
+    The tilt must pass the admissibility checks of
+    :func:`build_tilted_measure`, else :class:`RejectedTiltError`; the
+    tilted law itself is never tabulated.  An atom forces a true
+    martingale for every admissible tilt.  Without an atom the verdict
+    needs the two-sided tilt bounds of :func:`verify_tilt_bounds`, after
+    which it is tilt-free and comes from the ladder of
+    :func:`~bubblemkt.hazard.classify_under_P`: strict local iff
+    int (kappa - phi') < infinity.  A model that fails
+    :func:`~bubblemkt.hazard.validate` raises
     :class:`~bubblemkt.hazard.ModelError`.
     """
     require_valid(model)
-    # admissibility gate; a coarse table suffices
-    build_tilted_measure(model, tilt, grid=horizon_grid(model.horizon, 257))
-    atom = model.hazard.atom
-    defect, status = excess_defect_integral(model)
-    lim = limsup_jump_size(model)
-    if atom > 0.0:
-        return Classification(Verdict.TRUE_MARTINGALE, atom, defect, lim)
-    bounds = verify_tilt_bounds(model, tilt)
-    if bounds is None:
-        return Classification(
-            Verdict.INDETERMINATE,
-            atom,
-            defect,
-            lim,
-            "two-sided tilt bounds could not be certified",
+    _admit_tilt(model, tilt)
+    if model.hazard.atom == 0.0 and verify_tilt_bounds(model, tilt) is None:
+        return _classification(
+            model, Verdict.INDETERMINATE, "two-sided tilt bounds could not be certified"
         )
-    if status != CONVERGED:
-        return Classification(
-            Verdict.INDETERMINATE,
-            atom,
-            defect,
-            lim,
-            "quadrature could not certify the defect integral",
-        )
-    if math.isinf(defect):
-        return Classification(Verdict.TRUE_MARTINGALE, atom, defect, lim)
-    return Classification(Verdict.STRICT_LOCAL_MARTINGALE, atom, defect, lim)
+    return _classification(model)

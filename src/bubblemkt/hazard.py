@@ -346,9 +346,11 @@ class ExcessReturn:
     it fixes the relative jump size itself, ``_delta``; this class gives
     them the scalar-or-array convention of the crash laws.
     ``bounded_dphi`` advertises that ``phi'`` is bounded on [0, T), which
-    lets the classifier decide integrability of ``kappa - phi'`` without
-    quadrature.  Profiles tied to a hazard (constant or supplied relative
-    jump size) carry the hazard.
+    lets the tilt gate of :func:`~bubblemkt.elmm.build_tilted_measure`
+    skip the square-integrability quadrature of ``phi' y`` for a tilt that
+    stays finite on its probe grid; no classification reads it.  Profiles
+    tied to a hazard (constant or supplied relative jump size) carry the
+    hazard.
     """
 
     family = "generic"
@@ -430,7 +432,9 @@ class ConstantJumpSizeExcess(ExcessReturn):
         self.delta0 = float(delta0)
 
     @property
-    def bounded_dphi(self) -> bool:  # bounded iff the hazard is
+    def bounded_dphi(self) -> bool:
+        # integrability of the hazard, which is not boundedness: an LPPL
+        # hazard with power in (0, 1) is integrable and unbounded
         return self.hazard.kappa_integrable
 
     def _phi(self, t):
@@ -506,14 +510,19 @@ def linear_delta_excess(hazard: CrashHazard, slope: float) -> RelaxedJLSExcess:
 
 
 class CustomExcess(ExcessReturn):
-    """Closed-form profile supplied by the caller."""
+    """Closed-form profile supplied by the caller.
+
+    Nothing is assumed about ``phi'`` beyond the checks of
+    :func:`validate`: it is not taken to be bounded, and the classifiers
+    certify its integrability by quadrature.
+    """
 
     family = "custom"
+    bounded_dphi = False
 
-    def __init__(self, phi_fn, dphi_fn, bounded_dphi: bool = True):
+    def __init__(self, phi_fn, dphi_fn):
         self._phi = phi_fn
         self._dphi = dphi_fn
-        self.bounded_dphi = bounded_dphi
 
 
 # ---------------------------------------------------------------------------
@@ -784,76 +793,34 @@ def single_jump_class(hazard: CrashHazard, fn: C1Function) -> SingleJumpReport:
         kap = np.asarray(hazard.hazard(t))
         return (np.asarray(fn.derivative(t)) / kap) ** 2 * np.asarray(hazard.density(t))
 
-    i1 = integrate_toward(post_jump_density, 0.0, T)
-    if i1.status == DIVERGENT:
-        return SingleJumpReport(
-            SingleJumpClass.INDETERMINATE,
-            integrable=False,
-            true_martingale=None,
-            square_integrable=None,
-            detail="post-jump level is not dG-integrable",
-        )
-    if i1.status != CONVERGED:
-        return SingleJumpReport(
-            SingleJumpClass.INDETERMINATE,
-            integrable=None,
-            true_martingale=None,
-            square_integrable=None,
-            detail="integrability test did not resolve near the horizon",
-        )
+    def certificate(f) -> Optional[bool]:  # None when INDETERMINATE
+        return {CONVERGED: True, DIVERGENT: False}.get(integrate_toward(f, 0.0, T).status)
 
-    # degenerate case: F never moves, so the process is constant
-    probe = horizon_grid(T, 257)
-    dvals = np.asarray(fn.derivative(probe))
-    if np.all(dvals == 0.0):
-        return SingleJumpReport(
-            SingleJumpClass.TRUE_MARTINGALE,
-            integrable=True,
-            true_martingale=True,
-            square_integrable=True,
-            detail="flat F: constant process",
-        )
+    integrable = certificate(post_jump_density)
+    # a flat F never moves, so the process is constant
+    flat = integrable and bool(np.all(np.asarray(fn.derivative(horizon_grid(T, 257))) == 0.0))
+    square = True if flat else (certificate(jump_second_moment) if integrable else None)
+    limit, resolved = 0.0, True  # read only where no atom and no square certificate decide
+    if integrable and not square and hazard.atom == 0.0:
+        limit, resolved = _horizon_limit_scaled(hazard, fn)
 
-    i2 = integrate_toward(jump_second_moment, 0.0, T)
-    if i2.status == CONVERGED:
-        return SingleJumpReport(
-            SingleJumpClass.SQUARE_INTEGRABLE_MARTINGALE,
-            integrable=True,
-            true_martingale=True,
-            square_integrable=True,
-        )
-
-    if hazard.atom > 0.0:
-        return SingleJumpReport(
-            SingleJumpClass.TRUE_MARTINGALE,
-            integrable=True,
-            true_martingale=True,
-            square_integrable=False if i2.status == DIVERGENT else None,
-        )
-
-    limit, resolved = _horizon_limit_scaled(hazard, fn)
-    if not resolved:
-        return SingleJumpReport(
-            SingleJumpClass.INDETERMINATE,
-            integrable=True,
-            true_martingale=None,
-            square_integrable=False if i2.status == DIVERGENT else None,
-            detail="limit of F(t)(1 - G(t)) did not stabilize",
-        )
-    if limit == 0.0:
-        return SingleJumpReport(
-            SingleJumpClass.TRUE_MARTINGALE,
-            integrable=True,
-            true_martingale=True,
-            square_integrable=False if i2.status == DIVERGENT else None,
-        )
-    return SingleJumpReport(
-        SingleJumpClass.INTEGRABLE_LOCAL_MARTINGALE,
-        integrable=True,
-        true_martingale=False,
-        square_integrable=False if i2.status == DIVERGENT else None,
-        detail=f"F(t)(1 - G(t)) -> {limit:.6g} != 0",
-    )
+    if not integrable:
+        verdict, martingale = SingleJumpClass.INDETERMINATE, None
+        detail = "post-jump level is not dG-integrable"
+        if integrable is None:
+            detail = "integrability test did not resolve near the horizon"
+    elif not resolved:
+        verdict, martingale = SingleJumpClass.INDETERMINATE, None
+        detail = "limit of F(t)(1 - G(t)) did not stabilize"
+    elif limit != 0.0:
+        verdict, martingale = SingleJumpClass.INTEGRABLE_LOCAL_MARTINGALE, False
+        detail = f"F(t)(1 - G(t)) -> {limit:.6g} != 0"
+    elif square and not flat:
+        verdict, martingale, detail = SingleJumpClass.SQUARE_INTEGRABLE_MARTINGALE, True, ""
+    else:
+        verdict, martingale = SingleJumpClass.TRUE_MARTINGALE, True
+        detail = "flat F: constant process" if flat else ""
+    return SingleJumpReport(verdict, integrable, martingale, square, detail)
 
 
 def _horizon_limit_scaled(hazard: CrashHazard, fn: C1Function) -> tuple[float, bool]:
@@ -867,7 +834,7 @@ def _horizon_limit_scaled(hazard: CrashHazard, fn: C1Function) -> tuple[float, b
     if np.all(np.abs(tail) <= 1e-10 * scale):
         return 0.0, True
     spread = float(np.max(tail) - np.min(tail))
-    if spread <= 1e-6 * max(1.0, float(np.abs(tail[-1]))):
+    if spread <= 1e-6 * float(np.abs(tail[-1])):  # relative: a falling tail is no limit
         return float(tail[-1]), True
     return float(tail[-1]), False
 
@@ -904,8 +871,8 @@ def excess_defect_integral(model: MarketModel) -> tuple[float, str]:
     if hz.kappa_integrable:
         total = -math.log(hz.atom)
         return total - model.phi_left_limit(), CONVERGED
-    # hazard nonintegrable from here on
-    if ex.bounded_dphi:
+    # hazard nonintegrable from here on, so an integrable phi' leaves D infinite
+    if integrate_toward(ex.dphi, 0.0, T).status == CONVERGED:
         return math.inf, CONVERGED
     if isinstance(ex, ConstantJumpSizeExcess):
         if ex.delta0 < 1.0:
@@ -946,6 +913,27 @@ def limsup_jump_size(model: MarketModel) -> float:
     return best
 
 
+def _classification(
+    model: MarketModel, verdict: Optional[Verdict] = None, detail: str = ""
+) -> Classification:
+    """Classification of a validated model under either measure.
+
+    A ``verdict`` given by the caller's own rule stands, with its
+    ``detail``.  Otherwise the ladder decides: an uncertified defect
+    integral is indeterminate, an atom or an infinite defect gives a true
+    martingale, and a finite defect a strict local martingale.
+    """
+    atom = model.hazard.atom
+    defect, status = excess_defect_integral(model)
+    lim = limsup_jump_size(model)
+    if verdict is None and status != CONVERGED:
+        verdict, detail = Verdict.INDETERMINATE, "quadrature could not certify the defect integral"
+    elif verdict is None:
+        true = atom > 0.0 or math.isinf(defect)
+        verdict = Verdict.TRUE_MARTINGALE if true else Verdict.STRICT_LOCAL_MARTINGALE
+    return Classification(verdict, atom, defect, lim, detail)
+
+
 def classify_under_P(model: MarketModel) -> Classification:
     """Martingale status of the asset under the physical measure.
 
@@ -956,21 +944,6 @@ def classify_under_P(model: MarketModel) -> Classification:
     :class:`ModelError`.
     """
     require_valid(model)
-    atom = model.hazard.atom
-    defect, status = excess_defect_integral(model)
-    lim = limsup_jump_size(model)
     if model.mu != 0.0:
-        return Classification(
-            Verdict.NOT_LOCAL_MARTINGALE_UNDER_P, atom, defect, lim, "nonzero drift"
-        )
-    if status != CONVERGED:
-        return Classification(
-            Verdict.INDETERMINATE,
-            atom,
-            defect,
-            lim,
-            "quadrature could not certify the defect integral",
-        )
-    if atom > 0.0 or math.isinf(defect):
-        return Classification(Verdict.TRUE_MARTINGALE, atom, defect, lim)
-    return Classification(Verdict.STRICT_LOCAL_MARTINGALE, atom, defect, lim)
+        return _classification(model, Verdict.NOT_LOCAL_MARTINGALE_UNDER_P, "nonzero drift")
+    return _classification(model)

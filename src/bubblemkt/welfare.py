@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import CONVERGED, PanelRule, integrate_toward
+from ._quad import CONVERGED, PanelRule, integrate_toward, local_slope, local_step
 from .hazard import MarketModel
 from .solver import Preference, Solution, SolverError, aux_eval, log_utility_solution
 
@@ -144,18 +144,7 @@ def xihat_identity_check(solution: Solution, v: float) -> float:
         fp = np.asarray(model.excess.dphi(u))
         return fp * (model.mu - fp * yv) * (1.0 + yv) / p_sig2
 
-    h = 3e-6 * min(T, T - v)
-    lo, hi = v - h, v + h
-    width = hi - lo
-    nodes, weights = np.polynomial.legendre.leggauss(7)
-
-    def seg(a, b):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        return half * float(growth(mid + half * nodes) @ weights)
-
-    up, dn = seg(v, hi), seg(lo, v)
-    dlog_xi = (math.expm1(up) - math.expm1(-dn)) / width
-
+    dlog_xi = float(local_slope(growth, np.array([v]), local_step(T, v))[0])
     y_v = float(solution.tilt(v))
     kappa_tilted = float(model.hazard.hazard(v)) * (1.0 + y_v)
     a_v = aux_eval(model, prefs, v, y_v).a

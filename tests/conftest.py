@@ -4,8 +4,11 @@ from hypothesis import HealthCheck, settings
 
 from bubblemkt import (
     ConstantExcess,
+    CustomExcess,
     ExponentialCutoffHazard,
+    LPPLHazard,
     MarketModel,
+    RelaxedJLSExcess,
     UniformHazard,
     linear_delta_excess,
 )
@@ -34,6 +37,31 @@ def ex37_model():
     canonical strict local martingale."""
     law = UniformHazard(1.0)
     return MarketModel(0.0, 0.2, law, linear_delta_excess(law, 1.0))
+
+
+@pytest.fixture(scope="session")
+def ex37_custom_model():
+    """The canonical strict local martingale with its profile written as a
+    caller's closed form: phi = -log(1 - t) - t, phi' = t / (1 - t)."""
+    return MarketModel(
+        0.0,
+        0.2,
+        UniformHazard(1.0),
+        CustomExcess(
+            phi_fn=lambda t: -np.log1p(-np.asarray(t, dtype=float)) - np.asarray(t, dtype=float),
+            dphi_fn=lambda t: np.asarray(t, dtype=float) / (1.0 - np.asarray(t, dtype=float)),
+        ),
+    )
+
+
+@pytest.fixture(scope="session")
+def lppl_half_model():
+    """Driftless LPPL law with power 0 and relative crash size 1/2: the
+    defect int (kappa - phi') = int kappa / 2 diverges like a logarithm
+    under a log-periodic wobble, which the shell quadrature cannot certify."""
+    law = LPPLHazard(b=1.2, c=0.3, power=0.0, omega=6.0, phase=0.5, horizon=1.0)
+    half = RelaxedJLSExcess(law, lambda t: np.full_like(np.asarray(t, dtype=float), 0.5))
+    return MarketModel(0.0, 0.2, law, half)
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bubblemkt import solve_optimal, welfare_from_curve
+from bubblemkt import (
+    BudgetUnderQ,
+    SimConfig,
+    estimate,
+    solve_optimal,
+    welfare_from_curve,
+)
 from bubblemkt.cli import build_model, build_preference, load_scenario, main
 
 EX37 = {
@@ -171,6 +177,28 @@ class TestSimulate:
         assert row["estimand"] == "E_ST"
         assert int(row["n_paths"]) == 20_000
         assert abs(float(row["mean"]) - (1 - np.exp(-1))) < 5 * float(row["stderr"])
+
+    def test_budget_under_q(self, tmp_path, capsys):
+        # E^Q[X_T] of the optimal wealth is the initial capital x
+        payload = {
+            "preference": {"x": 2.0},
+            "sim": {"n_paths": 20_000, "seed": 3, "estimand": "budget_under_q"},
+        }
+        path = write_scenario(tmp_path, payload)
+        code, out, err = run_cli(["simulate", "--scenario", path], capsys)
+        assert code == 0 and err == ""
+        rows = parse_csv(out)
+        assert len(rows) == 1
+        row = rows[0]
+        assert row["estimand"] == "EQ_XT" and int(row["n_paths"]) == 20_000
+        mean, stderr = float(row["mean"]), float(row["stderr"])
+        assert abs(mean - 2.0) < 3.0 * stderr
+
+        scenario = load_scenario(path)
+        model = build_model(scenario)
+        sol = solve_optimal(model, build_preference(scenario), n_grid=scenario["grid"]["n"])
+        ref = estimate(model, SimConfig(n_paths=20_000, seed=3), BudgetUnderQ(sol))
+        assert (mean, stderr) == (ref.mean, ref.stderr)  # 17 digits round-trip
 
     def test_seed_env_override(self, tmp_path, capsys, monkeypatch):
         payload = dict(EX37)

@@ -21,6 +21,7 @@ from bubblemkt import (
     solve_optimal,
     verify_tilt_bounds,
 )
+from bubblemkt import elmm
 from bubblemkt.elmm import constant_tilt
 
 
@@ -141,6 +142,40 @@ class TestClassifyUnderQ:
     def test_ex37_zero_tilt_strict_local(self, ex37_model):
         result = classify_under_Q(ex37_model, constant_tilt(0.0))
         assert result.verdict is Verdict.STRICT_LOCAL_MARTINGALE
+
+    def test_custom_profile_matches_relaxed_jls(self, ex37_model, ex37_custom_model):
+        # a caller's closed form no longer declares phi' bounded: the
+        # verdict, the defect and the rejected tilts follow the relaxed-JLS form
+        for model in (ex37_model, ex37_custom_model):
+            result = classify_under_Q(model, constant_tilt(0.0))
+            assert result.verdict is Verdict.STRICT_LOCAL_MARTINGALE
+            assert result.defect == pytest.approx(1.0, rel=1e-10)
+            with pytest.raises(RejectedTiltError, match="square"):
+                classify_under_Q(model, constant_tilt(0.5))
+
+    def test_uncertified_defect_is_indeterminate(self, lppl_half_model):
+        result = classify_under_Q(lppl_half_model, constant_tilt(0.0))
+        assert result.verdict is Verdict.INDETERMINATE
+        assert result.detail == "quadrature could not certify the defect integral"
+
+    def test_uncertified_tilt_bounds_are_indeterminate(self):
+        # 1 + y = 2^17 + 1 exceeds every C up to TILT_BOUND_C_MAX = 2^16
+        law = UniformHazard(1.0)
+        model = MarketModel(0.0, 0.2, law, ConstantExcess(0.2))
+        result = classify_under_Q(model, constant_tilt(2.0**17))
+        assert result.verdict is Verdict.INDETERMINATE
+        assert result.detail == "two-sided tilt bounds could not be certified"
+        assert math.isinf(result.defect)
+
+    def test_builds_no_tilted_law(self, ex37_model, zero_drift_base, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("classification tabulated a tilted law")
+
+        monkeypatch.setattr(elmm, "TiltedMeasure", refuse)
+        classify_under_Q(ex37_model, constant_tilt(0.0))
+        classify_under_Q(zero_drift_base, constant_tilt(0.3))
+        with pytest.raises(RejectedTiltError, match="inf"):
+            classify_under_Q(zero_drift_base, constant_tilt(-1.2))
 
     def test_atom_always_true(self, zero_drift_base):
         for c in (0.0, 0.3, 2.0):

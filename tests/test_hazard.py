@@ -9,6 +9,7 @@ from bubblemkt import (
     C1Function,
     ConstantExcess,
     ConstantJumpSizeExcess,
+    CustomExcess,
     DomainError,
     ExponentialCutoffHazard,
     LPPLHazard,
@@ -17,6 +18,7 @@ from bubblemkt import (
     MarketModel,
     ModelError,
     Preference,
+    RelaxedJLSExcess,
     SingleJumpClass,
     TabulatedHazard,
     UniformHazard,
@@ -171,6 +173,31 @@ class TestValidate:
         assert not report.passed
         assert report.first("lppl_positivity") is not None
 
+    def test_phi_must_start_at_zero(self):
+        excess = CustomExcess(
+            phi_fn=lambda t: 1.0 + 0.2 * np.asarray(t, dtype=float),
+            dphi_fn=lambda t: np.full_like(np.asarray(t, dtype=float), 0.2),
+        )
+        report = validate(MarketModel(0.1, 0.2, ExponentialCutoffHazard(1.0, 1.0), excess))
+        violation = report.first("phi_start")
+        assert violation is not None and violation.t == 0.0
+        assert [v.rule for v in report.violations] == ["phi_start"]
+
+    def test_negative_excess(self):
+        report = validate(
+            MarketModel(0.1, 0.2, ExponentialCutoffHazard(1.0, 1.0), ConstantExcess(-0.1))
+        )
+        violation = report.first("excess_nonnegative")
+        assert violation is not None and violation.t == 0.0
+        assert [v.rule for v in report.violations] == ["excess_nonnegative"]
+
+    def test_hazard_must_stay_positive(self):
+        # |c| > b with a log-periodic term drives kappa below zero
+        law = LPPLHazard(b=1.0, c=2.0, power=0.5, omega=6.0, horizon=1.0)
+        report = validate(MarketModel(0.1, 0.2, law, ZeroExcess()))
+        violation = report.first("hazard_positive")
+        assert violation is not None and float(law.hazard(violation.t)) <= 0.0
+
 
 class TestLPPLLogPrice:
     def test_pure_power(self):
@@ -201,6 +228,14 @@ def _linear() -> C1Function:
         value=lambda t: np.asarray(t, dtype=float),
         derivative=lambda t: np.ones_like(np.asarray(t, dtype=float)),
         horizon_limit=1.0,
+    )
+
+
+def _c1(value, derivative) -> C1Function:
+    """F(t) = value(1 - t) and F'(t) = derivative(1 - t) on the unit horizon."""
+    return C1Function(
+        value=lambda t: value(1.0 - np.asarray(t, dtype=float)),
+        derivative=lambda t: derivative(1.0 - np.asarray(t, dtype=float)),
     )
 
 
@@ -295,6 +330,84 @@ class TestSingleJumpClass:
         assert report.verdict is SingleJumpClass.INTEGRABLE_LOCAL_MARTINGALE
         assert report.true_martingale is False
 
+    def test_post_jump_level_not_integrable(self):
+        # |F - F'/kappa| dG = (1 - t)^-2 on the uniform law
+        fn = _c1(lambda s: s**-2.0, lambda s: 2.0 * s**-3.0)
+        report = single_jump_class(UniformHazard(1.0), fn)
+        assert report.verdict is SingleJumpClass.INDETERMINATE
+        assert (report.integrable, report.true_martingale, report.square_integrable) == (
+            False,
+            None,
+            None,
+        )
+        assert report.detail == "post-jump level is not dG-integrable"
+
+    def test_integrability_unresolved(self):
+        # F (1 - G) = cos(3 log(1 - t)): shell magnitudes neither decay nor settle
+        report = single_jump_class(
+            UniformHazard(1.0),
+            _c1(
+                lambda s: np.cos(3.0 * np.log(s)) / s,
+                lambda s: (np.cos(3.0 * np.log(s)) + 3.0 * np.sin(3.0 * np.log(s))) / s**2,
+            ),
+        )
+        assert report.verdict is SingleJumpClass.INDETERMINATE
+        assert (report.integrable, report.true_martingale, report.square_integrable) == (
+            None,
+            None,
+            None,
+        )
+        assert report.detail == "integrability test did not resolve near the horizon"
+
+    def test_atom_makes_a_martingale_without_square_integrability(self):
+        # F = sqrt(1 - t): F'/kappa blows up like (1 - t)^-1/2, not square
+        # integrable against the exponential density; the atom still decides
+        report = single_jump_class(
+            ExponentialCutoffHazard(1.0, 1.0), _c1(lambda s: s**0.5, lambda s: -0.5 * s**-0.5)
+        )
+        assert report.verdict is SingleJumpClass.TRUE_MARTINGALE
+        assert (report.integrable, report.true_martingale, report.square_integrable) == (
+            True,
+            True,
+            False,
+        )
+
+    def test_unsettled_limit_is_indeterminate(self):
+        # F (1 - G) = 1 + (1 - t)^0.4 still moves by 1e-5 at t = 1 - 2^-41
+        report = single_jump_class(
+            UniformHazard(1.0),
+            _c1(lambda s: 1.0 / s + s**-0.6, lambda s: s**-2.0 + 0.6 * s**-1.6),
+        )
+        assert report.verdict is SingleJumpClass.INDETERMINATE
+        assert (report.integrable, report.true_martingale, report.square_integrable) == (
+            True,
+            None,
+            False,
+        )
+        assert report.detail == "limit of F(t)(1 - G(t)) did not stabilize"
+
+    def test_vanishing_limit_is_a_martingale(self):
+        # kappa = 4/(1 - t), so 1 - G = (1 - t)^4 and F (1 - G) = (1 - t)^2 -> 0,
+        # while (F'/kappa)^2 dG = 1/(1 - t) is not integrable
+        law = LPPLHazard(b=4.0, c=0.0, power=0.0, horizon=1.0)
+        report = single_jump_class(law, _c1(lambda s: s**-2.0, lambda s: 2.0 * s**-3.0))
+        assert report.verdict is SingleJumpClass.TRUE_MARTINGALE
+        assert (report.integrable, report.true_martingale, report.square_integrable) == (
+            True,
+            True,
+            False,
+        )
+
+    def test_falling_tail_is_not_a_limit(self):
+        # F (1 - G) = (1 - t)^1/2 -> 0, but only like 2^-24 on the probe points:
+        # a tail that is still falling must not read as a nonzero limit
+        report = single_jump_class(
+            UniformHazard(1.0), _c1(lambda s: s**-0.5, lambda s: 0.5 * s**-1.5)
+        )
+        assert report.verdict is SingleJumpClass.INDETERMINATE
+        assert report.true_martingale is None
+        assert report.detail == "limit of F(t)(1 - G(t)) did not stabilize"
+
 
 class TestClassifyUnderP:
     def test_ex37_strict_local(self, ex37_model):
@@ -322,6 +435,27 @@ class TestClassifyUnderP:
     def test_strict_local_forces_unit_limsup(self, ex37_model):
         result = classify_under_P(ex37_model)
         assert result.limsup_delta > 1.0 - 1e-3
+
+    def test_uncertified_defect_is_indeterminate(self, lppl_half_model):
+        result = classify_under_P(lppl_half_model)
+        assert result.verdict is Verdict.INDETERMINATE
+        assert result.detail == "quadrature could not certify the defect integral"
+        assert math.isnan(result.defect)
+
+    def test_custom_profile_is_not_declared_bounded(self, ex37_custom_model):
+        # the canonical strict local martingale written as a caller's profile
+        # must classify like its relaxed-JLS form
+        result = classify_under_P(ex37_custom_model)
+        assert result.verdict is Verdict.STRICT_LOCAL_MARTINGALE
+        assert result.defect == pytest.approx(1.0, rel=1e-10)
+
+    def test_zero_jump_size_on_a_wobbling_hazard(self):
+        # delta = 0 makes phi' = 0, which integrates, so D = int kappa = inf
+        # although the shells of the log-periodic kappa never settle
+        law = LPPLHazard(b=1.2, c=0.3, power=0.0, omega=6.0, phase=0.5, horizon=1.0)
+        result = classify_under_P(MarketModel(0.0, 0.2, law, linear_delta_excess(law, 0.0)))
+        assert result.verdict is Verdict.TRUE_MARTINGALE
+        assert math.isinf(result.defect)
 
     def test_constant_jump_size_full_loss(self):
         law = UniformHazard(1.0)
