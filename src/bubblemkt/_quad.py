@@ -4,7 +4,8 @@ Five tools live here:
 
 * :class:`PanelRule` integrates grid-sampled functions on a fixed,
   nonuniform grid with a local-cubic rule (O(h^4) globally), giving fast
-  cumulative integrals without building an interpolant.
+  cumulative integrals without building an interpolant;
+  :func:`panel_rule` builds it once per grid.
 * :func:`integrate_toward` integrates functions with a possible blow-up at
   the right endpoint by summing dyadic shells that refine toward it, and
   certifies convergence or divergence from the shell magnitudes.  Naive
@@ -87,7 +88,8 @@ class PanelRule:
         self.grid = t
         n_panel = len(t) - 1
         starts = np.clip(np.arange(n_panel) - 1, 0, len(t) - 4)
-        xs = t[starts[:, None] + np.arange(4)[None, :]]
+        self._stencil = starts[:, None] + np.arange(4)[None, :]
+        xs = t[self._stencil]
         a, b = t[:-1], t[1:]
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
@@ -102,13 +104,11 @@ class PanelRule:
                 num *= nodes - xs[:, d, None]
                 den *= xs[:, c] - xs[:, d]
             weights[:, c] = half * (num @ _GL5_W) / den
-        self._starts = starts
         self._weights = weights
 
     def panel_integrals(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)
-        idx = self._starts[:, None] + np.arange(4)[None, :]
-        return np.einsum("pc,pc->p", self._weights, values[idx])
+        return np.einsum("pc,pc->p", self._weights, values[self._stencil])
 
     def integral(self, values: np.ndarray) -> float:
         return float(np.sum(self.panel_integrals(values)))
@@ -128,6 +128,19 @@ class PanelRule:
         out[-1] = 0.0
         out[:-1] = np.cumsum(parts[::-1])[::-1]
         return out
+
+
+def panel_rule(grid) -> PanelRule:
+    """The :class:`PanelRule` of ``grid``, shared: equal grids get the same
+    rule, whose arrays are read-only.  The last eight grids are kept."""
+    return _shared_rule(np.ascontiguousarray(grid, dtype=float).tobytes())
+
+
+@functools.lru_cache(maxsize=8)
+def _shared_rule(key: bytes) -> PanelRule:
+    rule = PanelRule(np.frombuffer(key))  # a read-only view of the key
+    rule._stencil.flags.writeable = rule._weights.flags.writeable = False
+    return rule
 
 
 class Curve:
@@ -255,7 +268,7 @@ def integrate_toward(
     """
     if not b > a:
         raise ValueError("need b > a")
-    parts = _shell_parts(_vectorized(f), a, b)
+    parts = _shell_parts(lambda x: np.asarray(f(x), dtype=float), a, b)
     total = 0.0
     comp = 0.0  # Kahan carry
     prev_mag = None
@@ -310,22 +323,22 @@ def integrate_toward(
     return ShellIntegral(total, INDETERMINATE, k, last)
 
 
-def monotone_inverse(fn, dfn, lo, hi, targets: np.ndarray, x0=None) -> np.ndarray:
+def monotone_inverse(fdf, lo, hi, targets: np.ndarray, x0=None) -> np.ndarray:
     """Vectorized inverse of increasing functions on [lo, hi): safeguarded
     Newton (rtsafe, Numerical Recipes section 9.4).
 
-    Point ``i`` solves ``fn(x, i) = targets[i]``; ``fn(x, idx)`` and
-    ``dfn(x, idx)`` evaluate the function and its derivative of the points
-    ``idx`` at ``x``, so the iteration only touches unconverged points.
+    Point ``i`` solves ``f(x, i) = targets[i]``; ``fdf(x, idx)`` returns
+    the function and its derivative ``(f, f')`` of the points ``idx`` at
+    ``x``, so the iteration only touches unconverged points.
     ``lo`` and ``hi`` are scalars or per-point arrays.  Each evaluation
     shrinks the bracket; a Newton step that would leave it, or that fails
     to halve the step before last, becomes a bisection step.  A point stops
-    once ``fn`` resolves its target (|fn(x) - target| within 4 ulps of the
+    once ``f`` resolves its target (|f(x) - target| within 4 ulps of the
     target), or once its raw Newton step or its bracket is within 4 ulps
     of the bracket's magnitude; it returns its Newton point where that lies
     in the bracket, else x.  Newton closes in from one side, so the far end
     of the bracket rarely moves: without the residual test the last points
-    would bisect through the rounding noise of ``fn``.  ``fn`` is never
+    would bisect through the rounding noise of ``f``.  ``fdf`` is never
     evaluated at ``hi``, so it may blow up there.  ``x0`` (scalar or
     per-point) is an optional start, used where it lies strictly inside the
     bracket; elsewhere, and where it is NaN, the iteration starts at the
@@ -343,12 +356,13 @@ def monotone_inverse(fn, dfn, lo, hi, targets: np.ndarray, x0=None) -> np.ndarra
         x = np.where((start > low) & (start < high), start, x)
     dx = dx_old = high - low
     for _ in range(_MAX_NEWTON_STEPS):
-        resid = fn(x, idx) - tgt
+        value, slope = fdf(x, idx)
+        resid = value - tgt
         below = resid < 0.0
         low = np.where(below, x, low)
         high = np.where(below, high, x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = resid / dfn(x, idx)
+            step = resid / slope
         newton = x - step
         tol = _ULPS * np.maximum(np.abs(low), np.abs(high))
         resolved = np.abs(resid) <= _ULPS * np.abs(tgt)
@@ -394,12 +408,4 @@ def local_slope(g, t: np.ndarray, h) -> np.ndarray:
         return half * (g(nodes.ravel()).reshape(nodes.shape) @ _GL7_W)
 
     return (np.expm1(increment(t, hi)) - np.expm1(-increment(lo, t))) / (hi - lo)
-
-
-def _vectorized(f):
-    def wrapped(x):
-        out = f(x)
-        return np.asarray(out, dtype=float)
-
-    return wrapped
 

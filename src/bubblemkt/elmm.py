@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._quad import CONVERGED, Curve, PanelRule, horizon_grid, integrate_toward
+from ._quad import CONVERGED, Curve, horizon_grid, integrate_toward, panel_rule
 from ._quad import local_slope, local_step
 from .hazard import (
     Classification,
@@ -83,7 +83,7 @@ class TiltedMeasure(CrashHazard):
         hazard = model.hazard
         kap = np.asarray(hazard.hazard(self.grid))
         yv = tilt(self.grid)
-        rule = PanelRule(self.grid)
+        rule = panel_rule(self.grid)
         cum_tilt = rule.cumulative_from_left(kap * yv)  # int kappa y
         base = np.asarray(hazard.cumulative_hazard(self.grid))
         cum_total = cum_tilt + base  # int kappa (1 + y)

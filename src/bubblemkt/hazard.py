@@ -29,11 +29,11 @@ from ._quad import (
     CONVERGED,
     DIVERGENT,
     Curve,
-    PanelRule,
     clustered_grid,
     horizon_grid,
     integrate_toward,
     monotone_inverse,
+    panel_rule,
 )
 
 
@@ -86,7 +86,8 @@ class CrashHazard:
     input; ``hazard`` and ``density`` need t in ``[0, T)`` and
     ``inverse_cdf`` a variate in ``(0, 1)``.  CDF, density and survival
     follow from ``1 - G(t) = exp(-H(t))`` on ``[0, T)``.  Sampling inverts
-    H with a safeguarded Newton iteration (dH/dt is the hazard); a family
+    H with a safeguarded Newton iteration (dH/dt is the hazard), which for
+    a tabulated H starts inside the knot panel holding its target; a family
     with a closed-form inverse overrides ``_inverse_cdf``.
     """
 
@@ -158,13 +159,13 @@ class CrashHazard:
         out = np.where(w < total, end, self.horizon)
         inner = w < min(cap, total)
         if np.any(inner):
-            out[inner] = monotone_inverse(
-                lambda x, _: self._cum(x),
-                lambda x, _: self._kappa(x),
-                0.0,
-                end,
-                w[inner],
-            )
+            w, lo, hi, x0 = w[inner], 0.0, end, None
+            if isinstance(self._cum, Curve):  # bracket and start from the knot table
+                knots, levels = self._cum.grid, self._cum.values
+                j = np.clip(np.searchsorted(levels, w), 1, len(levels) - 1)
+                lo, hi = knots[j - 1], knots[j]
+                x0 = lo + (hi - lo) * (w - levels[j - 1]) / (levels[j] - levels[j - 1])
+            out[inner] = monotone_inverse(lambda x, _: (self._cum(x), self._kappa(x)), lo, hi, w, x0)
         return out
 
 
@@ -476,7 +477,7 @@ class RelaxedJLSExcess(ExcessReturn):
             integrand = np.asarray(self._delta(grid)) * np.asarray(
                 self.hazard.hazard(grid)
             )
-            self._phi_interp = Curve(grid, PanelRule(grid).cumulative_from_left(integrand))
+            self._phi_interp = Curve(grid, panel_rule(grid).cumulative_from_left(integrand))
         return self._phi_interp(t)
 
     def _dphi(self, t):

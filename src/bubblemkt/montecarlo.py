@@ -38,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._quad import Curve, PanelRule, horizon_grid
+from ._quad import Curve, horizon_grid, panel_rule
 from .elmm import TiltFunction, build_tilted_measure
 from .hazard import MarketModel
 from .solver import Preference, Solution
@@ -205,7 +205,7 @@ class _WealthLaw:
     ):
         T = model.horizon
         cap = np.nextafter(T, 0.0)
-        rule = PanelRule(grid)
+        rule = panel_rule(grid)
 
         def phi(t):
             return np.asarray(model.excess.phi(np.minimum(t, cap)))

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._quad import CONVERGED, Curve, PanelRule, clustered_grid, integrate_toward, monotone_inverse
+from ._quad import CONVERGED, Curve, clustered_grid, integrate_toward, monotone_inverse, panel_rule
 from .hazard import (
     DomainError,
     MarketModel,
@@ -113,11 +113,12 @@ def _aux_n(c: _Coef, y: np.ndarray) -> np.ndarray:
     return -(1.0 - c.p) * (c.phi_p * y) ** 2 / (2.0 * c.p * c.sig2p) + c.kap * (b - 1.0)
 
 
-def _aux_dm_dy(c: _Coef, y: np.ndarray, i=...) -> np.ndarray:
+def _aux_m_dm(c: _Coef, y: np.ndarray, i=...) -> tuple[np.ndarray, np.ndarray]:
+    # m and m_y above y = -1, from one (1 + y)^(1/p) and one a
     a = _aux_a(c, y, i)
-    da = c.dlt[i] * c.phi_p[i] / c.sig2p
     one_plus = np.maximum(1.0 + y, 1e-300)
-    return one_plus ** (1.0 / c.p) * (a / (c.p * one_plus) + da)
+    g = one_plus ** (1.0 / c.p)
+    return g * a, g * (a / (c.p * one_plus) + c.dlt[i] * c.phi_p[i] / c.sig2p)
 
 
 def _aux_dn_dy(c: _Coef, y: np.ndarray) -> np.ndarray:
@@ -155,16 +156,26 @@ def aux_eval(model: MarketModel, prefs: Preference, t: float, y: float) -> AuxEv
     m = float(_aux_m(c, yv)[0])
     n = float(_aux_n(c, yv)[0])
     da_dy = float((c.dlt * c.phi_p / c.sig2p)[0])
-    dm_dy = float(_aux_dm_dy(c, yv)[0])
+    dm_dy = float(_aux_m_dm(c, yv)[1][0])
     dn_dy = float(_aux_dn_dy(c, yv)[0])
     return AuxEval(a, b, m, n, da_dy, dm_dy, dn_dy)
+
+
+def _upper_root(qa, qb, qc):
+    """Larger root of qa y^2 + qb y + qc, qa > 0, in a cancellation-safe
+    form; NaN where the roots are complex."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = np.sqrt(qb * qb - 4.0 * qa * qc)
+        return np.where(qb <= 0.0, (disc - qb) / (2.0 * qa), -2.0 * qc / (disc + qb))
 
 
 def _implicit_many(c: _Coef, targets: np.ndarray, x0=None) -> np.ndarray:
     """Solve m(t_i, y_i) = f_i for each grid point, f_i > 0.
 
     Safeguarded Newton on [boundary, growth bound + 1] from the start
-    ``x0``.  The growth bound always encloses the root: if phi' <= p sigma^2
+    ``x0``.  Without one it starts at the root of (1 + y/p) a(t, y) = f,
+    which is m = f with (1 + y)^(1/p) taken to first order, and exact at
+    p = 1.  The growth bound always encloses the root: if phi' <= p sigma^2
     kappa / (2 mu), then a >= 1/2 at y = (2f)^p + 1, so m > f; otherwise
     y = max(f^p, mu/phi') + 1 gives a >= 1 and (1 + y)^(1/p) > f.
     """
@@ -188,15 +199,12 @@ def _implicit_many(c: _Coef, targets: np.ndarray, x0=None) -> np.ndarray:
     small = phi_p <= sig2p * kap / (2.0 * mu)
     hi = np.where(small, (2.0 * fa) ** p, np.maximum(fa**p, mu / phi_p))
     hi = hi + 1.0  # slack over the growth bound
-
-    out[act] = monotone_inverse(
-        lambda y, i: _aux_m(c, y, act[i]),
-        lambda y, i: _aux_dm_dy(c, y, act[i]),
-        lo,
-        hi,
-        fa,
-        None if x0 is None else np.broadcast_to(x0, f.shape)[act],
-    )
+    if x0 is None:  # a = a0 + slope y
+        slope, a0 = c.dlt[act] * phi_p / sig2p, 1.0 - c.dlt[act] * mu / sig2p
+        x0 = _upper_root(slope / p, a0 / p + slope, a0 - fa)
+    else:
+        x0 = np.broadcast_to(x0, f.shape)[act]
+    out[act] = monotone_inverse(lambda y, i: _aux_m_dm(c, y, act[i]), lo, hi, fa, x0)
     return out
 
 
@@ -250,22 +258,18 @@ def bracket_curves(model: MarketModel, prefs: Preference, grid: np.ndarray) -> t
 def log_utility_solution(model: MarketModel, t):
     """Closed-form curve for p = 1; zero where the excess return vanishes.
 
-    The defining relation m(t, y, 1) = 1 reduces to a quadratic; the root
-    above -1 is returned in a cancellation-safe form.
+    The defining relation m(t, y, 1) = 1 reduces to a quadratic; its root
+    above -1 comes from the helper that starts the pointwise inversions,
+    so at p = 1 the myopic inversion starts at this curve.
     """
     phi_p = np.asarray(model.excess.dphi(t))
     kap = np.asarray(model.hazard.hazard(t))
-    sig2 = model.sigma**2
     out = np.zeros(t.shape)
     pos = phi_p > 0.0
     if np.any(pos):
         fp = phi_p[pos]
-        A = model.mu - fp - sig2 * kap[pos] / fp
-        disc = np.sqrt(A * A + 4.0 * model.mu * fp)
-        root = np.where(A >= 0, (A + disc), 4.0 * model.mu * fp / (disc - A)) / (
-            2.0 * fp
-        )
-        out[pos] = root
+        A = model.mu - fp - model.sigma**2 * kap[pos] / fp
+        out[pos] = _upper_root(fp, -A, -model.mu)
     return out
 
 
@@ -360,7 +364,7 @@ def solve_optimal(
     lo, hi = _brackets(model, c)
     lower, upper = Curve(grid, lo), Curve(grid, hi)
     myopic = lower if prefs.p < 1.0 else upper
-    rule = PanelRule(grid)
+    rule = panel_rule(grid)
     tail = _terminal_tail(model, prefs, float(grid[-1]), float(myopic.values[-1]))
 
     y, iterations, resid = _newton(c, rule, lo, hi, myopic.values, tail, tol)
@@ -411,7 +415,8 @@ def _newton_step(c, y, F, half):
     """Solve (diag(L) + W diag(N)) d = -F by back substitution, with
     L = m_y/m, N = n_y and W the trapezoid integral to the right on panels
     of half-widths ``half``; W makes the matrix upper triangular."""
-    L = _aux_dm_dy(c, y) / _aux_m(c, y)
+    m, m_y = _aux_m_dm(c, y)
+    L = m_y / m
     N = _aux_dn_dy(c, y)
     left = half * N[:-1]
     # on Python floats: numpy scalars would triple the loop's cost

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import CONVERGED, PanelRule, integrate_toward, local_slope, local_step
+from ._quad import CONVERGED, integrate_toward, local_slope, local_step, panel_rule
 from .hazard import MarketModel
 from .solver import Preference, Solution, SolverError, aux_eval, log_utility_solution
 
@@ -59,7 +59,7 @@ def _log_utility_loss_integral(model: MarketModel, grid: np.ndarray, y: np.ndarr
         trade = (np.asarray(model.excess.dphi(u)) * yu) ** 2 * surv / (2.0 * sig2)
         return trade + (np.log1p(yu) - yu / (1.0 + yu)) * dens
 
-    total = PanelRule(grid).integral(loss(grid, y))
+    total = panel_rule(grid).integral(loss(grid, y))
     t_end = float(grid[-1])
     if model.horizon > t_end:
         res = integrate_toward(

@@ -5,19 +5,24 @@ import pytest
 
 from bubblemkt import (
     ConstantExcess,
+    ConstantJumpSizeExcess,
     ExponentialCutoffHazard,
     LPPLHazard,
     MarketModel,
     TabulatedHazard,
+    TiltFunction,
     UniformHazard,
+    build_tilted_measure,
     linear_delta_excess,
 )
+from bubblemkt import hazard as hz
 from bubblemkt import solver as sv
 from bubblemkt._quad import monotone_inverse
 
 EPS = np.finfo(float).eps
 EXP_LAW = ExponentialCutoffHazard(1.0, 1.0)
 UNIFORM = UniformHazard(1.0)
+LPPL = LPPLHazard(power=0.4, horizon=1.0, b=1.2, c=0.3, omega=6.0, phase=0.5)
 
 
 def _resolution(x, targets, slope):
@@ -31,12 +36,12 @@ def _near(root, rng, rel):
     return root * (1.0 + rel * rng.uniform(-1.0, 1.0, root.shape))
 
 
-def _counted(fn):
+def _counted(fdf):
     calls = [0]
 
     def wrapped(x, idx):
         calls[0] += 1
-        return fn(x, idx)
+        return fdf(x, idx)
 
     return wrapped, calls
 
@@ -57,7 +62,7 @@ def test_solver_inversion_warm_matches_cold(model, p):
     c = sv._Coef(model, p, grid)
     targets = np.exp(rng.uniform(-5.0, 5.0, grid.size))
     cold = sv._implicit_many(c, targets)
-    unit = _resolution(cold, targets, sv._aux_dm_dy(c, cold))
+    unit = _resolution(cold, targets, sv._aux_m_dm(c, cold)[1])
     for rel in (0.1, 1e-3, 1e-8, 0.0):
         warm = sv._implicit_many(c, targets, x0=_near(cold, rng, rel))
         assert np.all(np.abs(warm - cold) <= 4.0 * unit)
@@ -70,7 +75,7 @@ def _tabulated():
 
 @pytest.mark.parametrize(
     "law",
-    [LPPLHazard(power=0.4, horizon=1.0, b=1.2, c=0.3, omega=6.0, phase=0.5), _tabulated()],
+    [LPPL, _tabulated()],
     ids=["lppl", "tabulated"],
 )
 def test_crash_law_inversion_warm_matches_cold(law):
@@ -79,25 +84,18 @@ def test_crash_law_inversion_warm_matches_cold(law):
     end, cap = law._table_edge or (law.horizon, np.inf)
     w = w[w < cap]
 
-    def fn(x, _):
-        return law._cum(x)
+    def fdf(x, _):
+        return law._cum(x), law._kappa(x)
 
-    def dfn(x, _):
-        return law._kappa(x)
-
-    cold = monotone_inverse(fn, dfn, 0.0, end, w)
+    cold = monotone_inverse(fdf, 0.0, end, w)
     unit = _resolution(cold, w, law._kappa(cold))
     for rel in (0.1, 1e-3, 1e-8, 0.0):
-        warm = monotone_inverse(fn, dfn, 0.0, end, w, x0=_near(cold, rng, rel))
+        warm = monotone_inverse(fdf, 0.0, end, w, x0=_near(cold, rng, rel))
         assert np.all(np.abs(warm - cold) <= 4.0 * unit)
 
 
 def _cubic(x, _):
-    return x**3 + x
-
-
-def _dcubic(x, _):
-    return 3.0 * x**2 + 1.0
+    return x**3 + x, 3.0 * x**2 + 1.0
 
 
 TARGETS = np.linspace(-50.0, 700.0, 64)
@@ -111,29 +109,29 @@ TARGETS = np.linspace(-50.0, 700.0, 64)
 def test_start_outside_the_bracket_is_the_midpoint(x0):
     lo, hi = -10.0, 9.0
     cold_fn, cold_calls = _counted(_cubic)
-    cold = monotone_inverse(cold_fn, _dcubic, lo, hi, TARGETS)
+    cold = monotone_inverse(cold_fn, lo, hi, TARGETS)
     warm_fn, warm_calls = _counted(_cubic)
-    warm = monotone_inverse(warm_fn, _dcubic, lo, hi, TARGETS, x0=x0)
+    warm = monotone_inverse(warm_fn, lo, hi, TARGETS, x0=x0)
     assert np.array_equal(warm, cold)
     assert warm_calls == cold_calls
 
 
 def test_per_point_start_falls_back_pointwise():
     lo, hi = -10.0, 9.0
-    cold = monotone_inverse(_cubic, _dcubic, lo, hi, TARGETS)
+    cold = monotone_inverse(_cubic, lo, hi, TARGETS)
     x0 = cold.copy()
     x0[::2] = np.nan  # half the points start at the midpoint
-    warm = monotone_inverse(_cubic, _dcubic, lo, hi, TARGETS, x0=x0)
-    unit = _resolution(cold, TARGETS, _dcubic(cold, None))
+    warm = monotone_inverse(_cubic, lo, hi, TARGETS, x0=x0)
+    unit = _resolution(cold, TARGETS, _cubic(cold, None)[1])
     assert np.all(np.abs(warm - cold) <= 4.0 * unit)
 
 
 def test_start_near_the_root_takes_fewer_evaluations():
     lo, hi = -10.0, 9.0
     cold_fn, cold_calls = _counted(_cubic)
-    cold = monotone_inverse(cold_fn, _dcubic, lo, hi, TARGETS)
+    cold = monotone_inverse(cold_fn, lo, hi, TARGETS)
     warm_fn, warm_calls = _counted(_cubic)
-    monotone_inverse(warm_fn, _dcubic, lo, hi, TARGETS, x0=cold * (1.0 + 1e-6))
+    monotone_inverse(warm_fn, lo, hi, TARGETS, x0=cold * (1.0 + 1e-6))
     assert warm_calls[0] < cold_calls[0] / 2
 
 
@@ -144,26 +142,98 @@ def test_solver_start_near_the_root_takes_fewer_evaluations():
     cold = sv._implicit_many(c, targets)
 
     def run(x0):
-        fn, calls = _counted(lambda y, i: sv._aux_m(c, y, i))
-        monotone_inverse(fn, lambda y, i: sv._aux_dm_dy(c, y, i), -1.0, 10.0, targets, x0)
+        fdf, calls = _counted(lambda y, i: sv._aux_m_dm(c, y, i))
+        monotone_inverse(fdf, -1.0, 10.0, targets, x0)
         return calls[0]
 
     assert run(cold * (1.0 + 1e-6)) < run(None)
 
 
-def test_baseline_solve_stops_once_m_resolves_its_target(monkeypatch):
-    # the step and bracket tests alone took 151 evaluations of m here
+def _count_evaluations(monkeypatch, module):
+    """Count the callback evaluations of every ``monotone_inverse`` call
+    made from ``module``."""
     calls = [0]
-    inverse = sv.monotone_inverse
+    inverse = module.monotone_inverse
 
-    def counting(fn, *args):
+    def counting(fdf, *args):
         def counted(y, i):
             calls[0] += 1
-            return fn(y, i)
+            return fdf(y, i)
 
         return inverse(counted, *args)
 
-    monkeypatch.setattr(sv, "monotone_inverse", counting)
+    monkeypatch.setattr(module, "monotone_inverse", counting)
+    return calls
+
+
+def test_baseline_solve_stops_once_m_resolves_its_target(monkeypatch):
+    # the step and bracket tests alone took 151 evaluations of m here
+    calls = _count_evaluations(monkeypatch, sv)
     model = MarketModel(0.1, 0.2, EXP_LAW, ConstantExcess(0.2))
     sv.solve_optimal(model, sv.Preference(4.0))
     assert calls[0] <= 60
+
+
+def test_start_and_log_utility_share_one_root(monkeypatch):
+    model = MarketModel(0.1, 0.2, EXP_LAW, ConstantExcess(0.2))
+    grid = sv._solver_grid(model, 64)
+    roots = []
+    root = sv._upper_root
+
+    def spy(*args):
+        roots.append(root(*args))
+        return roots[-1]
+
+    monkeypatch.setattr(sv, "_upper_root", spy)
+    closed = np.asarray(sv.log_utility_solution(model, grid))
+    start = sv._implicit_many(sv._Coef(model, 1.0, grid), np.ones_like(grid))
+    assert len(roots) == 2
+    assert np.all(np.abs(roots[1] - closed) <= 1e-14 * np.abs(closed))
+    assert np.all(np.abs(start - closed) <= 1e-14 * np.abs(closed))
+
+
+@pytest.mark.parametrize("p, most", [(0.25, 5), (1.0, 1), (4.0, 4)])
+def test_myopic_inversion_starts_next_to_its_root(p, most, monkeypatch):
+    calls = _count_evaluations(monkeypatch, sv)
+    model = MarketModel(0.1, 0.2, EXP_LAW, ConstantExcess(0.2))
+    sv.myopic_curve(model, sv.Preference(p), sv._solver_grid(model, 512))
+    assert 1 <= calls[0] <= most
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        MarketModel(0.1, 0.2, EXP_LAW, ConstantExcess(0.2)),
+        MarketModel(0.1, 0.2, UNIFORM, linear_delta_excess(UNIFORM, 0.9)),
+        MarketModel(0.1, 0.2, LPPL, ConstantJumpSizeExcess(LPPL, 0.3)),
+    ],
+    ids=["baseline", "uniform0.9", "lppl0.4"],
+)
+@pytest.mark.parametrize("p", [0.25, 1.0, 4.0])
+def test_seeded_inversion_matches_the_midpoint_start(model, p):
+    c = sv._Coef(model, p, sv._solver_grid(model, 512))
+    rate = (1.0 - p) * model.mu**2 / (2.0 * p**2 * model.sigma**2)
+    for targets in (np.ones_like(c.t), np.exp(rate * (model.horizon - c.t))):
+        seeded = sv._implicit_many(c, targets)
+        midpoint = sv._implicit_many(c, targets, x0=np.nan)
+        assert np.all(np.abs(seeded - midpoint) <= 1e-11 * np.abs(midpoint))
+
+
+@pytest.mark.parametrize("name", ["tabulated", "tilted"])
+def test_tabulated_law_inversion_starts_in_its_knot_panel(name, monkeypatch):
+    if name == "tabulated":
+        law, most = _tabulated(), 4
+    else:
+        model = MarketModel(0.1, 0.2, EXP_LAW, ConstantExcess(0.2))
+        sol = sv.solve_optimal(model, sv.Preference(4.0))
+        law, most = build_tilted_measure(model, TiltFunction(y=sol.tilt)), 2
+    u = np.random.default_rng(5).uniform(1e-6, 1.0 - 1e-6, 5000)
+    w = -np.log1p(-u)
+    end, cap = law._table_edge or (law.horizon, -np.log(law.atom))
+    inner = w < cap
+    cold = monotone_inverse(lambda x, _: (law._cum(x), law._kappa(x)), 0.0, end, w[inner])
+    calls = _count_evaluations(monkeypatch, hz)
+    got = law.inverse_cdf(u)[inner]
+    unit = _resolution(cold, w[inner], law._kappa(cold))
+    assert np.all(np.abs(got - cold) <= 4.0 * unit)
+    assert 1 <= calls[0] <= most

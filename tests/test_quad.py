@@ -153,3 +153,13 @@ def test_overflow_in_a_used_shell_still_warns():
     with pytest.warns(RuntimeWarning, match="overflow"):
         res = integrate_toward(lambda x: np.exp(2.0 / (1.0 - x)), 0.0, 1.0)
     assert res.status == DIVERGENT
+
+
+def test_panel_rule_is_built_once_per_grid():
+    grid = _quad.clustered_grid(1.0, 64)
+    rule = _quad.panel_rule(grid)
+    assert _quad.panel_rule(grid.copy()) is rule
+    assert _quad.panel_rule(_quad.clustered_grid(1.0, 65)) is not rule
+    assert rule.integral(grid**2) == _quad.PanelRule(grid).integral(grid**2)
+    with pytest.raises(ValueError):
+        rule._weights[0, 0] = 0.0

@@ -464,7 +464,7 @@ class TestFixedPoint:
         for i in range(grid.size - 1):
             W[: i + 1, i] += half[i]
             W[: i + 1, i + 1] += half[i]
-        L = solver._aux_dm_dy(c, y) / solver._aux_m(c, y)
+        L = solver._aux_m_dm(c, y)[1] / solver._aux_m(c, y)
         J = np.diag(L) + W * solver._aux_dn_dy(c, y)
         expected = np.linalg.solve(J, -F)
         got = solver._newton_step(c, y, F, half)
@@ -612,8 +612,8 @@ def test_growth_bound_encloses_the_root(name, p, monkeypatch):
     rate = (1.0 - p) * model.mu**2 / (2.0 * p**2 * model.sigma**2)
     ratios = []
 
-    def bracket_top(fn, dfn, lo, hi, targets, x0=None):
-        ratios.append(np.min(fn(hi, np.arange(targets.size)) / targets))
+    def bracket_top(fdf, lo, hi, targets, x0=None):
+        ratios.append(np.min(fdf(hi, np.arange(targets.size))[0] / targets))
         return hi  # the inversion itself is not under test
 
     monkeypatch.setattr(solver, "monotone_inverse", bracket_top)

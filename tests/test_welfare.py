@@ -19,6 +19,7 @@ from bubblemkt import (
     welfare_from_curve,
     xihat_identity_check,
 )
+from bubblemkt import _quad
 from bubblemkt._quad import CONVERGED, INDETERMINATE, ShellIntegral
 from bubblemkt.cli import main
 from bubblemkt.welfare import black_scholes_ce
@@ -153,3 +154,12 @@ class TestWealthCompensatorIdentity:
             for v in rng.uniform(0.02, 0.97, size=10)
         )
         assert worst <= 1e-6
+
+
+def test_log_utility_solve_and_welfare_build_one_panel_rule(base_model, monkeypatch):
+    builds = []
+    build = _quad.PanelRule.__init__
+    monkeypatch.setattr(_quad.PanelRule, "__init__", lambda rule, grid: builds.append(build(rule, grid)))
+    sol = solve_optimal(base_model, Preference(1.0), n_grid=333)  # a grid no other test uses
+    safe_rates(sol)
+    assert len(builds) == 1
