@@ -170,7 +170,8 @@ def _upper_root(qa, qb, qc):
 
 
 def _implicit_many(c: _Coef, targets: np.ndarray, x0=None) -> np.ndarray:
-    """Solve m(t_i, y_i) = f_i for each grid point, f_i > 0.
+    """Solve m(t_i, y_i) = f_i for each grid point, f_i > 0; the flat
+    point k of ``targets`` belongs to the node k mod n of the grid.
 
     Safeguarded Newton on [boundary, growth bound + 1] from the start
     ``x0``.  Without one it starts at the root of (1 + y/p) a(t, y) = f,
@@ -179,22 +180,22 @@ def _implicit_many(c: _Coef, targets: np.ndarray, x0=None) -> np.ndarray:
     kappa / (2 mu), then a >= 1/2 at y = (2f)^p + 1, so m > f; otherwise
     y = max(f^p, mu/phi') + 1 gives a >= 1 and (1 + y)^(1/p) > f.
     """
-    f = np.asarray(targets, dtype=float)
+    f = np.asarray(targets, dtype=float).ravel()
     if np.any(f <= 0.0):
         raise DomainError("implicit solve needs a positive target")
     p, mu, sig2p = c.p, c.mu, c.sig2p
     out = np.empty(f.shape)
 
-    flat = c.phi_p == 0.0
+    node = np.arange(f.size) % c.t.size
+    flat = c.phi_p[node] == 0.0
     if np.any(flat):
         out[flat] = f[flat] ** p - 1.0
-    act = np.flatnonzero(~flat)
-    if act.size == 0:
-        return out
+    pts = np.flatnonzero(~flat)
+    if pts.size == 0:
+        return out.reshape(np.shape(targets))
 
-    phi_p = c.phi_p[act]
-    kap = c.kap[act]
-    fa = f[act]
+    act = node[pts]
+    phi_p, kap, fa = c.phi_p[act], c.kap[act], f[pts]
     lo = _aux_floor(c, act)
     small = phi_p <= sig2p * kap / (2.0 * mu)
     hi = np.where(small, (2.0 * fa) ** p, np.maximum(fa**p, mu / phi_p))
@@ -203,9 +204,9 @@ def _implicit_many(c: _Coef, targets: np.ndarray, x0=None) -> np.ndarray:
         slope, a0 = c.dlt[act] * phi_p / sig2p, 1.0 - c.dlt[act] * mu / sig2p
         x0 = _upper_root(slope / p, a0 / p + slope, a0 - fa)
     else:
-        x0 = np.broadcast_to(x0, f.shape)[act]
-    out[act] = monotone_inverse(lambda y, i: _aux_m_dm(c, y, act[i]), lo, hi, fa, x0)
-    return out
+        x0 = np.broadcast_to(x0, f.shape)[pts]
+    out[pts] = monotone_inverse(lambda y, i: _aux_m_dm(c, y, act[i]), lo, hi, fa, x0)
+    return out.reshape(np.shape(targets))
 
 
 def implicit_solve(model: MarketModel, prefs: Preference, t: float, target: float) -> float:
@@ -230,9 +231,11 @@ def _brackets(model: MarketModel, c: _Coef) -> tuple[np.ndarray, np.ndarray]:
     """(lower, upper) on the grid of ``c``: the myopic curve m = 1 and the
     curve m = exp(rate (T - t)) of the growth bound."""
     rate = (1.0 - c.p) * model.mu**2 / (2.0 * c.p**2 * model.sigma**2)
-    myopic = _implicit_many(c, np.ones_like(c.t))
-    # at log utility (rate 0) the other bracket is the myopic curve
-    other = myopic if rate == 0.0 else _implicit_many(c, np.exp(rate * (model.horizon - c.t)))
+    if rate == 0.0:  # log utility: the other bracket is the myopic curve
+        myopic = other = _implicit_many(c, np.ones_like(c.t))
+    else:  # one inversion of both targets, point k at node k mod n
+        both = np.stack([np.ones_like(c.t), np.exp(rate * (model.horizon - c.t))])
+        myopic, other = _implicit_many(c, both)
     return (myopic, other) if c.p < 1.0 else (other, myopic)
 
 
@@ -282,7 +285,7 @@ class Solution:
     ``m_start`` = m(0, tilt(0), p) feeds the welfare formulas and the dual
     multiplier.  ``residuals`` is the profile |m e^{int n} - 1| of ``tilt``,
     at most the solve's ``tol`` at every node.  ``method`` is always
-    ``"fixed_point"``.
+    ``"newton"``.
     """
 
     model: MarketModel
@@ -348,13 +351,13 @@ def solve_optimal(
 
     Newton on F(y) = log m + int n from the myopic bracket: each step
     solves the trapezoid Jacobian diag(m_y/m) + W diag(n_y), which is upper
-    triangular, by back substitution.  A step whose max |F| does not fall
-    is halved, up to ``MAX_HALVINGS`` times, and iterates stay in the
-    brackets.  It returns the first iterate whose residual
-    |m exp(int n) - 1| is at most ``tol`` at every node; ``iterations``
-    counts the iterates examined, the start included.  A stall (halving
-    fails) or ``MAX_NEWTON_ITER`` iterates above ``tol`` raise
-    :class:`SolverError` with the last residual profile.
+    triangular, by a doubling scan of its differenced rows.  A step whose
+    max |F| does not fall is halved, up to ``MAX_HALVINGS`` times, and
+    iterates stay in the brackets.  It returns the first iterate whose
+    residual |m exp(int n) - 1| is at most ``tol`` at every node;
+    ``iterations`` counts the iterates examined, the start included.  A
+    stall (halving fails) or ``MAX_NEWTON_ITER`` iterates above ``tol``
+    raise :class:`SolverError` with the last residual profile.
     """
     _require_drift(model)
     require_valid(model)
@@ -378,7 +381,7 @@ def solve_optimal(
         myopic=myopic,
         residuals=resid,
         m_start=float(_aux_m(c, y)[0]),
-        method="fixed_point",
+        method="newton",
         iterations=iterations,
     )
 
@@ -412,25 +415,25 @@ def _newton(c, rule, lower, upper, start, tail, tol):
 
 
 def _newton_step(c, y, F, half):
-    """Solve (diag(L) + W diag(N)) d = -F by back substitution, with
-    L = m_y/m, N = n_y and W the trapezoid integral to the right on panels
-    of half-widths ``half``; W makes the matrix upper triangular."""
+    """Solve (diag(L) + W diag(N)) d = -F, L = m_y/m, N = n_y, W the
+    trapezoid integral to the right on panels of half-widths h = ``half``.
+    Row i minus row i + 1 gives d_i = A_i d_{i+1} + B_i with
+    A_i = (L_{i+1} - h_i N_{i+1}) / D_i, B_i = (F_{i+1} - F_i) / D_i and
+    D_i = L_i + h_i N_i, closed by d_{n-1} = -F_{n-1} / L_{n-1}.  These
+    affine maps compose in ceil(log2 n) doubling passes of a prefix scan
+    (Blelloch, CMU-CS-90-190, 1990), which divides by no running product."""
     m, m_y = _aux_m_dm(c, y)
     L = m_y / m
     N = _aux_dn_dy(c, y)
-    left = half * N[:-1]
-    # on Python floats: numpy scalars would triple the loop's cost
-    rhs, diag = (-F).tolist(), (L + np.append(left, 0.0)).tolist()
-    left, right = left.tolist(), (half * N[1:]).tolist()
-    d = [0.0] * len(rhs)
-    d[-1] = step = rhs[-1] / diag[-1]
-    u = 0.0  # W (N d) at the node right of i
-    for i in range(len(rhs) - 2, -1, -1):
-        w = right[i] * step
-        step = (rhs[i] - u - w) / diag[i]
-        u += w + left[i] * step
-        d[i] = step
-    return np.array(d)
+    D = L[:-1] + half * N[:-1]
+    A = np.append((L[1:] - half * N[1:]) / D, 0.0)
+    B = np.append((F[1:] - F[:-1]) / D, -F[-1] / L[-1])
+    k = 1  # (A_i, B_i) composes the maps i .. i + k - 1
+    while k < A.size:
+        B[:-k] += A[:-k] * B[k:]
+        A[:-k] *= A[k:]
+        k *= 2
+    return B
 
 
 def _defect(c, rule, y, tail):
@@ -471,5 +474,6 @@ def decompose(solution: Solution) -> tuple[Curve, Curve]:
     grid, ym = solution.grid, solution.myopic
     phi_p = np.asarray(solution.model.excess.dphi(grid))
     denom = solution.preference.p * solution.model.sigma**2
+    pi_m = (solution.model.mu - phi_p * ym.values) / denom
     pi_h = phi_p * (ym.values - solution.tilt.values) / denom
-    return Curve(grid, solution.fraction_given(grid, ym.values)), Curve(grid, pi_h)
+    return Curve(grid, pi_m), Curve(grid, pi_h)

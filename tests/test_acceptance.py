@@ -122,7 +122,7 @@ def test_grid_solves_reach_the_fixed_point_tolerance(grid_solutions):
     # default tol, p = 0.25 included
     worst = max(float(np.max(sol.residuals)) for sol in grid_solutions.values())
     assert worst <= 1e-10
-    assert all(sol.method == "fixed_point" for (p, *_), sol in grid_solutions.items() if p != 1.0)
+    assert all(sol.method == "newton" for (p, *_), sol in grid_solutions.items() if p != 1.0)
 
 
 def test_criterion_05_hedging_demand_signs(grid_solutions):

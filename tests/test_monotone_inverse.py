@@ -219,6 +219,37 @@ def test_seeded_inversion_matches_the_midpoint_start(model, p):
         assert np.all(np.abs(seeded - midpoint) <= 1e-11 * np.abs(midpoint))
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        MarketModel(0.1, 0.2, EXP_LAW, ConstantExcess(0.2)),
+        MarketModel(0.1, 0.2, UNIFORM, linear_delta_excess(UNIFORM, 0.9)),
+        MarketModel(0.1, 0.2, LPPL, ConstantJumpSizeExcess(LPPL, 0.3)),
+    ],
+    ids=["baseline", "uniform0.9", "lppl0.4"],
+)
+@pytest.mark.parametrize("p", [0.25, 4.0])
+def test_both_brackets_come_from_one_inversion(model, p, monkeypatch):
+    # each point's iteration is elementwise, so stacking the two targets
+    # changes no bit of either curve
+    c = sv._Coef(model, p, sv._solver_grid(model, 512))
+    rate = (1.0 - p) * model.mu**2 / (2.0 * p**2 * model.sigma**2)
+    myopic = sv._implicit_many(c, np.ones_like(c.t))
+    other = sv._implicit_many(c, np.exp(rate * (model.horizon - c.t)))
+    inversions = [0]
+    inverse = sv.monotone_inverse
+
+    def counting(*args):
+        inversions[0] += 1
+        return inverse(*args)
+
+    monkeypatch.setattr(sv, "monotone_inverse", counting)
+    lower, upper = sv._brackets(model, c)
+    assert inversions[0] == 1
+    assert np.array_equal(lower, myopic if p < 1.0 else other)
+    assert np.array_equal(upper, other if p < 1.0 else myopic)
+
+
 @pytest.mark.parametrize("name", ["tabulated", "tilted"])
 def test_tabulated_law_inversion_starts_in_its_knot_panel(name, monkeypatch):
     if name == "tabulated":

@@ -285,7 +285,7 @@ class TestSolveOptimal:
     def test_log_utility_numeric_matches_closed_form(self, base_model):
         numeric = solve_optimal(base_model, P1)
         closed = np.asarray(log_utility_solution(base_model, numeric.grid))
-        assert numeric.method == "fixed_point"
+        assert numeric.method == "newton"
         assert np.max(np.abs(numeric.tilt.values - closed)) <= 1e-8
 
     def test_p4_bracketed_with_small_residual(self, base_solution):
@@ -439,7 +439,7 @@ TIGHT_CE = {
 
 class TestFixedPoint:
     def test_baseline_p4_sweeps_and_residual(self, base_solution):
-        assert base_solution.method == "fixed_point"
+        assert base_solution.method == "newton"
         assert base_solution.iterations <= 12
         assert np.max(base_solution.residuals) <= 1e-10
 
@@ -452,23 +452,18 @@ class TestFixedPoint:
 
     @pytest.mark.parametrize("p", [0.25, 4.0])
     def test_newton_step_solves_the_trapezoid_jacobian(self, base_model, p):
-        # back substitution against a dense solve of
-        # (diag(m_y/m) + W diag(n_y)) d = -F, W the trapezoid rule to the right
-        grid = solver._solver_grid(base_model, 24)
-        c = solver._Coef(base_model, p, grid)
-        rng = np.random.default_rng(3)
-        y = solver._implicit_many(c, rng.uniform(0.5, 2.0, grid.size))
-        F = rng.standard_normal(grid.size)
-        half = 0.5 * np.diff(grid)
-        W = np.zeros((grid.size, grid.size))
-        for i in range(grid.size - 1):
-            W[: i + 1, i] += half[i]
-            W[: i + 1, i + 1] += half[i]
-        L = solver._aux_m_dm(c, y)[1] / solver._aux_m(c, y)
-        J = np.diag(L) + W * solver._aux_dn_dy(c, y)
-        expected = np.linalg.solve(J, -F)
-        got = solver._newton_step(c, y, F, half)
-        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+        _check_newton_step(base_model, p, 24)
+
+    @pytest.mark.parametrize("p", [0.25, 4.0])
+    @pytest.mark.parametrize("stiff", ["uniform1.0", "lppl-0.1"])
+    def test_newton_step_solves_stiff_jacobians(self, stiff, p):
+        # a hazard that blows up at the horizon makes N, and so the scan's
+        # factors, span many decades over the last nodes
+        if stiff == "uniform1.0":
+            model = MarketModel(0.1, 0.2, UNIFORM, linear_delta_excess(UNIFORM, 1.0))
+        else:
+            model = _singular_lppl(-0.1, 0.1)
+        _check_newton_step(model, p, 512)
 
     def test_nonconvergence_names_the_last_residual(self, base_model, monkeypatch):
         monkeypatch.setattr(solver, "MAX_NEWTON_ITER", 1)
@@ -501,6 +496,26 @@ class TestFixedPoint:
         assert np.all(sol.tilt.values <= sol.upper.values + 1e-12)
         fine = certainty_equivalent(solve_optimal(model, prefs, n_grid=4096, tol=tol))
         assert abs(certainty_equivalent(sol) / fine - 1.0) <= 1e-9
+
+
+def _check_newton_step(model, p, n_grid):
+    # the scan against a dense solve of (diag(m_y/m) + W diag(n_y)) d = -F,
+    # W the trapezoid rule to the right
+    grid = solver._solver_grid(model, n_grid)
+    c = solver._Coef(model, p, grid)
+    rng = np.random.default_rng(3)
+    y = solver._implicit_many(c, rng.uniform(0.5, 2.0, grid.size))
+    F = rng.standard_normal(grid.size)
+    half = 0.5 * np.diff(grid)
+    W = np.zeros((grid.size, grid.size))
+    for i in range(grid.size - 1):
+        W[: i + 1, i] += half[i]
+        W[: i + 1, i + 1] += half[i]
+    L = solver._aux_m_dm(c, y)[1] / solver._aux_m(c, y)
+    J = np.diag(L) + W * solver._aux_dn_dy(c, y)
+    expected = np.linalg.solve(J, -F)
+    got = solver._newton_step(c, y, F, half)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def _singular_lppl(power, delta0):
@@ -542,7 +557,7 @@ NEAR_LOG = [1.0 - 5e-7, 1.0, 1.0 + 5e-7, 1.0 + 1e-6]
 def test_one_solve_path_next_to_log_utility(base_model, p):
     # one Newton solve serves every p; at p = 1 it reproduces the closed form
     sol = solve_optimal(base_model, Preference(p))
-    assert sol.method == "fixed_point"
+    assert sol.method == "newton"
     assert np.max(sol.residuals) <= 1e-8
     ce_log = certainty_equivalent(solve_optimal(base_model, P1))
     if p == 1.0:
