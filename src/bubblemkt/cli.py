@@ -123,13 +123,13 @@ def _param(params: dict, name: str, default: Optional[float] = None) -> float:
 
 
 def _build_hazard(spec: dict, horizon: float) -> hz.CrashHazard:
-    family = spec.get("family")
+    name = spec.get("family")
     params = _object(spec.get("params", {}), "hazard.params")
-    if family == "exponential_cutoff":
+    if name == "exponential_cutoff":
         return hz.ExponentialCutoffHazard(_param(params, "hazard.params.rate", 1.0), horizon)
-    if family == "uniform":
+    if name == "uniform":
         return hz.UniformHazard(horizon=horizon)
-    if family == "lppl":
+    if name == "lppl":
         return hz.LPPLHazard(
             b=_param(params, "hazard.params.b"),
             c=_param(params, "hazard.params.c", 0.0),
@@ -138,26 +138,26 @@ def _build_hazard(spec: dict, horizon: float) -> hz.CrashHazard:
             phase=_param(params, "hazard.params.phase", 0.0),
             horizon=horizon,
         )
-    if family == "tabulated":
+    if name == "tabulated":
         return hz.TabulatedHazard(
             _numbers(params.get("times"), "hazard.params.times"),
             _numbers(params.get("cdf"), "hazard.params.cdf"),
         )
-    raise ScenarioError(f"unknown hazard family {family!r}")
+    raise ScenarioError(f"unknown hazard family {name!r}")
 
 
 def _build_excess(spec: dict, law: hz.CrashHazard) -> hz.ExcessReturn:
-    family = spec.get("family")
+    name = spec.get("family")
     params = _object(spec.get("params", {}), "excess.params")
-    if family == "zero":
+    if name == "zero":
         return hz.ZeroExcess()
-    if family == "constant":
+    if name == "constant":
         return hz.ConstantExcess(_param(params, "excess.params.alpha", 0.2))
-    if family == "linear_ramp":
+    if name == "linear_ramp":
         return hz.LinearRampExcess(_param(params, "excess.params.slope", 0.2))
-    if family == "constant_jump_size":
+    if name == "constant_jump_size":
         return hz.ConstantJumpSizeExcess(law, _param(params, "excess.params.delta0"))
-    if family == "jls_relaxed":
+    if name == "jls_relaxed":
         delta = _object(params.get("delta", {}), "excess.params.delta")
         kind = delta.get("kind")
         if kind == "linear":
@@ -165,7 +165,7 @@ def _build_excess(spec: dict, law: hz.CrashHazard) -> hz.ExcessReturn:
         if kind == "constant":
             return hz.ConstantJumpSizeExcess(law, _param(delta, "excess.params.delta.value"))
         raise ScenarioError(f"unknown relative-jump-size kind {kind!r}")
-    raise ScenarioError(f"unknown excess family {family!r}")
+    raise ScenarioError(f"unknown excess family {name!r}")
 
 
 def build_model(scenario: dict) -> hz.MarketModel:
@@ -202,12 +202,12 @@ def _emit(rows: list[list], header: list[str], out) -> None:
 
 
 def _profile_id(scenario: dict, excess: hz.ExcessReturn) -> str:
-    family = scenario["excess"]["family"]
-    if family == "constant":
+    name = scenario["excess"]["family"]
+    if name == "constant":
         return _fmt(excess.alpha)
     params = scenario["excess"].get("params", {})
     detail = ",".join(f"{k}={v}" for k, v in sorted(params.items()))
-    return f"{family}({detail})"
+    return f"{name}({detail})"
 
 
 def _run_classify(scenario: dict, args, out) -> int:

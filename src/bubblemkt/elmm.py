@@ -96,7 +96,7 @@ class TiltedMeasure(CrashHazard):
         # is exact from the physical atom, the tilt is frozen at the edge
         t_end = float(self.grid[-1])
         self._table_edge = (t_end, float(cum_total[-1]))
-        if hazard.kappa_integrable:
+        if hazard.atom > 0.0:
             base_tail = -math.log(hazard.atom) - float(base[-1])
             edge_tilt = float(tilt(np.array([t_end]))[0])
             self.atom = math.exp(-(cum_total[-1] + (1.0 + edge_tilt) * base_tail))

@@ -93,16 +93,9 @@ class CrashHazard:
 
     horizon: float
     atom: float
-    family: str = "generic"
     # (table end, H there) for a law tabulated short of the horizon: the
     # mass between the table end and T collapses to the table end
     _table_edge: Optional[tuple[float, float]] = None
-
-    @property
-    def kappa_integrable(self) -> bool:
-        """True iff the hazard is integrable on (0, T), i.e. the atom is
-        positive and the crash may never happen."""
-        return self.atom > 0.0
 
     def _check_interior(self, t: np.ndarray) -> None:
         if np.any(t < 0.0) or np.any(t >= self.horizon):
@@ -172,7 +165,6 @@ class CrashHazard:
 class UniformHazard(CrashHazard):
     """Crash time uniform on [0, T]: kappa(t) = 1/(T-t), no atom."""
 
-    family = "uniform"
     atom = 0.0
 
     def __init__(self, horizon: float = 1.0):
@@ -198,8 +190,6 @@ class ExponentialCutoffHazard(CrashHazard):
     sits in an atom at T, so the bubble survives the whole window with
     positive probability.
     """
-
-    family = "exponential_cutoff"
 
     def __init__(self, rate: float = 1.0, horizon: float = 1.0):
         _finite(rate=rate, horizon=horizon)
@@ -235,8 +225,6 @@ class LPPLHazard(CrashHazard):
     integrable on (0, T) exactly when m > 0, which is also when the crash
     may fail to happen before T.
     """
-
-    family = "lppl"
 
     def __init__(
         self,
@@ -312,8 +300,6 @@ class TabulatedHazard(CrashHazard):
     be positive (a tabulated CDF cannot resolve a hazard blow-up).
     """
 
-    family = "tabulated"
-
     def __init__(self, times, cdf_values):
         t = np.asarray(times, dtype=float)
         g = np.asarray(cdf_values, dtype=float)
@@ -354,7 +340,6 @@ class ExcessReturn:
     hazard.
     """
 
-    family = "generic"
     bounded_dphi = True
     hazard: Optional[CrashHazard] = None
     _delta: Optional[Callable] = None
@@ -377,8 +362,6 @@ class ZeroExcess(ExcessReturn):
     """No excess return and no crash exposure: the plain Black--Scholes
     market."""
 
-    family = "zero"
-
     def _phi(self, t):
         return np.zeros_like(t)
 
@@ -387,8 +370,6 @@ class ZeroExcess(ExcessReturn):
 
 class ConstantExcess(ExcessReturn):
     """phi'(t) = alpha, a constant pre-crash excess drift."""
-
-    family = "constant"
 
     def __init__(self, alpha: float):
         _finite(alpha=alpha)
@@ -403,8 +384,6 @@ class ConstantExcess(ExcessReturn):
 
 class LinearRampExcess(ExcessReturn):
     """phi'(t) = slope * t: excess return ramps up as the horizon nears."""
-
-    family = "linear_ramp"
 
     def __init__(self, slope: float):
         _finite(slope=slope)
@@ -424,8 +403,6 @@ class ConstantJumpSizeExcess(ExcessReturn):
     times the cumulative hazard.
     """
 
-    family = "constant_jump_size"
-
     def __init__(self, hazard: CrashHazard, delta0: float):
         if not 0.0 <= delta0 <= 1.0:
             raise ModelError("relative jump size must lie in [0, 1]")
@@ -434,9 +411,9 @@ class ConstantJumpSizeExcess(ExcessReturn):
 
     @property
     def bounded_dphi(self) -> bool:
-        # integrability of the hazard, which is not boundedness: an LPPL
-        # hazard with power in (0, 1) is integrable and unbounded
-        return self.hazard.kappa_integrable
+        # an atom, i.e. an integrable hazard, which is not boundedness: an
+        # LPPL hazard with power in (0, 1) is integrable and unbounded
+        return self.hazard.atom > 0.0
 
     def _phi(self, t):
         return self.delta0 * np.asarray(self.hazard.cumulative_hazard(t))
@@ -459,7 +436,6 @@ class RelaxedJLSExcess(ExcessReturn):
     to T).
     """
 
-    family = "jls_relaxed"
     bounded_dphi = False
 
     def __init__(self, hazard: CrashHazard, delta_fn: Callable, phi_fn: Optional[Callable] = None):
@@ -518,7 +494,6 @@ class CustomExcess(ExcessReturn):
     certify its integrability by quadrature.
     """
 
-    family = "custom"
     bounded_dphi = False
 
     def __init__(self, phi_fn, dphi_fn):
@@ -862,14 +837,19 @@ class Classification:
 
 
 def excess_defect_integral(model: MarketModel) -> tuple[float, str]:
-    """D = int_0^T (kappa - phi'), decided analytically where possible.
+    """D = int_0^T (kappa - phi'), certified by shell quadrature.
 
+    Two branches are exact: an atom gives D = -log(atom) - phi(T-), and a
+    constant jump size delta0 on a law without one gives D = inf for
+    delta0 < 1 and D = 0 for delta0 = 1.  Every other profile, a relaxed
+    jump size included, takes the quadrature of kappa - phi' (after the
+    quadrature of phi' alone, whose convergence leaves D infinite).
     Returns (value, status); value is inf for certified divergence.  The
     martingale dichotomy rides on whether this integral is finite.
     """
     hz, ex = model.hazard, model.excess
     T = model.horizon
-    if hz.kappa_integrable:
+    if hz.atom > 0.0:
         total = -math.log(hz.atom)
         return total - model.phi_left_limit(), CONVERGED
     # hazard nonintegrable from here on, so an integrable phi' leaves D infinite
@@ -879,16 +859,6 @@ def excess_defect_integral(model: MarketModel) -> tuple[float, str]:
         if ex.delta0 < 1.0:
             return math.inf, CONVERGED
         return 0.0, CONVERGED
-    if isinstance(ex, RelaxedJLSExcess) and isinstance(hz, UniformHazard):
-        # delta linear in t: (1 - delta) kappa integrates to a closed form
-        probe = np.array([0.25 * T, 0.5 * T, 0.75 * T])
-        d = np.asarray(ex.delta(probe))
-        slope = d / probe
-        if np.allclose(slope, slope[0], rtol=1e-12, atol=1e-15):
-            s = float(slope[0])
-            if s * T < 1.0 - 1e-12:
-                return math.inf, CONVERGED
-            return T * s, CONVERGED
 
     def integrand(t):
         t = np.asarray(t, dtype=float)

@@ -400,7 +400,8 @@ def simulate_price_path(model: MarketModel, cfg: SimConfig, path_index: int):
 
     The grid step containing the crash is split at the crash, so the jump
     lands at the right price level; the returned prices sit on the uniform
-    grid (the final entry is S_T).
+    grid (the final entry is S_T).  A crash that removes the whole price
+    leaves it at 0.
     """
     gam, z, g1, g2 = _path_draws(model, cfg, path_index)
     return gam, *_price_path_given(model, cfg, gam, z, g1, g2)
@@ -412,7 +413,8 @@ def _price_path_given(model: MarketModel, cfg: SimConfig, gam: float, z, g1, g2)
     w = np.concatenate([[0.0], np.cumsum(dw)])
     log_s = (model.mu - 0.5 * sigma**2) * times + exponent + sigma * w
     if crash < len(dw):
-        log_s[crash + 1:] += math.log1p(-float(model.delta(gam)))
+        with np.errstate(divide="ignore"):  # a full loss leaves the price at 0
+            log_s[crash + 1:] += np.log1p(-float(model.delta(gam)))
         times, log_s = np.delete(times, crash), np.delete(log_s, crash)
     return times, np.exp(log_s)
 

@@ -46,6 +46,7 @@ from .hazard import (
 TERMINAL_CLIP_FRACTION = 1e-6  # grid stops at T (1 - this)
 MAX_NEWTON_ITER = 600  # iterates examined, the start included, before the solve fails
 MAX_HALVINGS = 20  # halvings of one Newton step before the solve stalls
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # about 709.78
 
 
 class SolverError(RuntimeError):
@@ -229,8 +230,14 @@ def _require_drift(model: MarketModel) -> None:
 
 def _brackets(model: MarketModel, c: _Coef) -> tuple[np.ndarray, np.ndarray]:
     """(lower, upper) on the grid of ``c``: the myopic curve m = 1 and the
-    curve m = exp(rate (T - t)) of the growth bound."""
+    curve m = exp(rate (T - t)) of the growth bound.  Raises
+    :class:`SolverError` when exp(rate T) overflows a float."""
     rate = (1.0 - c.p) * model.mu**2 / (2.0 * c.p**2 * model.sigma**2)
+    if rate * model.horizon > _LOG_FLOAT_MAX:
+        raise SolverError(
+            f"growth bound exp(rate (T - t)) overflows: rate * T = {rate * model.horizon:.6g} "
+            f"exceeds {_LOG_FLOAT_MAX:.6g}; risk aversion p = {c.p:g} is too small"
+        )
     if rate == 0.0:  # log utility: the other bracket is the myopic curve
         myopic = other = _implicit_many(c, np.ones_like(c.t))
     else:  # one inversion of both targets, point k at node k mod n

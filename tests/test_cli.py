@@ -7,6 +7,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,17 @@ class TestSolve:
         code, out, err = run_cli(["solve", "--scenario", path, "--tol", "1e-16"], capsys)
         assert code == 3 and out == ""
         assert err.startswith("ERROR code=3 kind=solver message=\"integral-equation residual ")
+
+    @pytest.mark.parametrize("command", ["solve", "welfare"])
+    def test_overflowing_growth_bound_exits_3(self, tmp_path, capsys, command):
+        # p = 0.01 puts exp(rate T) past the largest float
+        path = write_scenario(tmp_path, {"preference": {"p": 0.01}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli([command, "--scenario", path], capsys)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith('ERROR code=3 kind=solver message="growth bound exp(rate (T - t)) overflows')
 
 
 class TestWelfareRoundTrip:

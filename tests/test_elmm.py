@@ -22,6 +22,7 @@ from bubblemkt import (
     verify_tilt_bounds,
 )
 from bubblemkt import elmm
+from bubblemkt._quad import integrate_toward
 from bubblemkt.elmm import constant_tilt
 
 
@@ -70,6 +71,29 @@ class TestBuildTiltedMeasure:
         # constant tilts make phi' y fail square integrability here
         with pytest.raises(RejectedTiltError, match="square"):
             build_tilted_measure(ex37_model, constant_tilt(0.5))
+
+    @pytest.mark.parametrize("power, admitted", [(1.5, False), (0.5, True)])
+    def test_atom_law_gate_integrates_kappa_one_plus_y(self, monkeypatch, power, admitted):
+        # y = (T - t)^(-power) blows up at the horizon of an atom law, so the
+        # gate certifies int kappa (1 + y) by quadrature: finite iff power < 1
+        law = ExponentialCutoffHazard(1.0, 1.0)
+        model = MarketModel(0.0, 0.2, law, ZeroExcess())
+        tilt = TiltFunction(
+            y=lambda t: (1.0 - np.asarray(t, dtype=float)) ** -power, inf_one_plus_y=1.0
+        )
+        at_half = []  # each gate integrand at t = 1/2
+
+        def recorded(f, a, b, **kw):
+            at_half.append(float(np.asarray(f(np.array([0.5])))[0]))
+            return integrate_toward(f, a, b, **kw)
+
+        monkeypatch.setattr(elmm, "integrate_toward", recorded)
+        if admitted:
+            assert classify_under_Q(model, tilt).verdict is Verdict.TRUE_MARTINGALE
+        else:
+            with pytest.raises(RejectedTiltError, match=r"kappa \(1 \+ y\) for an atom law"):
+                build_tilted_measure(model, tilt)
+        assert at_half[-1] == pytest.approx(1.0 + 0.5**-power, rel=1e-15)
 
     def test_distribution_function_shape(self, zero_drift_base):
         tm = build_tilted_measure(zero_drift_base, constant_tilt(0.3))

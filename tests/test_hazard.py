@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import integrate
 
 from bubblemkt import (
     C1Function,
@@ -456,6 +457,21 @@ class TestClassifyUnderP:
         result = classify_under_P(MarketModel(0.0, 0.2, law, linear_delta_excess(law, 0.0)))
         assert result.verdict is Verdict.TRUE_MARTINGALE
         assert math.isinf(result.defect)
+
+    def test_relaxed_jump_size_defect_is_certified_by_quadrature(self):
+        # delta(t) = t + 0.1 sin(4 pi t) agrees with a linear jump size at
+        # T/4, T/2 and 3T/4, yet int (kappa - phi') is not T
+        law = UniformHazard(1.0)
+        excess = RelaxedJLSExcess(law, lambda t: t + 0.1 * np.sin(4.0 * np.pi * t))
+        model = MarketModel(0.0, 0.2, law, excess)
+        assert validate(model).passed
+        reference, _ = integrate.quad(
+            lambda t: 1.0 - 0.1 * np.sin(4.0 * np.pi * t) / (1.0 - t),
+            0.0, 1.0, epsabs=1e-13, epsrel=1e-13,
+        )
+        result = classify_under_P(model)
+        assert result.verdict is Verdict.STRICT_LOCAL_MARTINGALE
+        assert result.defect == pytest.approx(reference, rel=1e-9)
 
     def test_constant_jump_size_full_loss(self):
         law = UniformHazard(1.0)

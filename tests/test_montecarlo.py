@@ -104,6 +104,20 @@ class TestPricePaths:
         _, prices = _price_path_given(model, SimConfig(n_steps=16), 0.4, np.zeros(16), 0.0, 0.0)
         assert prices[-1] == pytest.approx(math.exp(-0.4), rel=1e-10)
 
+    def test_full_loss_crash_leaves_price_at_zero(self):
+        law = UniformHazard(1.0)
+        model = MarketModel(0.1, 0.2, law, ConstantJumpSizeExcess(law, 1.0))
+        cfg = SimConfig(n_steps=64, seed=5)
+        for idx in range(3):
+            gamma, times, prices = simulate_price_path(model, cfg, idx)
+            before = times < gamma
+            assert np.all(prices[before] > 0.0) and np.all(prices[~before] == 0.0)
+            assert prices[-1] == 0.0
+        # the wealth of a fully invested path has no logarithm to carry
+        hold = Strategy("hold", lambda t: np.ones(np.shape(np.asarray(t))), 1.0)
+        with pytest.raises(SimulationDiagnostic):
+            simulate_wealth_path(model, hold, cfg, 0)
+
     def test_atom_path_never_jumps(self, base_model):
         cfg = SimConfig(n_steps=64, seed=11)
         for idx in range(400):

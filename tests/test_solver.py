@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -569,6 +570,14 @@ def test_one_solve_path_next_to_log_utility(base_model, p):
 
 class TestToleranceContract:
     """A solve returns a curve exactly when its residual meets ``tol``."""
+
+    def test_overflowing_growth_bound_raises(self, base_model):
+        # rate T = (1 - p) mu^2 / (2 p^2 sigma^2) = 1237.5 at p = 0.01, so
+        # exp(rate T) is no float; the solve names it before any inversion
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match=r"rate \* T = 1237\.5 exceeds 709\.783"):
+                solve_optimal(base_model, Preference(0.01))
 
     @pytest.mark.parametrize("p, tol", [(4.0, 1e-4), (0.25, 1e-6)])
     def test_loose_tol_is_met(self, base_model, p, tol):
