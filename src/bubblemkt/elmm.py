@@ -150,54 +150,47 @@ class TiltedMeasure(CrashHazard):
         return np.vstack([res1, res2, res3])
 
 
-def _probe_grid(model: MarketModel, n: int = 1024) -> np.ndarray:
-    return horizon_grid(model.horizon, n)
+def _positivity(model: MarketModel, tilt: TiltFunction) -> tuple[np.ndarray, np.ndarray, float]:
+    """(grid, 1 + y on it, eps) on the 1025-point horizon grid, with eps the
+    grid minimum of 1 + y capped by the tilt's certified ``inf_one_plus_y``."""
+    grid = horizon_grid(model.horizon, 1025)
+    one_plus = 1.0 + tilt(grid)
+    eps = float(np.min(one_plus))
+    if tilt.inf_one_plus_y is not None:
+        eps = min(eps, tilt.inf_one_plus_y)
+    return grid, one_plus, eps
+
+
+def _certified(f: Callable, b: float) -> bool:
+    return integrate_toward(f, 0.0, b).status == CONVERGED
 
 
 def _admit_tilt(model: MarketModel, tilt: TiltFunction) -> None:
     """Raise :class:`RejectedTiltError` naming the first admissibility
     condition that ``tilt`` violates (see :func:`build_tilted_measure`)."""
-    probe = _probe_grid(model)
-    one_plus = 1.0 + tilt(probe)
-    floor = float(np.min(one_plus))
-    if tilt.inf_one_plus_y is not None:
-        floor = min(floor, tilt.inf_one_plus_y)
-    if floor <= 0.0:
+    if not _positivity(model, tilt)[2] > 0.0:
         raise RejectedTiltError("tilt violates inf (1 + y) > 0")
 
-    dphi = np.asarray(model.excess.dphi(probe))
-    drift_load = dphi * tilt(probe)
-    bounded_load = bool(np.max(np.abs(drift_load)) < np.inf) and model.excess.bounded_dphi
-    if not bounded_load or not np.all(np.isfinite(drift_load)):
-        res = integrate_toward(
-            lambda t: (np.asarray(model.excess.dphi(t)) * tilt(t)) ** 2,
-            0.0,
-            model.horizon,
-        )
-        if res.status != CONVERGED:
-            raise RejectedTiltError(
-                "tilt violates square integrability of phi' * y"
-            )
+    # with phi' bounded, int y^2 < infinity is enough
+    T, excess = model.horizon, model.excess
+    square = excess.bounded_dphi and _certified(lambda t: tilt(t) ** 2, T)
+    if not square and not _certified(lambda t: (np.asarray(excess.dphi(t)) * tilt(t)) ** 2, T):
+        raise RejectedTiltError("tilt violates square integrability of phi' * y")
 
-    if model.hazard.atom > 0.0:
-        # kappa is integrable here, so only a tilt blowing up near the
-        # horizon can break integrability of kappa (1 + y)
-        T = model.horizon
-        window_max = []
-        for k in range(2, 34):
-            win = np.linspace(T * (1 - 0.5**k), T * (1 - 0.5 ** (k + 1)), 9)
-            window_max.append(float(np.max(np.abs(tilt(win)))))
-        head = max(window_max[:8]) + 1.0
-        if not np.all(np.isfinite(window_max)) or max(window_max[-5:]) > 8.0 * head:
-            res = integrate_toward(
-                lambda t: np.asarray(model.hazard.hazard(t)) * np.abs(1.0 + tilt(t)),
-                0.0,
-                model.horizon,
-            )
-            if res.status != CONVERGED:
-                raise RejectedTiltError(
-                    "tilt violates integrability of kappa (1 + y) for an atom law"
-                )
+    law = model.hazard
+    if law.atom > 0.0:
+        # in u = H(t), du = kappa dt takes kappa's singularity and oscillation out
+        # of the integrand.  H is inverted at u (1 - e^-u rounds to 1 past u = 37.43);
+        # nearer T than integrate_toward's shells in t reach, t(u) stops resolving
+        # and a flat integrand would certify any tilt, so it is nan there
+        resolved = T - 64.0 * np.finfo(float).eps * max(T, 1.0)
+
+        def one_plus_y(u):
+            t = law._inverse_cum(u)
+            return np.where(t < resolved, np.abs(1.0 + tilt(np.minimum(t, resolved))), np.nan)
+
+        if not _certified(one_plus_y, -math.log(law.atom)):
+            raise RejectedTiltError("tilt violates integrability of kappa (1 + y) for an atom law")
 
 
 def build_tilted_measure(
@@ -207,11 +200,17 @@ def build_tilted_measure(
 ) -> TiltedMeasure:
     """Construct the tilted crash-time law after admissibility checks.
 
-    Rejections name the violated condition: positivity of 1 + y, square
-    integrability of phi' y (skipped when the profile declares phi'
-    bounded and phi' y is finite on the probe grid), and (only when the
-    law has an atom) integrability of kappa (1 + y).  The law is tabulated
-    on ``grid``, by default the ``TILTED_GRID_POINTS``-node horizon grid.
+    A rejection names the first failing condition, checked in order:
+    positivity of 1 + y, the one condition decided by sampling (its
+    minimum on the 1025-point horizon grid, capped by ``inf_one_plus_y``);
+    square integrability of phi' y, by a CONVERGED
+    :func:`~bubblemkt._quad.integrate_toward` certificate of int y^2 when
+    the profile declares ``bounded_dphi`` and else, or failing that, of
+    int (phi' y)^2; and, only for a law with an atom, integrability of
+    kappa (1 + y), by a CONVERGED certificate of int |1 + y| du over
+    [0, -log atom) in cumulative-hazard time u = H(t), reached before
+    t(u) stops resolving below T.  The law is tabulated on ``grid``, by
+    default the ``TILTED_GRID_POINTS``-node horizon grid.
     :func:`classify_under_Q` runs the same checks without tabulating.
     """
     _admit_tilt(model, tilt)
@@ -230,11 +229,7 @@ def verify_tilt_bounds(model: MarketModel, tilt: TiltFunction) -> Optional[tuple
     tilted one.  Returns (eps, C) or None: failure is a value, not an
     exception.
     """
-    grid = _probe_grid(model, 1025)
-    one_plus = 1.0 + tilt(grid)
-    eps = float(np.min(one_plus))
-    if tilt.inf_one_plus_y is not None:
-        eps = min(eps, tilt.inf_one_plus_y)
+    grid, one_plus, eps = _positivity(model, tilt)
     if not eps > 0.0:
         return None
     eps = min(1.0, eps)

@@ -88,7 +88,7 @@ class CrashHazard:
     follow from ``1 - G(t) = exp(-H(t))`` on ``[0, T)``.  Sampling inverts
     H with a safeguarded Newton iteration (dH/dt is the hazard), which for
     a tabulated H starts inside the knot panel holding its target; a family
-    with a closed-form inverse overrides ``_inverse_cdf``.
+    with a closed-form inverse overrides ``_inverse_cdf`` or ``_inverse_cum``.
     """
 
     horizon: float
@@ -145,10 +145,12 @@ class CrashHazard:
         return self._inverse_cdf(u)
 
     def _inverse_cdf(self, u: np.ndarray) -> np.ndarray:
-        w = -np.log1p(-u)
+        return self._inverse_cum(-np.log1p(-u))
+
+    def _inverse_cum(self, w: np.ndarray) -> np.ndarray:
+        """H^-1(w); levels at or past the atom's map to the horizon."""
         total = -math.log(self.atom) if self.atom > 0.0 else math.inf
         end, cap = self._table_edge or (self.horizon, total)
-        # variates in the atom map to the horizon
         out = np.where(w < total, end, self.horizon)
         inner = w < min(cap, total)
         if np.any(inner):
@@ -207,8 +209,7 @@ class ExponentialCutoffHazard(CrashHazard):
     def _cum(self, t):
         return self.rate * t
 
-    def _inverse_cdf(self, u):
-        w = -np.log1p(-u)
+    def _inverse_cum(self, w):
         return np.where(w >= self.rate * self.horizon, self.horizon, w / self.rate)
 
 
@@ -332,10 +333,10 @@ class ExcessReturn:
     A profile supplies array-level hooks ``_phi`` and ``_dphi``, and, when
     it fixes the relative jump size itself, ``_delta``; this class gives
     them the scalar-or-array convention of the crash laws.
-    ``bounded_dphi`` advertises that ``phi'`` is bounded on [0, T), which
-    lets the tilt gate of :func:`~bubblemkt.elmm.build_tilted_measure`
-    skip the square-integrability quadrature of ``phi' y`` for a tilt that
-    stays finite on its probe grid; no classification reads it.  Profiles
+    ``bounded_dphi`` advertises that ``phi'`` is bounded on [0, T), so the
+    tilt gate of :func:`~bubblemkt.elmm.build_tilted_measure` certifies
+    ``int y^2`` before it tries ``int (phi' y)^2`` for square
+    integrability of ``phi' y``; no classification reads it.  Profiles
     tied to a hazard (constant or supplied relative jump size) carry the
     hazard.
     """
@@ -411,9 +412,11 @@ class ConstantJumpSizeExcess(ExcessReturn):
 
     @property
     def bounded_dphi(self) -> bool:
-        # an atom, i.e. an integrable hazard, which is not boundedness: an
-        # LPPL hazard with power in (0, 1) is integrable and unbounded
-        return self.hazard.atom > 0.0
+        # where kappa is bounded; LPPL's is unbounded for power < 1, atom or not
+        law = self.hazard
+        if isinstance(law, LPPLHazard):
+            return law.power >= 1.0
+        return isinstance(law, (ExponentialCutoffHazard, TabulatedHazard))
 
     def _phi(self, t):
         return self.delta0 * np.asarray(self.hazard.cumulative_hazard(t))

@@ -26,6 +26,9 @@ from bubblemkt._quad import integrate_toward
 from bubblemkt.elmm import constant_tilt
 
 
+LPPL_04 = LPPLHazard(b=1.2, c=0.3, power=0.4, omega=6.0, phase=0.5, horizon=1.0)
+
+
 @pytest.fixture(scope="module")
 def zero_drift_base():
     law = ExponentialCutoffHazard(1.0, 1.0)
@@ -72,16 +75,52 @@ class TestBuildTiltedMeasure:
         with pytest.raises(RejectedTiltError, match="square"):
             build_tilted_measure(ex37_model, constant_tilt(0.5))
 
-    @pytest.mark.parametrize("power, admitted", [(1.5, False), (0.5, True)])
-    def test_atom_law_gate_integrates_kappa_one_plus_y(self, monkeypatch, power, admitted):
+    @pytest.mark.parametrize(
+        "excess, power, admitted",
+        [
+            pytest.param(None, 0.5, False, id="0.5-False"),
+            pytest.param(None, 0.4, True, id="0.4-True"),
+            pytest.param(0.3, 0.0, False, id="lppl-0-False"),
+            pytest.param(0.3, 0.3, False, id="lppl-0.3-False"),
+        ],
+    )
+    def test_square_integrability_is_certified(self, zero_drift_base, excess, power, admitted):
+        # phi' = 0.2 is bounded, yet int (phi' y)^2 = 0.04 int (T - t)^(-2 power)
+        # is finite only for power < 1/2; the constant jump size 0.3 on LPPL
+        # 0.4 has phi' = 0.3 kappa ~ (T - t)^(-0.6), so even y = 1 fails
+        model = zero_drift_base
+        if excess is not None:
+            model = MarketModel(0.0, 0.2, LPPL_04, ConstantJumpSizeExcess(LPPL_04, excess))
+        tilt = TiltFunction(
+            y=lambda t: (1.0 - np.asarray(t, dtype=float)) ** -power, inf_one_plus_y=1.0
+        )
+        if admitted:
+            assert classify_under_Q(model, tilt).verdict is Verdict.TRUE_MARTINGALE
+            build_tilted_measure(model, tilt)
+        else:
+            for gate in (build_tilted_measure, classify_under_Q):
+                with pytest.raises(RejectedTiltError, match="square"):
+                    gate(model, tilt)
+
+    @pytest.mark.parametrize(
+        "law, power, admitted",
+        [
+            pytest.param(ExponentialCutoffHazard(1.0, 1.0), 1.5, False, id="1.5-False"),
+            pytest.param(ExponentialCutoffHazard(1.0, 1.0), 0.5, True, id="0.5-True"),
+            pytest.param(LPPL_04, 0.5, False, id="lppl-0.5-False"),
+            # atom e^-40: 1 - e^-u rounds to 1 on the last shells
+            pytest.param(ExponentialCutoffHazard(40.0, 1.0), 0.5, True, id="rate40-0.5-True"),
+        ],
+    )
+    def test_atom_law_gate_integrates_kappa_one_plus_y(self, monkeypatch, law, power, admitted):
         # y = (T - t)^(-power) blows up at the horizon of an atom law, so the
-        # gate certifies int kappa (1 + y) by quadrature: finite iff power < 1
-        law = ExponentialCutoffHazard(1.0, 1.0)
+        # gate certifies int kappa (1 + y): finite iff power < 1 on the
+        # exponential law, and iff power < 0.4 on LPPL 0.4
         model = MarketModel(0.0, 0.2, law, ZeroExcess())
         tilt = TiltFunction(
             y=lambda t: (1.0 - np.asarray(t, dtype=float)) ** -power, inf_one_plus_y=1.0
         )
-        at_half = []  # each gate integrand at t = 1/2
+        at_half = []  # each gate integrand at 1/2
 
         def recorded(f, a, b, **kw):
             at_half.append(float(np.asarray(f(np.array([0.5])))[0]))
@@ -93,7 +132,23 @@ class TestBuildTiltedMeasure:
         else:
             with pytest.raises(RejectedTiltError, match=r"kappa \(1 \+ y\) for an atom law"):
                 build_tilted_measure(model, tilt)
-        assert at_half[-1] == pytest.approx(1.0 + 0.5**-power, rel=1e-15)
+        # the integral runs in cumulative-hazard time u: at u = 1/2 the
+        # integrand is 1 + y(t) at the t where H(t) = 1/2
+        t_half = 1.0 - (at_half[-1] - 1.0) ** (-1.0 / power)
+        assert float(law.cumulative_hazard(t_half)) == pytest.approx(0.5, rel=1e-13)
+
+    def test_atom_law_gate_stops_where_t_stops_resolving(self):
+        # int kappa (1 + 1e-8 (T - t)^(-0.6)) diverges on LPPL 0.4, where
+        # kappa ~ (T - t)^(-0.6).  In u = H(t), T - t(u) reaches one ulp of T
+        # near shell 21, past which a flat integrand would halve shell by
+        # shell and read as convergent.
+        model = MarketModel(0.0, 0.2, LPPL_04, ZeroExcess())
+        tilt = TiltFunction(
+            y=lambda t: 1e-8 * (1.0 - np.asarray(t, dtype=float)) ** -0.6, inf_one_plus_y=1.0
+        )
+        for gate in (build_tilted_measure, classify_under_Q):
+            with pytest.raises(RejectedTiltError, match=r"kappa \(1 \+ y\) for an atom law"):
+                gate(model, tilt)
 
     def test_distribution_function_shape(self, zero_drift_base):
         tm = build_tilted_measure(zero_drift_base, constant_tilt(0.3))
@@ -127,9 +182,9 @@ def test_relation_identities(model_key, tilt):
             0.0, 0.2, ExponentialCutoffHazard(1.0, 1.0), ConstantExcess(0.2)
         ),
         "uniform_zero": lambda: MarketModel(0.0, 0.2, UniformHazard(1.0), ZeroExcess()),
-        "lppl": lambda: (
-            lambda law: MarketModel(0.0, 0.2, law, ConstantJumpSizeExcess(law, 0.3))
-        )(LPPLHazard(b=1.2, c=0.3, power=0.4, omega=6.0, phase=0.5, horizon=1.0)),
+        # the residuals do not read phi; a constant jump size would make
+        # phi' = 0.3 kappa unbounded, and only tilts vanishing at T admissible
+        "lppl": lambda: MarketModel(0.0, 0.2, LPPL_04, ZeroExcess()),
     }
     model = law_map[model_key]()
     tm = build_tilted_measure(model, tilt)
