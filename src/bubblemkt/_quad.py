@@ -37,9 +37,8 @@ _GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
 _ULPS = 4.0 * np.finfo(float).eps  # root-finder stopping width, relative
 _MAX_NEWTON_STEPS = 200
 
-# integrate_toward: absolute shell tolerance, shell budget, the run of
-# non-decaying shells that certifies divergence, and the shells per call
-_SHELL_ATOL = 1e-14
+# integrate_toward: shell budget, the run of non-decaying shells that
+# certifies divergence, and the shells per call
 _MAX_SHELLS = 60
 _DIVERGENCE_RUN = 8
 _SHELL_BATCH = 8  # shells per call of the integrand
@@ -254,6 +253,7 @@ def integrate_toward(
     b: float,
     *,
     rtol: float = 1e-10,
+    atol: float = 0.0,
 ) -> ShellIntegral:
     """Integrate ``f`` over (a, b) where ``f`` may be singular at ``b``.
 
@@ -265,6 +265,12 @@ def integrate_toward(
     below, applied shell by shell, turn that into a converged / divergent /
     indeterminate verdict.  Shells evaluated past the verdict are
     discarded, and so are their floating-point errors.
+
+    A shell or an extrapolated tail is negligible below
+    ``atol + rtol |total|`` (the QUADPACK convention).  The default
+    ``atol = 0`` leaves the verdict and the shell count unchanged when ``f``
+    is scaled, as a finiteness question needs; a caller that wants a value
+    to an absolute accuracy passes ``atol``.
     """
     if not b > a:
         raise ValueError("need b > a")
@@ -286,7 +292,7 @@ def integrate_toward(
         total = tv
         last = abs(part)
         signs.append(1.0 if part >= 0 else -1.0)
-        scale = _SHELL_ATOL + rtol * max(1.0, abs(total))
+        scale = atol + rtol * abs(total)
         if last <= scale:
             small_run += 1
             flat_run = 0

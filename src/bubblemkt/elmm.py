@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._quad import CONVERGED, Curve, horizon_grid, integrate_toward, panel_rule
+from ._quad import CONVERGED, DIVERGENT, Curve, horizon_grid, integrate_toward, panel_rule
 from ._quad import local_slope, local_step
 from .hazard import (
     Classification,
@@ -161,21 +161,26 @@ def _positivity(model: MarketModel, tilt: TiltFunction) -> tuple[np.ndarray, np.
     return grid, one_plus, eps
 
 
-def _certified(f: Callable, b: float) -> bool:
-    return integrate_toward(f, 0.0, b).status == CONVERGED
+def _certify(condition: str, f: Callable, b: float) -> None:
+    """Raise :class:`RejectedTiltError` unless int_0^b f reads CONVERGED;
+    only a DIVERGENT certificate says that the tilt violates ``condition``."""
+    res = integrate_toward(f, 0.0, b)
+    read = f"{res.status} after {res.shells} shells"
+    if res.status == DIVERGENT:
+        raise RejectedTiltError(f"tilt violates {condition} ({read})")
+    if res.status != CONVERGED:
+        raise RejectedTiltError(f"{condition} is not certified ({read})")
 
 
 def _admit_tilt(model: MarketModel, tilt: TiltFunction) -> None:
     """Raise :class:`RejectedTiltError` naming the first admissibility
-    condition that ``tilt`` violates (see :func:`build_tilted_measure`)."""
+    condition that ``tilt`` violates or that is not certified (see
+    :func:`build_tilted_measure`)."""
     if not _positivity(model, tilt)[2] > 0.0:
         raise RejectedTiltError("tilt violates inf (1 + y) > 0")
 
-    # with phi' bounded, int y^2 < infinity is enough
-    T, excess = model.horizon, model.excess
-    square = excess.bounded_dphi and _certified(lambda t: tilt(t) ** 2, T)
-    if not square and not _certified(lambda t: (np.asarray(excess.dphi(t)) * tilt(t)) ** 2, T):
-        raise RejectedTiltError("tilt violates square integrability of phi' * y")
+    T, dphi = model.horizon, model.excess.dphi
+    _certify("square integrability of phi' * y", lambda t: (np.asarray(dphi(t)) * tilt(t)) ** 2, T)
 
     law = model.hazard
     if law.atom > 0.0:
@@ -189,8 +194,7 @@ def _admit_tilt(model: MarketModel, tilt: TiltFunction) -> None:
             t = law._inverse_cum(u)
             return np.where(t < resolved, np.abs(1.0 + tilt(np.minimum(t, resolved))), np.nan)
 
-        if not _certified(one_plus_y, -math.log(law.atom)):
-            raise RejectedTiltError("tilt violates integrability of kappa (1 + y) for an atom law")
+        _certify("integrability of kappa (1 + y) for an atom law", one_plus_y, -math.log(law.atom))
 
 
 def build_tilted_measure(
@@ -204,12 +208,14 @@ def build_tilted_measure(
     positivity of 1 + y, the one condition decided by sampling (its
     minimum on the 1025-point horizon grid, capped by ``inf_one_plus_y``);
     square integrability of phi' y, by a CONVERGED
-    :func:`~bubblemkt._quad.integrate_toward` certificate of int y^2 when
-    the profile declares ``bounded_dphi`` and else, or failing that, of
+    :func:`~bubblemkt._quad.integrate_toward` certificate of
     int (phi' y)^2; and, only for a law with an atom, integrability of
     kappa (1 + y), by a CONVERGED certificate of int |1 + y| du over
     [0, -log atom) in cumulative-hazard time u = H(t), reached before
-    t(u) stops resolving below T.  The law is tabulated on ``grid``, by
+    t(u) stops resolving below T.  Both certificates are scale-free.  A
+    DIVERGENT one reads "tilt violates <condition>", any other
+    "<condition> is not certified": a finite integral may converge too
+    slowly for the shells to read.  The law is tabulated on ``grid``, by
     default the ``TILTED_GRID_POINTS``-node horizon grid.
     :func:`classify_under_Q` runs the same checks without tabulating.
     """

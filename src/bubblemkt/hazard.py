@@ -332,16 +332,13 @@ class ExcessReturn:
 
     A profile supplies array-level hooks ``_phi`` and ``_dphi``, and, when
     it fixes the relative jump size itself, ``_delta``; this class gives
-    them the scalar-or-array convention of the crash laws.
-    ``bounded_dphi`` advertises that ``phi'`` is bounded on [0, T), so the
-    tilt gate of :func:`~bubblemkt.elmm.build_tilted_measure` certifies
-    ``int y^2`` before it tries ``int (phi' y)^2`` for square
-    integrability of ``phi' y``; no classification reads it.  Profiles
-    tied to a hazard (constant or supplied relative jump size) carry the
-    hazard.
+    them the scalar-or-array convention of the crash laws.  A profile
+    declares nothing about the size of ``phi'``: every integral that reads
+    it, the defect ``int (kappa - phi')`` and the tilt gate's
+    ``int (phi' y)^2``, is certified by quadrature.  Profiles tied to a
+    hazard (constant or supplied relative jump size) carry the hazard.
     """
 
-    bounded_dphi = True
     hazard: Optional[CrashHazard] = None
     _delta: Optional[Callable] = None
 
@@ -410,14 +407,6 @@ class ConstantJumpSizeExcess(ExcessReturn):
         self.hazard = hazard
         self.delta0 = float(delta0)
 
-    @property
-    def bounded_dphi(self) -> bool:
-        # where kappa is bounded; LPPL's is unbounded for power < 1, atom or not
-        law = self.hazard
-        if isinstance(law, LPPLHazard):
-            return law.power >= 1.0
-        return isinstance(law, (ExponentialCutoffHazard, TabulatedHazard))
-
     def _phi(self, t):
         return self.delta0 * np.asarray(self.hazard.cumulative_hazard(t))
 
@@ -438,8 +427,6 @@ class RelaxedJLSExcess(ExcessReturn):
     error, which only matters for price simulation of crashes very close
     to T).
     """
-
-    bounded_dphi = False
 
     def __init__(self, hazard: CrashHazard, delta_fn: Callable, phi_fn: Optional[Callable] = None):
         self.hazard = hazard
@@ -493,11 +480,9 @@ class CustomExcess(ExcessReturn):
     """Closed-form profile supplied by the caller.
 
     Nothing is assumed about ``phi'`` beyond the checks of
-    :func:`validate`: it is not taken to be bounded, and the classifiers
-    certify its integrability by quadrature.
+    :func:`validate`, as for every profile: the classifiers and the tilt
+    gate certify each integral of it by quadrature.
     """
-
-    bounded_dphi = False
 
     def __init__(self, phi_fn, dphi_fn):
         self._phi = phi_fn
@@ -808,7 +793,7 @@ def _horizon_limit_scaled(hazard: CrashHazard, fn: C1Function) -> tuple[float, b
     ks = np.arange(8, 49)
     t = T * (1.0 - 0.5**ks)
     vals = np.asarray(fn.value(t)) * np.exp(-np.asarray(hazard.cumulative_hazard(t)))
-    scale = max(1.0, float(np.max(np.abs(vals[:8]))))
+    scale = float(np.max(np.abs(vals[:8])))
     tail = vals[-8:]
     if np.all(np.abs(tail) <= 1e-10 * scale):
         return 0.0, True

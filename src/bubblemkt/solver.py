@@ -339,7 +339,7 @@ def _terminal_tail(model: MarketModel, prefs: Preference, t_end: float, y_end: f
         ym = _implicit_many(c, np.ones_like(u), x0=y_end)
         return _aux_n(c, ym)
 
-    res = integrate_toward(integrand, t_end, model.horizon, rtol=1e-12)
+    res = integrate_toward(integrand, t_end, model.horizon, rtol=1e-12, atol=1e-12)
     if res.status != CONVERGED:
         raise SolverError(
             "terminal tail of the integral equation did not converge; "

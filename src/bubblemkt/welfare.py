@@ -63,7 +63,8 @@ def _log_utility_loss_integral(model: MarketModel, grid: np.ndarray, y: np.ndarr
     t_end = float(grid[-1])
     if model.horizon > t_end:
         res = integrate_toward(
-            lambda u: loss(u, np.asarray(log_utility_solution(model, u))), t_end, model.horizon
+            lambda u: loss(u, np.asarray(log_utility_solution(model, u))),
+            t_end, model.horizon, atol=1e-10,
         )
         if res.status != CONVERGED:
             raise SolverError(f"log-utility loss integral over [{t_end!r}, T) is {res.status}")

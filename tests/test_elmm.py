@@ -12,6 +12,7 @@ from bubblemkt import (
     MarketModel,
     Preference,
     RejectedTiltError,
+    TabulatedHazard,
     TiltFunction,
     UniformHazard,
     Verdict,
@@ -27,6 +28,9 @@ from bubblemkt.elmm import constant_tilt
 
 
 LPPL_04 = LPPLHazard(b=1.2, c=0.3, power=0.4, omega=6.0, phase=0.5, horizon=1.0)
+TABULATED = TabulatedHazard(
+    np.linspace(0.0, 1.0, 9), [0.0, 0.05, 0.12, 0.2, 0.3, 0.42, 0.55, 0.68, 0.8]
+)
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +105,67 @@ class TestBuildTiltedMeasure:
             for gate in (build_tilted_measure, classify_under_Q):
                 with pytest.raises(RejectedTiltError, match="square"):
                     gate(model, tilt)
+
+    @pytest.mark.parametrize(
+        "power, admitted", [pytest.param(0.6, False, id="0.6-False"), (0.4, True)]
+    )
+    def test_small_tilts_are_judged_like_large_ones(self, zero_drift_base, power, admitted):
+        # int (phi' y)^2 = 0.04e-16 int (T - t)^(-2 power) is finite exactly
+        # when it is for 1e8 times the tilt: no absolute floor admits the
+        # divergent one for being small
+        tilt = TiltFunction(
+            y=lambda t: 1e-8 * (1.0 - np.asarray(t, dtype=float)) ** -power, inf_one_plus_y=1.0
+        )
+        if admitted:
+            assert classify_under_Q(zero_drift_base, tilt).verdict is Verdict.TRUE_MARTINGALE
+            build_tilted_measure(zero_drift_base, tilt)
+        else:
+            for gate in (build_tilted_measure, classify_under_Q):
+                with pytest.raises(RejectedTiltError, match=r"^tilt violates square .*\(divergent"):
+                    gate(zero_drift_base, tilt)
+
+    def test_small_tilt_of_the_strict_local_model_is_rejected(self, ex37_model):
+        # phi' = t / (1 - t), so int (phi' y)^2 ~ int (T - t)^-2.8 diverges
+        # however small y = 1e-8 (T - t)^-0.4 is
+        tilt = TiltFunction(
+            y=lambda t: 1e-8 * (1.0 - np.asarray(t, dtype=float)) ** -0.4, inf_one_plus_y=1.0
+        )
+        with pytest.raises(RejectedTiltError, match=r"^tilt violates square"):
+            classify_under_Q(ex37_model, tilt)
+
+    @pytest.mark.parametrize(
+        "law, excess, power, condition",
+        [
+            # int (0.3 kappa (T - t)^-0.4)^2 = 5.58328 on the 9-knot tabulated law
+            pytest.param(
+                TABULATED,
+                0.3,
+                0.4,
+                "square integrability of phi' * y",
+                id="tabulated-square",
+            ),
+            # int kappa (1 + (T - t)^-0.3) = 14.9558 on LPPL 0.4
+            pytest.param(
+                LPPL_04,
+                None,
+                0.3,
+                "integrability of kappa (1 + y) for an atom law",
+                id="lppl-atom-law",
+            ),
+        ],
+    )
+    def test_unread_finite_integral_is_not_certified(self, law, excess, power, condition):
+        # the integral is finite, yet its shells do not settle within the
+        # budget: the rejection says that it is not certified, not violated
+        profile = ZeroExcess() if excess is None else ConstantJumpSizeExcess(law, excess)
+        model = MarketModel(0.0, 0.2, law, profile)
+        tilt = TiltFunction(
+            y=lambda t: (1.0 - np.asarray(t, dtype=float)) ** -power, inf_one_plus_y=1.0
+        )
+        for gate in (build_tilted_measure, classify_under_Q):
+            with pytest.raises(RejectedTiltError) as err:
+                gate(model, tilt)
+            assert str(err.value) == f"{condition} is not certified (indeterminate after 46 shells)"
 
     @pytest.mark.parametrize(
         "law, power, admitted",

@@ -331,6 +331,21 @@ class TestSingleJumpClass:
         assert report.verdict is SingleJumpClass.INTEGRABLE_LOCAL_MARTINGALE
         assert report.true_martingale is False
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e-12])
+    def test_scaled_ex37_exponential_strictly_local(self, scale):
+        # scaling F scales the jump's second moment and the limit, not their
+        # finiteness: int (F'/kappa)^2 dG still diverges like int (1 - t)^-2
+        fn = _ex37_exponential()
+        scaled = C1Function(
+            value=lambda t: scale * fn.value(t),
+            derivative=lambda t: scale * fn.derivative(t),
+            horizon_limit_exists=False,
+        )
+        report = single_jump_class(UniformHazard(1.0), scaled)
+        assert report.verdict is SingleJumpClass.INTEGRABLE_LOCAL_MARTINGALE
+        assert (report.true_martingale, report.square_integrable) == (False, False)
+        assert report.detail == f"F(t)(1 - G(t)) -> {scale * math.exp(-1.0):.6g} != 0"
+
     def test_post_jump_level_not_integrable(self):
         # |F - F'/kappa| dG = (1 - t)^-2 on the uniform law
         fn = _c1(lambda s: s**-2.0, lambda s: 2.0 * s**-3.0)

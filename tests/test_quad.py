@@ -1,6 +1,7 @@
 """The package's monotone cubic against SciPy's ``PchipInterpolator``, the
 reference it reproduces bit for bit (SciPy is a test-only dependency), and
-the batched shell quadrature against its one-shell-per-call evaluation."""
+the batched shell quadrature against its one-shell-per-call evaluation and
+its verdicts against a rescaled integrand."""
 
 import math
 import subprocess
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
+import bubblemkt as bm
 from bubblemkt import Curve, _quad
 from bubblemkt._quad import CONVERGED, DIVERGENT, INDETERMINATE, integrate_toward
 
@@ -153,6 +155,35 @@ def test_overflow_in_a_used_shell_still_warns():
     with pytest.warns(RuntimeWarning, match="overflow"):
         res = integrate_toward(lambda x: np.exp(2.0 / (1.0 - x)), 0.0, 1.0)
     assert res.status == DIVERGENT
+
+
+_TABULATED = bm.TabulatedHazard(
+    np.linspace(0.0, 1.0, 9), [0.0, 0.05, 0.12, 0.2, 0.3, 0.42, 0.55, 0.68, 0.8]
+)
+_LPPL_04 = bm.LPPLHazard(b=1.2, c=0.3, power=0.4, omega=6.0, phase=0.5)
+
+# integrand on [0, 1) and its verdict with its shell count, at every scale
+SCALED_INTEGRANDS = {
+    "sqrt": (lambda x: (1.0 - x) ** -0.5, CONVERGED, 7),
+    "cos": (np.cos, CONVERGED, 19),
+    "zero": (np.zeros_like, CONVERGED, 3),
+    "log-divergent": (lambda x: 1.0 / (1.0 - x), DIVERGENT, 9),
+    "power-1.2": (lambda x: (1.0 - x) ** -1.2, DIVERGENT, 9),
+    "oscillating": (SHELL_INTEGRANDS["oscillating"][0], INDETERMINATE, 46),
+    "tabulated-kappa": (_TABULATED.hazard, CONVERGED, 20),
+    "lppl-0.4-kappa": (_LPPL_04.hazard, INDETERMINATE, 46),
+}
+
+
+@pytest.mark.parametrize("name", SCALED_INTEGRANDS)
+def test_verdict_and_shells_do_not_depend_on_scale(name):
+    # the default tolerance is relative: a tiny integrand is no more
+    # convergent than a huge one (an absolute floor certified all of
+    # these at 1e-12 in 3 shells)
+    f, status, shells = SCALED_INTEGRANDS[name]
+    for c in (2.0**-40, 1e-12, 1.0, 1e12, 2.0**40):
+        res = integrate_toward(lambda x: c * np.asarray(f(x)), 0.0, 1.0)
+        assert (res.status, res.shells) == (status, shells), c
 
 
 def test_panel_rule_is_built_once_per_grid():
