@@ -91,6 +91,7 @@ class TiltedMeasure(CrashHazard):
             raise ModelError("cumulative tilted hazard is not finite on the grid")
         self._tilt_interp = Curve(self.grid, cum_tilt)
         self._cum = Curve(self.grid, cum_total)
+        self._knots = (self.grid, cum_total)
         self.horizon = hazard.horizon
         # leftover mass beyond the grid decides the atom; the hazard tail
         # is exact from the physical atom, the tilt is frozen at the edge

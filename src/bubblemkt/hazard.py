@@ -86,8 +86,8 @@ class CrashHazard:
     input; ``hazard`` and ``density`` need t in ``[0, T)`` and
     ``inverse_cdf`` a variate in ``(0, 1)``.  CDF, density and survival
     follow from ``1 - G(t) = exp(-H(t))`` on ``[0, T)``.  Sampling inverts
-    H with a safeguarded Newton iteration (dH/dt is the hazard), which for
-    a tabulated H starts inside the knot panel holding its target; a family
+    H by safeguarded Newton (dH/dt is the hazard) from its knot table (a
+    tabulated H is one, any other H is tabulated on first use); a family
     with a closed-form inverse overrides ``_inverse_cdf`` or ``_inverse_cum``.
     """
 
@@ -96,9 +96,10 @@ class CrashHazard:
     # (table end, H there) for a law tabulated short of the horizon: the
     # mass between the table end and T collapses to the table end
     _table_edge: Optional[tuple[float, float]] = None
+    _knots: Optional[tuple[np.ndarray, np.ndarray]] = None  # (knot times, H there)
 
     def _check_interior(self, t: np.ndarray) -> None:
-        if np.any(t < 0.0) or np.any(t >= self.horizon):
+        if not np.all((t >= 0.0) & (t < self.horizon)):
             raise DomainError(
                 f"time must lie in [0, {self.horizon}) for hazard evaluation"
             )
@@ -116,7 +117,7 @@ class CrashHazard:
     def survival(self, t):
         """P(crash time > t); returns 0 at the horizon (the atom is reported
         separately, see :func:`survival_and_atom`)."""
-        if np.any(t < 0.0) or np.any(t > self.horizon):
+        if not np.all((t >= 0.0) & (t <= self.horizon)):
             raise DomainError("time must lie in [0, T]")
         out = np.zeros_like(t)
         inside = t < self.horizon
@@ -126,11 +127,12 @@ class CrashHazard:
 
     @_elementwise
     def cdf(self, t):
-        clipped = np.clip(t, 0.0, self.horizon)
-        out = np.ones_like(clipped)
-        inside = clipped < self.horizon
+        if np.any(np.isnan(t)):
+            raise DomainError("time must not be NaN")
+        out = np.ones_like(t)
+        inside = t < self.horizon
         if np.any(inside):
-            out[inside] = -np.expm1(-self._cum(clipped[inside]))
+            out[inside] = -np.expm1(-self._cum(np.maximum(t[inside], 0.0)))
         return out
 
     @_elementwise
@@ -140,7 +142,7 @@ class CrashHazard:
 
     @_elementwise
     def inverse_cdf(self, u):
-        if np.any(u <= 0.0) or np.any(u >= 1.0):
+        if not np.all((u > 0.0) & (u < 1.0)):
             raise DomainError("uniform variate must lie in (0, 1)")
         return self._inverse_cdf(u)
 
@@ -151,16 +153,19 @@ class CrashHazard:
         """H^-1(w); levels at or past the atom's map to the horizon."""
         total = -math.log(self.atom) if self.atom > 0.0 else math.inf
         end, cap = self._table_edge or (self.horizon, total)
-        out = np.where(w < total, end, self.horizon)
+        out = np.where(w < total, end, np.where(np.isnan(w), np.nan, self.horizon))
         inner = w < min(cap, total)
         if np.any(inner):
-            w, lo, hi, x0 = w[inner], 0.0, end, None
-            if isinstance(self._cum, Curve):  # bracket and start from the knot table
-                knots, levels = self._cum.grid, self._cum.values
-                j = np.clip(np.searchsorted(levels, w), 1, len(levels) - 1)
-                lo, hi = knots[j - 1], knots[j]
-                x0 = lo + (hi - lo) * (w - levels[j - 1]) / (levels[j] - levels[j - 1])
-            out[inner] = monotone_inverse(lambda x, _: (self._cum(x), self._kappa(x)), lo, hi, w, x0)
+            if self._knots is None:  # tabulated once; the last panel, up to T, stays open
+                grid = horizon_grid(self.horizon, 4097)
+                self._knots = (np.append(grid, self.horizon), np.append(self._cum(grid), math.inf))
+            w, (knots, levels) = w[inner], self._knots
+            j = np.clip(np.searchsorted(levels, w), 1, len(levels) - 1)
+            lo, hi = knots[j - 1], knots[j]
+            x0 = lo + (hi - lo) * (w - levels[j - 1]) / (levels[j] - levels[j - 1])
+            parts = zip(*(np.split(a, np.arange(4096, w.size, 4096)) for a in (lo, hi, w, x0)))
+            fdf = lambda x, _: (self._cum(x), self._kappa(x))  # chunks bound the temporaries
+            out[inner] = np.concatenate([monotone_inverse(fdf, *p) for p in parts])
         return out
 
 
@@ -318,6 +323,7 @@ class TabulatedHazard(CrashHazard):
             raise ModelError("last CDF value must be < 1; the remainder is the atom")
         self.horizon = float(t[-1])
         self._cum = Curve(t, -np.log1p(-g))
+        self._knots = (self._cum.grid, self._cum.values)
         self._kappa = functools.partial(self._cum, nu=1)
         self.atom = float(1.0 - g[-1])
 

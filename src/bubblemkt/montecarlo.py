@@ -4,8 +4,8 @@ Estimators are conditional Monte Carlo (Glasserman, *Monte Carlo Methods
 in Financial Engineering*, 2004, section 4.7): each sample draws one crash
 time gamma and takes the estimand's closed-form mean given gamma, so no
 Gaussian is drawn.  The pre-crash log price is (mu - sigma^2/2) t + phi(t)
-+ sigma W_t and the crash multiplies the price by 1 - delta(gamma), so S_T
-is the terminal wealth of a unit held throughout (pi = 1, x = 1).  The
++ sigma W_t and the crash multiplies the price by 1 - delta(gamma): S_T is
+the wealth of a unit held throughout, whose law needs no table.  The
 pre-crash wealth fraction pi(t) is deterministic and the post-crash one
 constant, so given gamma < T, log(X_T / x) is Gaussian with mean D(gamma)
 + log(1 - pi(gamma) delta(gamma)) + r_post (T - gamma) and variance
@@ -14,19 +14,20 @@ ds + dE) - sigma^2/2 int_0^t pi^2 ds, V(t) = sigma^2 int_0^t pi^2 ds and
 r_post = pi_post mu_eff - pi_post^2 sigma^2 / 2.  Under the physical
 measure mu_eff = mu and the exponent E is phi; under the tilted measure
 the drift vanishes, E = int phi'(1 + y), and the crash time is drawn from
-the tilted law.  D and V are tabulated once per estimate; that quadrature
-is the only discretization error.  The single-path simulators step on a
-uniform grid of ``n_steps`` split at the crash.
+the tilted law.  D and V are tabulated once per wealth estimate; that
+quadrature is the only discretization error.  The single-path simulators
+step on a uniform grid of ``n_steps`` split at the crash.
 
 Randomness is counter-based (Philox) keyed by (seed, block), with a fixed
 block layout, so estimates are pure functions of (config, model, strategy)
 and blocks can fan out across workers without changing the result.  Each
 sample stands for two of the ``n_paths`` paths (an odd last path is a
-sample of its own).  Each block's uniforms are sorted, so its crash times
-reach the table lookup in order, which the block statistics ignore.  Block
-means and squared deviations come from numpy and merge in block order
-(Chan, Golub & LeVeque, *Amer. Statist.* 37, 1983), which keeps the
-estimate deterministic.
+sample of its own).  A block sorts its uniforms (its statistics ignore the
+order), so its crash times reach the table lookups in order, and forms its
+values in sub-blocks of ``_SUB_BLOCK`` samples, which bounds the
+temporaries and changes no bit; block means and squared deviations merge
+in block order (Chan, Golub & LeVeque, *Amer. Statist.* 37, 1983), which
+keeps the estimate deterministic.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .solver import Preference, Solution
 _TERMINAL_BLOCK_PAIRS = 1 << 15
 _PATH_KEY_OFFSET = 1 << 60
 _TABLE_NODES = 4097  # nodes of the D and V tables
+_SUB_BLOCK = 1 << 14  # samples per pass of the conditional-value kernel
 
 
 class SimulationDiagnostic(RuntimeError):
@@ -118,9 +120,6 @@ def myopic_only_strategy(solution: Solution) -> Strategy:
         return solution.fraction_given(t, solution.myopic(t))
 
     return Strategy("myopic", pre, solution.merton_fraction)
-
-
-_BUY_AND_HOLD = Strategy("buy and hold", np.ones_like, 1.0)
 
 
 def scaled_strategy(base: Strategy, factor: float) -> Strategy:
@@ -268,7 +267,22 @@ class _WealthLaw:
         return D + log_jump + self.r_post * rest, np.sqrt(V + self.v_post * rest), bankrupt
 
 
-def _estimate(law: _WealthLaw, cfg: SimConfig, value_fn, estimand: str) -> EstimatorResult:
+class _PriceLaw:
+    """Gaussian law of log S_T given the crash time, in closed form."""
+
+    def __init__(self, model: MarketModel):
+        self.model, self.crash_law = model, model.hazard
+
+    def moments(self, gam: np.ndarray):
+        m, T = self.model, self.model.horizon
+        g = np.minimum(gam, np.nextafter(T, 0.0))  # an atom path earns phi(T-), no jump
+        loss = np.where(gam < T, np.minimum(np.asarray(m.delta(g)), 1.0), 0.0)
+        with np.errstate(divide="ignore"):
+            loc = (m.mu - 0.5 * m.sigma**2) * T + np.asarray(m.excess.phi(g)) + np.log1p(-loss)
+        return loc, m.sigma * math.sqrt(T), loss == 1.0
+
+
+def _estimate(law, cfg: SimConfig, value_fn, estimand: str, ruin_aborts=False) -> EstimatorResult:
     """The block loop behind every estimate.
 
     Each sample inverts one uniform through the law's crash law into its
@@ -278,10 +292,16 @@ def _estimate(law: _WealthLaw, cfg: SimConfig, value_fn, estimand: str) -> Estim
     start = time.perf_counter()
     n, mean, m2, bankrupt_samples = 0, 0.0, 0.0, 0
     for block, count in enumerate(_block_plan(cfg.n_paths)):
-        u = np.sort(_block_rng(cfg.seed, block).random(count))
-        loc, sd, bankrupt = law.moments(np.asarray(law.crash_law.inverse_cdf(u)))
-        values = value_fn(loc, sd, bankrupt)
-        bankrupt_samples += int(np.sum(bankrupt))
+        gam = law.crash_law.inverse_cdf(np.sort(_block_rng(cfg.seed, block).random(count)))
+        values = np.empty(count)
+        for s in range(0, count, _SUB_BLOCK):
+            loc, sd, bankrupt = law.moments(gam[s : s + _SUB_BLOCK])
+            values[s : s + _SUB_BLOCK] = value_fn(loc, sd, bankrupt)
+            bankrupt_samples += int(np.count_nonzero(bankrupt))
+        if ruin_aborts and bankrupt_samples:  # all in this block: no earlier one aborted
+            raise SimulationDiagnostic(
+                f"{bankrupt_samples} bankrupt crash-time samples in one block make expected "
+                f"utility -inf ({estimand})", {"bankrupt_samples": bankrupt_samples})
         block_mean = float(np.mean(values))
         block_m2 = float(np.sum((values - block_mean) ** 2))
         delta = block_mean - mean
@@ -296,17 +316,11 @@ def _estimate(law: _WealthLaw, cfg: SimConfig, value_fn, estimand: str) -> Estim
     return EstimatorResult(mean, stderr, cfg.n_paths, cfg.seed, estimand, diagnostics)
 
 
-def _crra_value_fn(p: float, x: float, estimand: str):
+def _crra_value_fn(p: float, x: float):
     # a nonpositive jump factor sends wealth through zero: the strategy is
-    # inadmissible, its utility is -inf, and the estimate aborts (optimal
-    # strategies never trigger this: their post-crash wealth share stays
-    # positive)
+    # inadmissible, its utility -inf, and the estimate aborts (optimal
+    # strategies never do: their post-crash wealth share stays positive)
     def value(loc: np.ndarray, sd: np.ndarray, bankrupt: np.ndarray) -> np.ndarray:
-        if np.any(bankrupt):
-            count = int(np.sum(bankrupt))
-            raise SimulationDiagnostic(
-                f"{count} bankrupt crash-time samples in one block make expected "
-                f"utility -inf ({estimand})", {"bankrupt_samples": count})
         if abs(p - 1.0) < 1e-12:
             return math.log(x) + loc
         q = 1.0 - p
@@ -327,20 +341,19 @@ def estimate(model: MarketModel, cfg: SimConfig, estimand) -> EstimatorResult:
     """Mean and standard error of the requested estimand.
 
     Every sample draws one crash time and takes the estimand's exact mean
-    given it.  ``TerminalPrice`` is the buy-and-hold wealth under the
-    physical measure, ``ExpectedUtility`` the utility of the strategy's
-    wealth there; ``BudgetUnderQ`` takes the optimal wealth under the
-    tilted measure built from the solved curve and estimates E^Q[X_T].
-    The wealth law is exact given the crash time up to the quadrature of
-    its tables (see the module docstring).
+    given it.  ``TerminalPrice`` is E[S_T] under the physical measure,
+    ``ExpectedUtility`` the utility of the strategy's wealth there;
+    ``BudgetUnderQ`` takes the optimal wealth under the tilted measure built
+    from the solved curve and estimates E^Q[X_T].  E[S_T] is exact given the
+    crash time, a wealth law up to the quadrature of its D and V tables.
     """
-    grid = horizon_grid(model.horizon, _TABLE_NODES)
     if isinstance(estimand, TerminalPrice):
-        return _estimate(_WealthLaw(model, _BUY_AND_HOLD, grid), cfg, _wealth_value(1.0), "E_ST")
+        return _estimate(_PriceLaw(model), cfg, _wealth_value(1.0), "E_ST")
+    grid = horizon_grid(model.horizon, _TABLE_NODES)
     if isinstance(estimand, ExpectedUtility):
         label = f"E_U[{estimand.strategy.label}]"
         law = _WealthLaw(model, estimand.strategy, grid)
-        return _estimate(law, cfg, _crra_value_fn(estimand.p, estimand.x, label), label)
+        return _estimate(law, cfg, _crra_value_fn(estimand.p, estimand.x), label, ruin_aborts=True)
     if isinstance(estimand, BudgetUnderQ):
         sol = estimand.solution
         law = _WealthLaw(model, optimal_strategy(sol), grid, sol)

@@ -594,3 +594,15 @@ class TestCrashLawSurface:
     def test_inverse_cdf_rejects_zero_variate(self, law):
         with pytest.raises(DomainError):
             law.inverse_cdf(0.0)
+
+    @pytest.mark.parametrize("method", ["hazard", "density", "survival", "cdf", "inverse_cdf"])
+    def test_nan_is_a_domain_error(self, law, method):
+        # NaN fails every comparison, so a check for a value outside the
+        # domain lets it through: LPPL inverse_cdf(nan) read T, "no crash"
+        for arg in (math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(DomainError):
+                getattr(law, method)(arg)
+
+    def test_nan_level_inverts_to_nan(self, law):
+        t = np.asarray(law._inverse_cum(np.array([math.nan, 0.1])))
+        assert math.isnan(t[0]) and 0.0 < t[1] < law.horizon

@@ -268,3 +268,34 @@ def test_tabulated_law_inversion_starts_in_its_knot_panel(name, monkeypatch):
     unit = _resolution(cold, w[inner], law._kappa(cold))
     assert np.all(np.abs(got - cold) <= 4.0 * unit)
     assert 1 <= calls[0] <= most
+
+
+def test_lppl_inversion_starts_in_its_knot_table():
+    # LPPL has no tabulated H: it tabulates its own on first use, and each
+    # variate starts in the panel holding it (a cold start took 6.2
+    # evaluations of H per variate)
+    law = LPPLHazard(power=0.4, horizon=1.0, b=1.2, c=0.3, omega=6.0, phase=0.5)
+    cum, evaluations = law._cum, [0]
+
+    def counting(x):
+        evaluations[0] += np.size(x)
+        return cum(x)
+
+    law._cum = counting
+    u = np.sort(np.random.default_rng(9).uniform(2.0**-53, 1.0, 50_000))
+    got = law.inverse_cdf(u)
+    assert evaluations[0] <= 3 * u.size  # the table's own build included
+    w = -np.log1p(-u)
+    inner = w < -np.log(law.atom)
+    assert np.all(got[~inner] == law.horizon)
+    cold = monotone_inverse(lambda x, _: (cum(x), law._kappa(x)), 0.0, law.horizon, w[inner])
+    unit = _resolution(cold, w[inner], law._kappa(cold))
+    assert np.all(np.abs(got[inner] - cold) <= 4.0 * unit)
+
+
+@pytest.mark.parametrize("u", [1e-300, 1e-200, 1e-100, 1e-50, 2.0**-53])
+def test_lppl_inversion_of_tiny_variates(u):
+    # G(t) = kappa(0) t to first order; a bisection from the midpoint ran out
+    # of steps at 2^-256 and returned 8.8e-78 for every u below 1e-77
+    ratio = float(LPPL.inverse_cdf(u)) * float(LPPL.hazard(0.0)) / u
+    assert ratio == pytest.approx(1.0, abs=1e-12)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from bubblemkt import (
     SimConfig,
     SimulationDiagnostic,
     Strategy,
+    TabulatedHazard,
     TerminalPrice,
     UniformHazard,
     ZeroExcess,
@@ -32,7 +34,8 @@ from bubblemkt.elmm import TiltFunction, build_tilted_measure
 from bubblemkt.hazard import DomainError, ModelError
 from bubblemkt._quad import HORIZON_CLIP, horizon_grid
 from bubblemkt.montecarlo import (
-    _BUY_AND_HOLD,
+    _PriceLaw,
+    _SUB_BLOCK,
     _TABLE_NODES,
     _TERMINAL_BLOCK_PAIRS,
     _WealthLaw,
@@ -43,6 +46,9 @@ from bubblemkt.montecarlo import (
     _price_path_given,
     _wealth_value,
 )
+
+# a unit held throughout: its wealth is the price
+HOLD = Strategy("buy and hold", np.ones_like, 1.0)
 
 
 def analytic_terminal_mean(model):
@@ -269,27 +275,35 @@ class TestEstimators:
         # (mu - sigma^2/2) T + phi(gamma) + log(1 - delta(gamma)), sd sigma sqrt(T)
         model = {"ex37": ex37_model, "baseline": base_model, "lppl0.4": lppl_model}[case]
         T, sig = model.horizon, model.sigma
-        law = _WealthLaw(model, _BUY_AND_HOLD, horizon_grid(T, _TABLE_NODES))
+        law = _WealthLaw(model, HOLD, horizon_grid(T, _TABLE_NODES))
         table_end = T * (1.0 - HORIZON_CLIP)
         inside = np.array([0.0, 0.1, 0.5, 0.9, 0.999, table_end])
         past = np.array([T * (1.0 - 5e-10), np.nextafter(T, 0.0)])
         drift = (model.mu - 0.5 * sig**2) * T
+        price_law, price = _PriceLaw(model), _wealth_value(1.0)
         for gam in (inside, past):
             mean, sd, bankrupt = law.moments(gam)
             exact = drift + np.asarray(model.excess.phi(gam)) + np.log1p(-np.asarray(model.delta(gam)))
             np.testing.assert_allclose(mean, exact, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(sd, sig * math.sqrt(T), rtol=1e-12)
             assert not np.any(bankrupt)
+            # the closed-form conditional price is the wealth law's mean
+            np.testing.assert_allclose(
+                price(*price_law.moments(gam)), np.exp(mean + 0.5 * sd**2), rtol=1e-12, atol=0.0
+            )
+            assert not np.any(price_law.moments(gam)[2])
         if model.hazard.atom > 0.0:
             # an atom path earns the whole run-up phi(T-) and no jump
             mean, sd, _ = law.moments(np.array([T]))
             assert mean[0] == pytest.approx(drift + model.phi_left_limit(), abs=1e-12)
             assert sd[0] == pytest.approx(sig * math.sqrt(T), rel=1e-12)
+            value = price(*price_law.moments(np.array([T])))
+            assert value[0] == pytest.approx(math.exp(mean[0] + 0.5 * sd[0] ** 2), rel=1e-12)
 
     def test_block_merge_matches_two_pass(self, base_model):
         # one full block of pairs, one block with the last pair, one single
         cfg = SimConfig(n_paths=2 * _TERMINAL_BLOCK_PAIRS + 3, seed=4)
-        law = _WealthLaw(base_model, _BUY_AND_HOLD, horizon_grid(1.0, _TABLE_NODES))
+        law = _WealthLaw(base_model, HOLD, horizon_grid(1.0, _TABLE_NODES))
         result = _estimate(law, cfg, _wealth_value(1.0), "probe")
         # one conditional mean per crash time, the whole sample at once
         gam = np.concatenate([
@@ -337,7 +351,7 @@ class TestEstimators:
     )
     def test_expected_utility_rejects_bad_preference(self, p, x):
         with pytest.raises(ModelError):
-            ExpectedUtility(_BUY_AND_HOLD, p, x)
+            ExpectedUtility(HOLD, p, x)
 
     def test_conditional_mean_beats_antithetic_pairs(self, base_model):
         # reference: on the same crash times, the antithetic pair average
@@ -393,7 +407,7 @@ def test_conditional_means_match_gauss_hermite(p, x):
     bankrupt = np.zeros(loc.shape, dtype=bool)
     wealth = x * np.exp(loc[:, None] + sd[:, None] * nodes)
     utility = np.log(wealth) if p == 1.0 else wealth ** (1 - p) / (1 - p)
-    for value_fn, sample in ((_wealth_value(x), wealth), (_crra_value_fn(p, x, "u"), utility)):
+    for value_fn, sample in ((_wealth_value(x), wealth), (_crra_value_fn(p, x), utility)):
         np.testing.assert_allclose(
             value_fn(loc, sd, bankrupt), sample @ weights, rtol=1e-12, atol=0.0
         )
@@ -419,3 +433,56 @@ def test_merton_strategy_levels(base_model):
     strat = merton_strategy(base_model, 4.0)
     assert strat.post_crash == pytest.approx(0.625)
     assert float(strat.pre(np.array([0.2]))[0]) == pytest.approx(0.625)
+
+
+def _tabulated_model():
+    knots = np.linspace(0.0, 1.0, 9)
+    law = TabulatedHazard(knots, 0.6 * -np.expm1(-2.0 * knots) / -math.expm1(-2.0))
+    return MarketModel(0.1, 0.2, law, ConstantJumpSizeExcess(law, 0.3))
+
+
+@pytest.mark.parametrize("case", ["exponential", "uniform", "lppl0.4", "tabulated"])
+def test_terminal_price_matches_buy_and_hold_wealth(base_model, ex37_model, lppl_model, case):
+    # the closed-form conditional price against the pi = 1 wealth law on the
+    # same crash times; the paths fill one block of pairs, then a block of a
+    # full sub-block and five pairs, then a single
+    model = {"exponential": base_model, "uniform": ex37_model, "lppl0.4": lppl_model,
+             "tabulated": _tabulated_model()}[case]
+    cfg = SimConfig(n_paths=2 * (_TERMINAL_BLOCK_PAIRS + _SUB_BLOCK + 5) + 1, seed=31)
+    law = _WealthLaw(model, HOLD, horizon_grid(model.horizon, _TABLE_NODES))
+    wealth = _estimate(law, cfg, _wealth_value(1.0), "E_ST")
+    price = estimate(model, cfg, TerminalPrice())
+    assert price.mean == pytest.approx(wealth.mean, rel=1e-13, abs=0.0)
+    assert price.stderr == pytest.approx(wealth.stderr, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("law", [UniformHazard(1.0), ExponentialCutoffHazard(1.0, 1.0)],
+                         ids=["uniform", "exponential"])
+def test_full_loss_price_is_zero_and_bankrupt(law):
+    model = MarketModel(0.1, 0.2, law, ConstantJumpSizeExcess(law, 1.0))
+    cfg = SimConfig(n_paths=20_001, seed=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = estimate(model, cfg, TerminalPrice())
+    gam = np.concatenate([
+        law.inverse_cdf(np.sort(_block_rng(cfg.seed, block).random(count)))
+        for block, count in enumerate(_block_plan(cfg.n_paths))
+    ])
+    survived = np.count_nonzero(gam == law.horizon)
+    assert result.diagnostics["bankrupt_samples"] == len(gam) - survived
+    # only a path with no crash keeps a price, exp(mu T + phi(T-))
+    kept = survived / len(gam) * math.exp(0.1 + model.phi_left_limit())
+    assert result.mean == pytest.approx(kept, rel=1e-12, abs=0.0)
+
+
+def test_conditional_price_is_formed_in_log_space():
+    # e^phi overflows at phi = 725 while e^phi (1 - delta) = e^688 does not
+    delta0 = 1.0 - 2.0**-53
+    law = ExponentialCutoffHazard(740.0, 1.0)
+    model = MarketModel(0.0, 0.2, law, ConstantJumpSizeExcess(law, delta0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loc, sd, bankrupt = _PriceLaw(model).moments(np.array([0.98]))
+        value = _wealth_value(1.0)(loc, sd, bankrupt)
+    assert not bankrupt[0]
+    assert math.log(value[0]) == pytest.approx(740.0 * 0.98 * delta0 - 53.0 * math.log(2.0), rel=1e-12)
