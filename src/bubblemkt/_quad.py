@@ -61,6 +61,7 @@ def clustered_grid(end: float, n: int) -> np.ndarray:
 
 
 HORIZON_CLIP = 1e-9  # horizon tables stop at T (1 - HORIZON_CLIP)
+HORIZON_NODES = 4097  # nodes of every table that spans the horizon
 
 
 def horizon_grid(horizon: float, n: int) -> np.ndarray:
@@ -191,13 +192,19 @@ class Curve:
             raise ValueError("derivative order must be 0 or 1")
         x = self.grid
         t = np.clip(np.asarray(t, dtype=float), x[0], x[-1])
-        i = np.searchsorted(x[1:-1], t, side="right")  # panel holding t
-        c = [row.take(i) for row in self._coef[: 4 - nu]]  # the rows nu needs
-        s = t - x.take(i)
-        if nu == 0:
-            s2 = s * s
-            return c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s)
-        return c[2] + 2.0 * c[1] * s + 3.0 * c[0] * (s * s)
+        return self.on_panel(np.searchsorted(x[1:-1], t, side="right"), t, nu)
+
+    def on_panel(self, i, t, nu=0):
+        """The cubic of panel ``i`` at ``t``, with no search and no clamp:
+        its value (``nu = 0``), its derivative (1) or both (None)."""
+        c = self._coef[: 3 if nu == 1 else 4].take(i, axis=1)  # the rows nu needs
+        s = t - self.grid.take(i)
+        slope = None if nu == 0 else c[2] + 2.0 * c[1] * s + 3.0 * c[0] * (s * s)
+        if nu == 1:
+            return slope
+        s2 = s * s
+        value = c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s)
+        return value if nu == 0 else (value, slope)
 
 
 @dataclass(frozen=True)

@@ -230,8 +230,8 @@ def _run_classify(scenario: dict, args, out) -> int:
     return 0
 
 
-def _solve(scenario: dict, args) -> sv.Solution:
-    model = build_model(scenario)
+def _solve(scenario: dict, args, model: Optional[hz.MarketModel] = None) -> sv.Solution:
+    model = model or build_model(scenario)
     prefs = build_preference(scenario)
     n_grid = args.grid if args.grid is not None else scenario["grid"]["n"]
     n_grid = _number(n_grid, "grid.n", int)
@@ -303,7 +303,7 @@ def _run_simulate(scenario: dict, args, out) -> int:
     if estimand_name == "terminal_price":
         estimand = mc.TerminalPrice()
     elif estimand_name == "expected_utility":
-        sol = _solve(scenario, args)
+        sol = _solve(scenario, args, model)
         choice = sim["strategy"]
         strategies = {
             "optimal": mc.optimal_strategy(sol),
@@ -316,7 +316,7 @@ def _run_simulate(scenario: dict, args, out) -> int:
             strategies[choice], sol.preference.p, sol.preference.x
         )
     elif estimand_name == "budget_under_q":
-        estimand = mc.BudgetUnderQ(_solve(scenario, args))
+        estimand = mc.BudgetUnderQ(_solve(scenario, args, model))
     else:
         raise ScenarioError(f"unknown estimand {estimand_name!r}")
     r = mc.estimate(model, cfg, estimand)

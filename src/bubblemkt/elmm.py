@@ -12,6 +12,7 @@ the integrability of ``kappa - phi'`` decide.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -22,7 +23,7 @@ from ._quad import CONVERGED, DIVERGENT, Curve, horizon_grid, integrate_toward, 
 from ._quad import local_slope, local_step
 from .hazard import (
     Classification,
-    CrashHazard,
+    CurveHazard,
     MarketModel,
     ModelError,
     Verdict,
@@ -63,54 +64,61 @@ def constant_tilt(c: float) -> TiltFunction:
     )
 
 
-class TiltedMeasure(CrashHazard):
-    """Crash-time law under the tilted measure, tabulated on a grid.
+class TiltedMeasure(CurveHazard):
+    """Crash-time law under the tilted measure, tabulated on a grid from 0.
 
     A crash law like the hazard families: its hazard is ``kappa (1 + y)``
     and its cumulative hazard the monotone cubic
     :class:`~bubblemkt._quad.Curve` through ``int kappa (1 + y)`` on the
     grid, so Monte Carlo under the tilted measure reuses the
-    physical-measure machinery unchanged.  Past the grid end the
+    physical-measure machinery unchanged; Newton inverts that cubic in each
+    variate's knot panel with the cubic's own slope.  Past the grid end the
     cumulative hazard and ``zeta`` stay frozen at their last tabulated
     values, and sampling collapses the mass between the grid end and the
     horizon to the grid end.
     """
 
     def __init__(self, model: MarketModel, tilt: TiltFunction, grid: np.ndarray):
-        self.model = model
-        self.tilt = tilt
-        self.grid = np.asarray(grid, dtype=float)
+        self.model, self.tilt, self.grid = model, tilt, np.asarray(grid, dtype=float)
+        if self.grid[0] != 0.0:  # int_0^grid[0] kappa y would be dropped
+            raise ValueError(f"tilted-law grid must start at 0, not at {float(self.grid[0])!r}")
         hazard = model.hazard
         kap = np.asarray(hazard.hazard(self.grid))
         yv = tilt(self.grid)
-        rule = panel_rule(self.grid)
-        cum_tilt = rule.cumulative_from_left(kap * yv)  # int kappa y
+        cum_tilt = panel_rule(self.grid).cumulative_from_left(kap * yv)  # int kappa y
         base = np.asarray(hazard.cumulative_hazard(self.grid))
         cum_total = cum_tilt + base  # int kappa (1 + y)
         if not np.all(np.isfinite(cum_total)):
             raise ModelError("cumulative tilted hazard is not finite on the grid")
         self._tilt_interp = Curve(self.grid, cum_tilt)
         self._cum = Curve(self.grid, cum_total)
-        self._knots = (self.grid, cum_total)
         self.horizon = hazard.horizon
         # leftover mass beyond the grid decides the atom; the hazard tail
         # is exact from the physical atom, the tilt is frozen at the edge
         t_end = float(self.grid[-1])
         self._table_edge = (t_end, float(cum_total[-1]))
+        self.atom = 0.0
         if hazard.atom > 0.0:
             base_tail = -math.log(hazard.atom) - float(base[-1])
             edge_tilt = float(tilt(np.array([t_end]))[0])
             self.atom = math.exp(-(cum_total[-1] + (1.0 + edge_tilt) * base_tail))
-        else:
-            self.atom = 0.0
 
     def _kappa(self, t):
         return np.asarray(self.model.hazard.hazard(t)) * (1.0 + self.tilt(t))
 
+    @functools.cached_property
+    def _load(self) -> Curve:
+        dphi_y = np.asarray(self.model.excess.dphi(self.grid)) * self.tilt(self.grid)
+        return Curve(self.grid, panel_rule(self.grid).cumulative_from_left(dphi_y))
+
+    def exponent(self, t):
+        """phi + int phi' y on [0, T), the asset's pre-crash exponent under
+        this measure; the integral is tabulated on first use."""
+        return np.asarray(self.model.excess.phi(t)) + self._load(t)
+
     def survival_ratio(self, t):
         """zeta(t): tilted survival over physical survival."""
-        t = np.asarray(t, dtype=float)
-        return np.exp(-np.asarray(self._tilt_interp(t)))
+        return np.exp(-self._tilt_interp(t))
 
     # -- construction checks ---------------------------------------------------
     def relation_residuals(self) -> np.ndarray:

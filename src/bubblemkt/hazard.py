@@ -28,6 +28,7 @@ import numpy as np
 from ._quad import (
     CONVERGED,
     DIVERGENT,
+    HORIZON_NODES,
     Curve,
     clustered_grid,
     horizon_grid,
@@ -87,8 +88,10 @@ class CrashHazard:
     ``inverse_cdf`` a variate in ``(0, 1)``.  CDF, density and survival
     follow from ``1 - G(t) = exp(-H(t))`` on ``[0, T)``.  Sampling inverts
     H by safeguarded Newton (dH/dt is the hazard) from its knot table (a
-    tabulated H is one, any other H is tabulated on first use); a family
-    with a closed-form inverse overrides ``_inverse_cdf`` or ``_inverse_cum``.
+    tabulated H is one, any other H is tabulated on first use), inside the
+    knot panel of each variate; the hook ``_panel_fdf(panels)`` gives it
+    (H, H') there.  A family with a closed-form inverse overrides
+    ``_inverse_cdf`` or ``_inverse_cum``.
     """
 
     horizon: float
@@ -157,16 +160,29 @@ class CrashHazard:
         inner = w < min(cap, total)
         if np.any(inner):
             if self._knots is None:  # tabulated once; the last panel, up to T, stays open
-                grid = horizon_grid(self.horizon, 4097)
+                grid = horizon_grid(self.horizon, HORIZON_NODES)
                 self._knots = (np.append(grid, self.horizon), np.append(self._cum(grid), math.inf))
-            w, (knots, levels) = w[inner], self._knots
-            j = np.clip(np.searchsorted(levels, w), 1, len(levels) - 1)
-            lo, hi = knots[j - 1], knots[j]
-            x0 = lo + (hi - lo) * (w - levels[j - 1]) / (levels[j] - levels[j - 1])
-            parts = zip(*(np.split(a, np.arange(4096, w.size, 4096)) for a in (lo, hi, w, x0)))
-            fdf = lambda x, _: (self._cum(x), self._kappa(x))  # chunks bound the temporaries
-            out[inner] = np.concatenate([monotone_inverse(fdf, *p) for p in parts])
+            w, (knots, levels), roots = w[inner], self._knots, []
+            for c in np.split(w, np.arange(4096, w.size, 4096)):  # chunks bound the temporaries
+                j = np.clip(np.searchsorted(levels, c) - 1, 0, len(levels) - 2)  # knot panel
+                lo, hi = knots[j], knots[j + 1]
+                x0 = lo + (hi - lo) * (c - levels[j]) / (levels[j + 1] - levels[j])
+                roots.append(monotone_inverse(self._panel_fdf(j), lo, hi, c, x0))
+            out[inner] = np.concatenate(roots)
         return out
+
+    def _panel_fdf(self, panels: np.ndarray) -> Callable:  # never reads the panels
+        return lambda x, _: (self._cum(x), self._kappa(x))
+
+
+class CurveHazard(CrashHazard):
+    """A law whose H, ``_cum``, is a :class:`~bubblemkt._quad.Curve`: its knot
+    table is the curve's, and Newton reads (H, H') from each panel's cubic."""
+
+    _knots = property(lambda self: (self._cum.grid, self._cum.values))
+
+    def _panel_fdf(self, panels: np.ndarray) -> Callable:
+        return lambda x, idx: self._cum.on_panel(panels[idx], x, None)
 
 
 class UniformHazard(CrashHazard):
@@ -296,7 +312,7 @@ class LPPLHazard(CrashHazard):
         return math.exp(-total)
 
 
-class TabulatedHazard(CrashHazard):
+class TabulatedHazard(CurveHazard):
     """Crash-time law given by CDF values on a knot grid.
 
     The monotone cubic :class:`~bubblemkt._quad.Curve` is built on the
@@ -323,7 +339,6 @@ class TabulatedHazard(CrashHazard):
             raise ModelError("last CDF value must be < 1; the remainder is the atom")
         self.horizon = float(t[-1])
         self._cum = Curve(t, -np.log1p(-g))
-        self._knots = (self._cum.grid, self._cum.values)
         self._kappa = functools.partial(self._cum, nu=1)
         self.atom = float(1.0 - g[-1])
 
@@ -445,7 +460,7 @@ class RelaxedJLSExcess(ExcessReturn):
             return self._phi_fn(t)
         if self._phi_interp is None:
             T = self.hazard.horizon
-            grid = horizon_grid(T, 4097)
+            grid = horizon_grid(T, HORIZON_NODES)
             integrand = np.asarray(self._delta(grid)) * np.asarray(
                 self.hazard.hazard(grid)
             )

@@ -14,9 +14,11 @@ ds + dE) - sigma^2/2 int_0^t pi^2 ds, V(t) = sigma^2 int_0^t pi^2 ds and
 r_post = pi_post mu_eff - pi_post^2 sigma^2 / 2.  Under the physical
 measure mu_eff = mu and the exponent E is phi; under the tilted measure
 the drift vanishes, E = int phi'(1 + y), and the crash time is drawn from
-the tilted law.  D and V are tabulated once per wealth estimate; that
-quadrature is the only discretization error.  The single-path simulators
-step on a uniform grid of ``n_steps`` split at the crash.
+the tilted law; the law and E come from the solution's dual measure,
+built once per solution.  pi, D and V are tabulated once per wealth
+estimate; that quadrature is the only discretization error.  The
+single-path simulators step on a uniform grid of ``n_steps`` split at
+the crash.
 
 Randomness is counter-based (Philox) keyed by (seed, block), with a fixed
 block layout, so estimates are pure functions of (config, model, strategy)
@@ -39,14 +41,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._quad import Curve, horizon_grid, panel_rule
-from .elmm import TiltFunction, build_tilted_measure
-from .hazard import MarketModel
+from ._quad import HORIZON_NODES, horizon_grid, panel_rule
+from .hazard import MarketModel, ModelError
 from .solver import Preference, Solution
 
 _TERMINAL_BLOCK_PAIRS = 1 << 15
 _PATH_KEY_OFFSET = 1 << 60
-_TABLE_NODES = 4097  # nodes of the D and V tables
 _SUB_BLOCK = 1 << 14  # samples per pass of the conditional-value kernel
 
 
@@ -187,45 +187,30 @@ class _WealthLaw:
     """Gaussian law of log(X_T / x) given the crash time.
 
     Without ``solution`` this is the physical measure (drift mu, exponent
-    phi, the model's crash law); with it, the tilted measure built from the
-    solved tilt (no drift, exponent phi + int phi' y, the tilted law).  D
-    and V are tabulated on ``grid``: the smooth part pi mu_eff - sigma^2
+    phi, the model's crash law); with it, the solution's dual measure (no
+    drift, its crash law and its exponent phi + int phi' y).  pi, D and V
+    are tabulated on ``grid``: the smooth part pi mu_eff - sigma^2
     pi^2 / 2 and pi^2 with :class:`PanelRule`, the exponent part as the
     Stieltjes sum of pi against exact increments of E, so an exponent that
     blows up at the horizon never meets the cubic rule.
     """
 
-    def __init__(
-        self,
-        model: MarketModel,
-        strategy: Strategy,
-        grid: np.ndarray,
-        solution: Optional[Solution] = None,
-    ):
-        T = model.horizon
-        cap = np.nextafter(T, 0.0)
+    def __init__(self, model: MarketModel, strategy: Strategy, grid: np.ndarray,
+                 solution: Optional[Solution] = None):
+        cap = np.nextafter(model.horizon, 0.0)
         rule = panel_rule(grid)
 
-        def phi(t):
-            return np.asarray(model.excess.phi(np.minimum(t, cap)))
-
         # atom paths run to just below the horizon under P; the tilted law
-        # has no hazard past the table, so under Q they stop at its end
+        # has no hazard past its table, so under Q they stop at its end
         if solution is None:
-            self.crash_law, mu_eff, self.exponent = model.hazard, model.mu, phi
-            self.atom_time = cap
+            self.crash_law, self.mu_eff, self.atom_time = model.hazard, model.mu, cap
+            self.exponent = lambda t: np.asarray(model.excess.phi(np.minimum(t, cap)))
         else:
-            tilt = TiltFunction(y=solution.tilt, label="solved tilt")
-            self.crash_law = build_tilted_measure(model, tilt, grid=grid)
-            mu_eff = 0.0
-            load = rule.cumulative_from_left(np.asarray(model.excess.dphi(grid)) * tilt(grid))
-            interp = Curve(grid, load)
-            self.exponent = lambda t: phi(t) + interp(t)
-            self.atom_time = grid[-1]
+            self.crash_law = dual = solution.dual_measure
+            self.mu_eff, self.exponent, self.atom_time = 0.0, dual.exponent, dual.grid[-1]
 
         self.model, self.strategy, self.grid = model, strategy, grid
         self.sig2 = model.sigma**2
-        self.mu_eff = mu_eff
         self.pi = strategy.pre(grid)
         self.E = self.exponent(grid)
         steps = 0.5 * (self.pi[1:] + self.pi[:-1]) * np.diff(self.E)
@@ -233,7 +218,7 @@ class _WealthLaw:
         self.D[1:] += np.cumsum(steps)
         self.V = self.sig2 * rule.cumulative_from_left(self.pi**2)
         pp = strategy.post_crash
-        self.r_post = pp * mu_eff - 0.5 * pp * pp * self.sig2
+        self.r_post = pp * self.mu_eff - 0.5 * pp * pp * self.sig2
         self.v_post = pp * pp * self.sig2
 
     def _smooth(self, pi):
@@ -343,19 +328,22 @@ def estimate(model: MarketModel, cfg: SimConfig, estimand) -> EstimatorResult:
     Every sample draws one crash time and takes the estimand's exact mean
     given it.  ``TerminalPrice`` is E[S_T] under the physical measure,
     ``ExpectedUtility`` the utility of the strategy's wealth there;
-    ``BudgetUnderQ`` takes the optimal wealth under the tilted measure built
-    from the solved curve and estimates E^Q[X_T].  E[S_T] is exact given the
+    ``BudgetUnderQ`` estimates E^Q[X_T] of the optimal wealth under its
+    solution's dual measure, on the solution's model only (another raises
+    :class:`~bubblemkt.hazard.ModelError`).  E[S_T] is exact given the
     crash time, a wealth law up to the quadrature of its D and V tables.
     """
     if isinstance(estimand, TerminalPrice):
         return _estimate(_PriceLaw(model), cfg, _wealth_value(1.0), "E_ST")
-    grid = horizon_grid(model.horizon, _TABLE_NODES)
+    grid = horizon_grid(model.horizon, HORIZON_NODES)
     if isinstance(estimand, ExpectedUtility):
         label = f"E_U[{estimand.strategy.label}]"
         law = _WealthLaw(model, estimand.strategy, grid)
         return _estimate(law, cfg, _crra_value_fn(estimand.p, estimand.x), label, ruin_aborts=True)
     if isinstance(estimand, BudgetUnderQ):
         sol = estimand.solution
+        if model != sol.model:
+            raise ModelError("BudgetUnderQ estimates under its solution's model, not another")
         law = _WealthLaw(model, optimal_strategy(sol), grid, sol)
         return _estimate(law, cfg, _wealth_value(sol.preference.x), "EQ_XT")
     raise TypeError(f"unknown estimand: {estimand!r}")

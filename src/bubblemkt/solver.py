@@ -26,13 +26,16 @@ then is the solution (a quadratic with a closed form,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ._quad import CONVERGED, Curve, clustered_grid, integrate_toward, monotone_inverse, panel_rule
+from ._quad import CONVERGED, HORIZON_NODES, Curve, clustered_grid, horizon_grid
+from ._quad import integrate_toward, monotone_inverse, panel_rule
+from .elmm import TiltedMeasure, TiltFunction, build_tilted_measure
 from .hazard import (
     DomainError,
     MarketModel,
@@ -292,7 +295,7 @@ class Solution:
     ``m_start`` = m(0, tilt(0), p) feeds the welfare formulas and the dual
     multiplier.  ``residuals`` is the profile |m e^{int n} - 1| of ``tilt``,
     at most the solve's ``tol`` at every node.  ``method`` is always
-    ``"newton"``.
+    ``"newton"``.  ``dual_measure`` is the tilted crash law of ``tilt``.
     """
 
     model: MarketModel
@@ -306,6 +309,13 @@ class Solution:
     m_start: float
     method: str
     iterations: int
+
+    @functools.cached_property
+    def dual_measure(self) -> TiltedMeasure:
+        """:func:`~bubblemkt.elmm.build_tilted_measure` of ``tilt`` on the
+        horizon grid, admitted and tabulated once, on first use."""
+        grid = horizon_grid(self.model.horizon, HORIZON_NODES)
+        return build_tilted_measure(self.model, TiltFunction(self.tilt, label="solved tilt"), grid)
 
     @property
     def merton_fraction(self) -> float:

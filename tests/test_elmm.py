@@ -23,7 +23,7 @@ from bubblemkt import (
     verify_tilt_bounds,
 )
 from bubblemkt import elmm
-from bubblemkt._quad import integrate_toward
+from bubblemkt._quad import horizon_grid, integrate_toward
 from bubblemkt.elmm import constant_tilt
 
 
@@ -214,6 +214,18 @@ class TestBuildTiltedMeasure:
         for gate in (build_tilted_measure, classify_under_Q):
             with pytest.raises(RejectedTiltError, match=r"kappa \(1 \+ y\) for an atom law"):
                 gate(model, tilt)
+
+    def test_grid_must_start_at_zero(self, base_model):
+        # a grid from 0.70711 dropped int_0^0.70711 kappa y: the atom read
+        # 0.31776 for e^-1.5, and levels below H(0.70711) all sampled 0.70711
+        full = horizon_grid(1.0, 2049)
+        with pytest.raises(ValueError, match="start at 0, not at 0.7071"):
+            build_tilted_measure(base_model, constant_tilt(0.5), grid=full[1024:])
+        tm = build_tilted_measure(base_model, constant_tilt(0.5), grid=full)
+        assert tm.atom == pytest.approx(math.exp(-1.5), rel=1e-9)
+        assert tm.survival(0.75) == pytest.approx(math.exp(-1.125), rel=1e-9)
+        u = np.array([0.01, 0.3])
+        np.testing.assert_allclose(tm.inverse_cdf(u), -np.log1p(-u) / 1.5, rtol=1e-9)
 
     def test_distribution_function_shape(self, zero_drift_base):
         tm = build_tilted_measure(zero_drift_base, constant_tilt(0.3))

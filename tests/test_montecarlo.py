@@ -30,13 +30,13 @@ from bubblemkt import (
     simulate_wealth_path,
     solve_optimal,
 )
+from bubblemkt import elmm
 from bubblemkt.elmm import TiltFunction, build_tilted_measure
 from bubblemkt.hazard import DomainError, ModelError
-from bubblemkt._quad import HORIZON_CLIP, horizon_grid
+from bubblemkt._quad import HORIZON_CLIP, HORIZON_NODES, horizon_grid
 from bubblemkt.montecarlo import (
     _PriceLaw,
     _SUB_BLOCK,
-    _TABLE_NODES,
     _TERMINAL_BLOCK_PAIRS,
     _WealthLaw,
     _block_plan,
@@ -46,6 +46,9 @@ from bubblemkt.montecarlo import (
     _price_path_given,
     _wealth_value,
 )
+
+# the 9-knot tabulated law of the CI scenarios
+NINE_KNOT_CDF = [0.0, 0.05, 0.12, 0.2, 0.3, 0.42, 0.55, 0.68, 0.8]
 
 # a unit held throughout: its wealth is the price
 HOLD = Strategy("buy and hold", np.ones_like, 1.0)
@@ -260,7 +263,7 @@ class TestEstimators:
         # a constant fraction on a no-crash path earns the whole run-up
         # phi(T-), not only the part up to the table end
         strat = merton_strategy(lppl_model, 4.0)
-        law = _WealthLaw(lppl_model, strat, horizon_grid(lppl_model.horizon, _TABLE_NODES))
+        law = _WealthLaw(lppl_model, strat, horizon_grid(lppl_model.horizon, HORIZON_NODES))
         T, pi, sig = lppl_model.horizon, strat.post_crash, lppl_model.sigma
         mean, sd, _ = law.moments(np.array([T]))
         exact = pi * (lppl_model.mu * T + lppl_model.phi_left_limit()) - 0.5 * (pi * sig) ** 2 * T
@@ -275,7 +278,7 @@ class TestEstimators:
         # (mu - sigma^2/2) T + phi(gamma) + log(1 - delta(gamma)), sd sigma sqrt(T)
         model = {"ex37": ex37_model, "baseline": base_model, "lppl0.4": lppl_model}[case]
         T, sig = model.horizon, model.sigma
-        law = _WealthLaw(model, HOLD, horizon_grid(T, _TABLE_NODES))
+        law = _WealthLaw(model, HOLD, horizon_grid(T, HORIZON_NODES))
         table_end = T * (1.0 - HORIZON_CLIP)
         inside = np.array([0.0, 0.1, 0.5, 0.9, 0.999, table_end])
         past = np.array([T * (1.0 - 5e-10), np.nextafter(T, 0.0)])
@@ -303,7 +306,7 @@ class TestEstimators:
     def test_block_merge_matches_two_pass(self, base_model):
         # one full block of pairs, one block with the last pair, one single
         cfg = SimConfig(n_paths=2 * _TERMINAL_BLOCK_PAIRS + 3, seed=4)
-        law = _WealthLaw(base_model, HOLD, horizon_grid(1.0, _TABLE_NODES))
+        law = _WealthLaw(base_model, HOLD, horizon_grid(1.0, HORIZON_NODES))
         result = _estimate(law, cfg, _wealth_value(1.0), "probe")
         # one conditional mean per crash time, the whole sample at once
         gam = np.concatenate([
@@ -317,7 +320,7 @@ class TestEstimators:
         assert result.mean == pytest.approx(mean, rel=1e-12)
         assert result.stderr == pytest.approx(math.sqrt(var / len(v)), rel=1e-12)
 
-    @pytest.mark.parametrize("case", ["baseline", "lppl0.4"])
+    @pytest.mark.parametrize("case", ["baseline", "lppl0.4", "tabulated"])
     def test_budget_identity_under_tilted_measure(self, base_model, lppl_model, case):
         model = base_model
         if case == "lppl0.4":
@@ -325,10 +328,38 @@ class TestEstimators:
             # phi' = 0.3 kappa unbounded, int (phi' y)^2 diverges; a constant
             # excess keeps the law and its frozen tail
             model = MarketModel(0.1, 0.2, lppl_model.hazard, ConstantExcess(0.2))
+        elif case == "tabulated":
+            # knot-panel Newton on a curve-backed law and on its tilted law
+            law = TabulatedHazard(np.linspace(0.0, 1.0, 9), NINE_KNOT_CDF)
+            model = MarketModel(0.1, 0.2, law, ConstantJumpSizeExcess(law, 0.3))
         sol = solve_optimal(model, Preference(4.0))
         cfg = SimConfig(n_paths=40_000, n_steps=512, seed=53)
         result = estimate(model, cfg, BudgetUnderQ(sol))
         assert abs(result.mean - 1.0) <= 3.0 * result.stderr
+
+    def test_dual_measure_is_built_once_per_solution(self, base_model, monkeypatch):
+        sol = solve_optimal(base_model, Preference(4.0))
+        admissions = [0]
+        admit = elmm._admit_tilt
+
+        def counting(*args):
+            admissions[0] += 1
+            return admit(*args)
+
+        monkeypatch.setattr(elmm, "_admit_tilt", counting)
+        cfg = SimConfig(n_paths=20_000, seed=53)
+        first = estimate(base_model, cfg, BudgetUnderQ(sol))
+        second = estimate(base_model, cfg, BudgetUnderQ(sol))
+        assert admissions[0] == 1
+        assert sol.dual_measure is sol.dual_measure
+        assert (first.mean, first.stderr) == (second.mean, second.stderr)
+
+    def test_budget_under_q_needs_its_solutions_model(self, base_model):
+        sol = solve_optimal(base_model, Preference(4.0))
+        law = ExponentialCutoffHazard(rate=1.0, horizon=1.0)  # same parameters, new object
+        twin = MarketModel(0.1, 0.2, law, ConstantExcess(0.2))
+        with pytest.raises(ModelError, match="solution's model"):
+            estimate(twin, SimConfig(n_paths=1_000, seed=1), BudgetUnderQ(sol))
 
     def test_bankruptcy_aborts(self, ex37_model):
         model = MarketModel(
@@ -339,7 +370,7 @@ class TestEstimators:
         with pytest.raises(SimulationDiagnostic) as info:
             estimate(model, cfg, ExpectedUtility(greedy, 0.5))
         # the abort names the bankrupt crash times of block 0, the only block
-        law = _WealthLaw(model, greedy, horizon_grid(1.0, _TABLE_NODES))
+        law = _WealthLaw(model, greedy, horizon_grid(1.0, HORIZON_NODES))
         u = np.sort(_block_rng(cfg.seed, 0).random(_block_plan(cfg.n_paths)[0]))
         count = int(np.sum(law.moments(model.hazard.inverse_cdf(u))[2]))
         assert 0 < count < len(u)
@@ -361,7 +392,7 @@ class TestEstimators:
         strat = optimal_strategy(sol)
         cfg = SimConfig(n_paths=40_000, seed=17)
         result = estimate(base_model, cfg, ExpectedUtility(strat, p))
-        law = _WealthLaw(base_model, strat, horizon_grid(1.0, _TABLE_NODES))
+        law = _WealthLaw(base_model, strat, horizon_grid(1.0, HORIZON_NODES))
         samples = []
         for block, count in enumerate(_block_plan(cfg.n_paths)):
             rng = _block_rng(cfg.seed, block)
@@ -449,7 +480,7 @@ def test_terminal_price_matches_buy_and_hold_wealth(base_model, ex37_model, lppl
     model = {"exponential": base_model, "uniform": ex37_model, "lppl0.4": lppl_model,
              "tabulated": _tabulated_model()}[case]
     cfg = SimConfig(n_paths=2 * (_TERMINAL_BLOCK_PAIRS + _SUB_BLOCK + 5) + 1, seed=31)
-    law = _WealthLaw(model, HOLD, horizon_grid(model.horizon, _TABLE_NODES))
+    law = _WealthLaw(model, HOLD, horizon_grid(model.horizon, HORIZON_NODES))
     wealth = _estimate(law, cfg, _wealth_value(1.0), "E_ST")
     price = estimate(model, cfg, TerminalPrice())
     assert price.mean == pytest.approx(wealth.mean, rel=1e-13, abs=0.0)

@@ -50,6 +50,38 @@ def test_held_at_end_values_outside_the_knots():
     assert curve(x[-1] + 1.0) == y[-1]
 
 
+@pytest.mark.parametrize("name", ["tabulated", "tilted"])
+def test_panel_evaluation_is_the_search_and_the_cubic(name):
+    # the Newton callback of a curve-backed crash law reads (H, H') from the
+    # panel its variate lies in; with the panel of the search, that is the
+    # curve and its derivative, bit for bit, at the knots and past both ends
+    if name == "tabulated":
+        cdf = [0.0, 0.05, 0.12, 0.2, 0.3, 0.42, 0.55, 0.68, 0.8]
+        law = bm.TabulatedHazard(np.linspace(0.0, 1.0, 9), cdf)
+    else:
+        law = bm.ExponentialCutoffHazard(1.0, 1.0)
+        model = bm.MarketModel(0.1, 0.2, law, bm.ConstantExcess(0.2))
+        law = bm.solve_optimal(model, bm.Preference(4.0)).dual_measure
+    curve = law._cum
+    x = curve.grid
+    assert x.size == (9 if name == "tabulated" else _quad.HORIZON_NODES)
+    inside = np.random.default_rng(12).uniform(x[0], x[-1], 10_000)
+    t = np.concatenate([inside, x, [x[0] - 1.0, x[0] - 1e-12, x[-1] + 1e-12, x[-1] + 1.0]])
+    clamped = np.clip(t, x[0], x[-1])
+    i = np.searchsorted(x[1:-1], clamped, side="right")
+    value, slope = curve.on_panel(i, clamped, None)
+    np.testing.assert_array_equal(value, curve(t))
+    np.testing.assert_array_equal(slope, curve(t, nu=1))
+    np.testing.assert_array_equal(curve.on_panel(i, clamped), curve(t))
+    np.testing.assert_array_equal(curve.on_panel(i, clamped, 1), curve(t, nu=1))
+    # the law's Newton callback is that panel evaluation
+    fdf = law._panel_fdf(i)
+    idx = np.arange(0, t.size, 3)
+    got_value, got_slope = fdf(clamped[idx], idx)
+    np.testing.assert_array_equal(got_value, curve(t[idx]))
+    np.testing.assert_array_equal(got_slope, curve(t[idx], nu=1))
+
+
 @pytest.mark.parametrize(
     "grid, values",
     [
