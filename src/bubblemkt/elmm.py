@@ -19,8 +19,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._quad import CONVERGED, DIVERGENT, Curve, horizon_grid, integrate_toward, panel_rule
-from ._quad import local_slope, local_step
+from ._quad import CONVERGED, DIVERGENT, HORIZON_NODES, Curve, horizon_grid, integrate_toward
+from ._quad import local_slope, local_step, panel_rule
 from .hazard import (
     Classification,
     CurveHazard,
@@ -31,7 +31,6 @@ from .hazard import (
     require_valid,
 )
 
-TILTED_GRID_POINTS = 2049  # nodes of the tilted law's table when no grid is given
 TILT_BOUND_C_MAX = 2.0**16  # largest C that verify_tilt_bounds tries
 
 
@@ -65,23 +64,21 @@ def constant_tilt(c: float) -> TiltFunction:
 
 
 class TiltedMeasure(CurveHazard):
-    """Crash-time law under the tilted measure, tabulated on a grid from 0.
+    """Crash-time law under the tilted measure, on the one horizon table.
 
     A crash law like the hazard families: its hazard is ``kappa (1 + y)``
     and its cumulative hazard the monotone cubic
     :class:`~bubblemkt._quad.Curve` through ``int kappa (1 + y)`` on the
-    grid, so Monte Carlo under the tilted measure reuses the
-    physical-measure machinery unchanged; Newton inverts that cubic in each
-    variate's knot panel with the cubic's own slope.  Past the grid end the
-    cumulative hazard and ``zeta`` stay frozen at their last tabulated
-    values, and sampling collapses the mass between the grid end and the
-    horizon to the grid end.
+    ``HORIZON_NODES``-node horizon grid, so Monte Carlo under the tilted
+    measure reuses the physical-measure machinery unchanged; Newton inverts
+    that cubic in each variate's knot panel with the cubic's own slope.
+    Past the grid end the cumulative hazard and ``zeta`` stay frozen at
+    their last tabulated values, and sampling collapses the mass between
+    the grid end and the horizon to the grid end.
     """
 
-    def __init__(self, model: MarketModel, tilt: TiltFunction, grid: np.ndarray):
-        self.model, self.tilt, self.grid = model, tilt, np.asarray(grid, dtype=float)
-        if self.grid[0] != 0.0:  # int_0^grid[0] kappa y would be dropped
-            raise ValueError(f"tilted-law grid must start at 0, not at {float(self.grid[0])!r}")
+    def __init__(self, model: MarketModel, tilt: TiltFunction):
+        self.model, self.tilt, self.grid = model, tilt, horizon_grid(model.horizon, HORIZON_NODES)
         hazard = model.hazard
         kap = np.asarray(hazard.hazard(self.grid))
         yv = tilt(self.grid)
@@ -206,11 +203,7 @@ def _admit_tilt(model: MarketModel, tilt: TiltFunction) -> None:
         _certify("integrability of kappa (1 + y) for an atom law", one_plus_y, -math.log(law.atom))
 
 
-def build_tilted_measure(
-    model: MarketModel,
-    tilt: TiltFunction,
-    grid: Optional[np.ndarray] = None,
-) -> TiltedMeasure:
+def build_tilted_measure(model: MarketModel, tilt: TiltFunction) -> TiltedMeasure:
     """Construct the tilted crash-time law after admissibility checks.
 
     A rejection names the first failing condition, checked in order:
@@ -224,14 +217,12 @@ def build_tilted_measure(
     t(u) stops resolving below T.  Both certificates are scale-free.  A
     DIVERGENT one reads "tilt violates <condition>", any other
     "<condition> is not certified": a finite integral may converge too
-    slowly for the shells to read.  The law is tabulated on ``grid``, by
-    default the ``TILTED_GRID_POINTS``-node horizon grid.
-    :func:`classify_under_Q` runs the same checks without tabulating.
+    slowly for the shells to read.  The law is tabulated on one table, the
+    ``HORIZON_NODES``-node horizon grid.  :func:`classify_under_Q` runs
+    the same checks without tabulating.
     """
     _admit_tilt(model, tilt)
-    if grid is None:
-        grid = horizon_grid(model.horizon, TILTED_GRID_POINTS)
-    return TiltedMeasure(model, tilt, np.asarray(grid, dtype=float))
+    return TiltedMeasure(model, tilt)
 
 
 def verify_tilt_bounds(model: MarketModel, tilt: TiltFunction) -> Optional[tuple[float, float]]:

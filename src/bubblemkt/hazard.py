@@ -864,6 +864,7 @@ def excess_defect_integral(model: MarketModel) -> tuple[float, str]:
     # hazard nonintegrable from here on, so an integrable phi' leaves D infinite
     if integrate_toward(ex.dphi, 0.0, T).status == CONVERGED:
         return math.inf, CONVERGED
+    # shells cannot read the divergence of a log-periodic tail, so this branch decides it
     if isinstance(ex, ConstantJumpSizeExcess):
         if ex.delta0 < 1.0:
             return math.inf, CONVERGED

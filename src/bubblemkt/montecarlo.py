@@ -18,7 +18,7 @@ the tilted law; the law and E come from the solution's dual measure,
 built once per solution.  pi, D and V are tabulated once per wealth
 estimate; that quadrature is the only discretization error.  The
 single-path simulators step on a uniform grid of ``n_steps`` split at
-the crash.
+the crash, and a price path is the wealth path of the unit strategy.
 
 Randomness is counter-based (Philox) keyed by (seed, block), with a fixed
 block layout, so estimates are pure functions of (config, model, strategy)
@@ -100,6 +100,9 @@ class Strategy:
         return np.asarray(self.pre_crash(np.asarray(t, dtype=float)), dtype=float)
 
 
+_UNIT = Strategy("unit", lambda t: np.ones(np.shape(np.asarray(t))), 1.0)
+
+
 def merton_strategy(model: MarketModel, p: float) -> Strategy:
     frac = model.mu / (p * model.sigma**2)
     return Strategy("merton", lambda t, _f=frac: np.full(np.shape(np.asarray(t)), _f), frac)
@@ -114,12 +117,11 @@ def optimal_strategy(solution: Solution) -> Strategy:
 
 
 def myopic_only_strategy(solution: Solution) -> Strategy:
-    def pre(t):
-        # frozen beyond the solved grid, like the myopic curve itself
-        t = np.minimum(np.asarray(t, dtype=float), solution.grid[-1])
-        return solution.fraction_given(t, solution.myopic(t))
-
-    return Strategy("myopic", pre, solution.merton_fraction)
+    return Strategy(
+        "myopic",
+        lambda t: solution.fraction_along(solution.myopic, t),
+        solution.merton_fraction,
+    )
 
 
 def scaled_strategy(base: Strategy, factor: float) -> Strategy:
@@ -369,53 +371,55 @@ def _path_draws(model: MarketModel, cfg: SimConfig, path_index: int):
     return gam, z, g1, g2
 
 
-def _path_increments(model: MarketModel, cfg: SimConfig, gam: float, z, g1, g2):
-    """Knots of one path and what happens between them.
+def _log_wealth_path(model: MarketModel, strategy: Strategy, cfg: SimConfig, gam, z, g1, g2):
+    """Knots of one path and the log wealth of ``strategy`` along them.
 
     The knots are the uniform grid of ``n_steps`` with the crash time
     inserted; the step holding the crash splits its Gaussian into one per
-    part.  Returns the knot times, the pre-crash exponent at each knot
-    (frozen from the crash on), the Brownian increments between knots, and
-    the index of the crash knot (``n_steps`` on an atom path, which has no
-    crash knot).
+    part, and the fraction is frozen over each step.  Returns the knot
+    times, log(X / x) at each knot without the crash's jump, the index of
+    the crash knot (``n_steps`` on an atom path, which has none) and the
+    jump factor 1 - pi(gamma) delta(gamma) (1 on an atom path).
     """
-    T = model.horizon
-    n = cfg.n_steps
+    T, n, sigma = model.horizon, cfg.n_steps, model.sigma
     times = np.linspace(0.0, T, n + 1)
     dw = math.sqrt(T / n) * np.asarray(z, dtype=float)
-    crash = n
+    crash, factor = n, 1.0
     if gam < T:
         k = int(np.clip(np.searchsorted(times, gam, side="left") - 1, 0, n - 1))
         split = [math.sqrt(gam - times[k]) * g1, math.sqrt(times[k + 1] - gam) * g2]
         dw = np.concatenate([dw[:k], split, dw[k + 1:]])
         times = np.insert(times, k + 1, gam)
         crash = k + 1
-    # an atom path stops at phi(T-), which is finite whenever the atom exists
-    frozen = min(gam, np.nextafter(T, 0.0))
-    exponent = np.asarray(model.excess.phi(np.minimum(times, frozen)))
-    return times, exponent, dw, crash
+        factor = 1.0 - float(strategy.pre(gam)) * float(model.delta(gam))
+    # the exponent freezes at the crash; an atom path stops at phi(T-),
+    # which is finite whenever the atom exists
+    exponent = np.asarray(model.excess.phi(np.minimum(times, min(gam, np.nextafter(T, 0.0)))))
+    dt = np.diff(times)
+    pi = np.full(len(dt), strategy.post_crash)
+    pi[:crash] = strategy.pre(times[:crash])
+    steps = pi * (model.mu * dt + np.diff(exponent) + sigma * dw) - 0.5 * (sigma * pi) ** 2 * dt
+    return times, np.concatenate([[0.0], np.cumsum(steps)]), crash, factor
 
 
 def simulate_price_path(model: MarketModel, cfg: SimConfig, path_index: int):
     """One exact price path: (crash time, grid times, prices).
 
-    The grid step containing the crash is split at the crash, so the jump
-    lands at the right price level; the returned prices sit on the uniform
-    grid (the final entry is S_T).  A crash that removes the whole price
-    leaves it at 0.
+    The price is the wealth of the unit strategy (fraction 1 before and
+    after the crash).  The grid step containing the crash is split at the
+    crash, so the jump lands at the right price level; the returned prices
+    sit on the uniform grid (the final entry is S_T).  A crash that
+    removes the whole price leaves it at 0.
     """
     gam, z, g1, g2 = _path_draws(model, cfg, path_index)
     return gam, *_price_path_given(model, cfg, gam, z, g1, g2)
 
 
 def _price_path_given(model: MarketModel, cfg: SimConfig, gam: float, z, g1, g2):
-    times, exponent, dw, crash = _path_increments(model, cfg, gam, z, g1, g2)
-    sigma = model.sigma
-    w = np.concatenate([[0.0], np.cumsum(dw)])
-    log_s = (model.mu - 0.5 * sigma**2) * times + exponent + sigma * w
-    if crash < len(dw):
+    times, log_s, crash, factor = _log_wealth_path(model, _UNIT, cfg, gam, z, g1, g2)
+    if gam < model.horizon:
         with np.errstate(divide="ignore"):  # a full loss leaves the price at 0
-            log_s[crash + 1:] += np.log1p(-float(model.delta(gam)))
+            log_s[crash + 1:] += np.log(factor)
         times, log_s = np.delete(times, crash), np.delete(log_s, crash)
     return times, np.exp(log_s)
 
@@ -424,24 +428,13 @@ def simulate_wealth_path(
     model: MarketModel, strategy: Strategy, cfg: SimConfig, path_index: int
 ) -> float:
     """Terminal wealth of one path under the physical measure, on the
-    stream and knots of :func:`simulate_price_path` with the fraction
-    frozen over each step.
+    stream and knots of :func:`simulate_price_path`.
 
     Raises :class:`SimulationDiagnostic` when the crash wipes out a
     leveraged position (jump factor <= 0).
     """
     gam, z, g1, g2 = _path_draws(model, cfg, path_index)
-    times, exponent, dw, crash = _path_increments(model, cfg, gam, z, g1, g2)
-    dt = np.diff(times)
-    pi = np.full(len(dt), strategy.post_crash)
-    pi[:crash] = strategy.pre(times[:crash])
-    sigma = model.sigma
-    log_x = float(
-        np.sum(pi * (model.mu * dt + np.diff(exponent) + sigma * dw) - 0.5 * (sigma * pi) ** 2 * dt)
-    )
-    if crash < len(dt):
-        factor = 1.0 - float(strategy.pre(gam)) * float(model.delta(gam))
-        if factor <= 0.0:
-            raise SimulationDiagnostic("path went bankrupt at the crash", {"gamma": gam})
-        log_x += math.log(factor)
-    return math.exp(log_x)
+    _, log_x, _, factor = _log_wealth_path(model, strategy, cfg, gam, z, g1, g2)
+    if factor <= 0.0:
+        raise SimulationDiagnostic("path went bankrupt at the crash", {"gamma": gam})
+    return math.exp(log_x[-1] + math.log(factor))

@@ -33,8 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._quad import CONVERGED, HORIZON_NODES, Curve, clustered_grid, horizon_grid
-from ._quad import integrate_toward, monotone_inverse, panel_rule
+from ._quad import CONVERGED, Curve, clustered_grid, integrate_toward, monotone_inverse, panel_rule
 from .elmm import TiltedMeasure, TiltFunction, build_tilted_measure
 from .hazard import (
     DomainError,
@@ -312,25 +311,21 @@ class Solution:
 
     @functools.cached_property
     def dual_measure(self) -> TiltedMeasure:
-        """:func:`~bubblemkt.elmm.build_tilted_measure` of ``tilt`` on the
-        horizon grid, admitted and tabulated once, on first use."""
-        grid = horizon_grid(self.model.horizon, HORIZON_NODES)
-        return build_tilted_measure(self.model, TiltFunction(self.tilt, label="solved tilt"), grid)
+        """:func:`~bubblemkt.elmm.build_tilted_measure` of ``tilt``, built once, on first use."""
+        return build_tilted_measure(self.model, TiltFunction(self.tilt, label="solved tilt"))
 
     @property
     def merton_fraction(self) -> float:
         return self.model.mu / (self.preference.p * self.model.sigma**2)
 
-    def fraction_given(self, t, y):
-        """Pre-crash fraction (mu - phi'(t) y) / (p sigma^2) for the curve
-        values ``y`` at the times ``t``."""
+    def fraction_along(self, curve: Curve, t):
+        """Fraction (mu - phi'(t) y(t)) / (p sigma^2) along ``curve``, frozen past ``grid``."""
+        t = np.minimum(np.asarray(t, dtype=float), self.grid[-1])
         phi_p = np.asarray(self.model.excess.dphi(t))
-        return (self.model.mu - phi_p * y) / (self.preference.p * self.model.sigma**2)
+        return (self.model.mu - phi_p * curve(t)) / (self.preference.p * self.model.sigma**2)
 
     def fraction_pre_crash(self, t):
-        # frozen beyond the solved grid, where the tilt is frozen too
-        t = np.minimum(np.asarray(t, dtype=float), self.grid[-1])
-        return self.fraction_given(t, self.tilt(t))
+        return self.fraction_along(self.tilt, t)
 
 
 def _terminal_tail(model: MarketModel, prefs: Preference, t_end: float, y_end: float) -> float:
@@ -374,8 +369,11 @@ def solve_optimal(
     residual |m exp(int n) - 1| is at most ``tol`` at every node;
     ``iterations`` counts the iterates examined, the start included.  A
     stall (halving fails) or ``MAX_NEWTON_ITER`` iterates above ``tol``
-    raise :class:`SolverError` with the last residual profile.
+    raise :class:`SolverError` with the last residual profile; a ``tol``
+    that is not positive and finite raises :class:`DomainError`.
     """
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
     _require_drift(model)
     require_valid(model)
 

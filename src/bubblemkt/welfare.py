@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import CONVERGED, integrate_toward, local_slope, local_step, panel_rule
-from .hazard import MarketModel
+from .hazard import DomainError, MarketModel
 from .solver import Preference, Solution, SolverError, aux_eval, log_utility_solution
 
 LOG_UTILITY_WINDOW = 1e-6  # |p - 1| below this takes the log-utility formula
@@ -97,10 +97,12 @@ def certainty_equivalent(solution: Solution) -> float:
 def welfare_from_curve(
     model: MarketModel, prefs: Preference, grid, y_values
 ) -> WelfareReport:
-    """Welfare metrics for a tabulated tilt curve (e.g. re-ingested solver
-    output); for power utility only the starting value matters."""
+    """Welfare metrics for a tabulated tilt curve from t = 0 (e.g. re-ingested
+    solver output), else :class:`DomainError`; for power utility only y(0) matters."""
     grid = np.asarray(grid, dtype=float)
     y_values = np.asarray(y_values, dtype=float)
+    if grid[0] != 0.0:  # m(grid[0], y(grid[0])) is no m(0, y(0))
+        raise DomainError(f"tilt curve must start at t = 0, not at grid[0] = {float(grid[0])!r}")
     m0 = aux_eval(model, prefs, float(grid[0]), float(y_values[0])).m
     return _report(model, prefs, _certainty_equivalent(model, prefs, grid, y_values, m0))
 

@@ -23,7 +23,7 @@ from bubblemkt import (
     verify_tilt_bounds,
 )
 from bubblemkt import elmm
-from bubblemkt._quad import horizon_grid, integrate_toward
+from bubblemkt._quad import HORIZON_NODES, horizon_grid, integrate_toward
 from bubblemkt.elmm import constant_tilt
 
 
@@ -215,17 +215,25 @@ class TestBuildTiltedMeasure:
             with pytest.raises(RejectedTiltError, match=r"kappa \(1 \+ y\) for an atom law"):
                 gate(model, tilt)
 
-    def test_grid_must_start_at_zero(self, base_model):
-        # a grid from 0.70711 dropped int_0^0.70711 kappa y: the atom read
-        # 0.31776 for e^-1.5, and levels below H(0.70711) all sampled 0.70711
-        full = horizon_grid(1.0, 2049)
-        with pytest.raises(ValueError, match="start at 0, not at 0.7071"):
-            build_tilted_measure(base_model, constant_tilt(0.5), grid=full[1024:])
-        tm = build_tilted_measure(base_model, constant_tilt(0.5), grid=full)
+    def test_table_from_zero_reads_atom_survival_and_inverse(self, base_model):
+        # tilt 0.5 on the unit-rate law: H = 1.5 t, integrated from t = 0
+        tm = build_tilted_measure(base_model, constant_tilt(0.5))
         assert tm.atom == pytest.approx(math.exp(-1.5), rel=1e-9)
         assert tm.survival(0.75) == pytest.approx(math.exp(-1.125), rel=1e-9)
         u = np.array([0.01, 0.3])
         np.testing.assert_allclose(tm.inverse_cdf(u), -np.log1p(-u) / 1.5, rtol=1e-9)
+
+    def test_dual_measure_is_the_tilted_law_of_its_tilt(self, base_model):
+        # one table for every tilted law: the solution's dual measure and a
+        # fresh build from its tilt share the grid and every value of H
+        sol = solve_optimal(base_model, Preference(4.0))
+        built = build_tilted_measure(base_model, TiltFunction(sol.tilt))
+        table = horizon_grid(base_model.horizon, HORIZON_NODES)
+        for law in (sol.dual_measure, built):
+            np.testing.assert_array_equal(law.grid, table)
+        np.testing.assert_array_equal(
+            sol.dual_measure.cumulative_hazard(table), built.cumulative_hazard(table)
+        )
 
     def test_distribution_function_shape(self, zero_drift_base):
         tm = build_tilted_measure(zero_drift_base, constant_tilt(0.3))

@@ -27,6 +27,7 @@ from bubblemkt import (
     ZeroExcess,
     ag_transform,
     classify_under_P,
+    classify_under_Q,
     hazard_rate,
     jump_size,
     linear_delta_excess,
@@ -494,6 +495,17 @@ class TestClassifyUnderP:
         result = classify_under_P(model)
         assert result.verdict is Verdict.STRICT_LOCAL_MARTINGALE
         assert result.defect == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("power", [0.0, -0.1])
+    def test_constant_jump_size_on_a_log_periodic_tail(self, power):
+        # int (kappa - phi') = 0.9 int kappa diverges, yet its shells follow
+        # the log-periodic kappa and never read DIVERGENT: the quadrature
+        # alone reads nan and Indeterminate, the constant jump size gives inf
+        law = LPPLHazard(b=1.2, c=0.3, power=power, omega=6.0, phase=0.5, horizon=1.0)
+        model = MarketModel(0.0, 0.2, law, ConstantJumpSizeExcess(law, 0.1))
+        for result in (classify_under_P(model), classify_under_Q(model, constant_tilt(0.0))):
+            assert result.verdict is Verdict.TRUE_MARTINGALE
+            assert math.isinf(result.defect)
 
 
 _EXP = ExponentialCutoffHazard(1.0, 1.0)

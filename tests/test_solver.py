@@ -584,6 +584,12 @@ class TestToleranceContract:
         sol = solve_optimal(base_model, Preference(p), tol=tol)
         assert np.max(sol.residuals) <= tol
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+    def test_tol_outside_the_positive_floats_is_a_domain_error(self, base_model, tol):
+        # not a solver failure: a nan tol had read "residual 1.486e-16 above tol nan"
+        with pytest.raises(DomainError, match="tol must be positive and finite"):
+            solve_optimal(base_model, P4, tol=tol)
+
     def test_unreachable_tol_raises(self, base_model):
         with pytest.raises(SolverError, match=r"^integral-equation residual \S+ above tol 1\.0e-16 ") as err:
             solve_optimal(base_model, P4, tol=1e-16)

@@ -7,6 +7,7 @@ import bubblemkt.welfare as wf
 from bubblemkt import (
     ConstantExcess,
     ConstantJumpSizeExcess,
+    DomainError,
     ExponentialCutoffHazard,
     LPPLHazard,
     MarketModel,
@@ -135,6 +136,16 @@ class TestWelfareFromCurve:
             direct.certainty_equivalent, rel=1e-10
         )
         assert rebuilt.relative_loss == pytest.approx(direct.relative_loss, rel=1e-8)
+
+    @pytest.mark.parametrize("p", [1.0, 4.0])
+    def test_curve_not_from_zero_is_refused(self, base_model, p):
+        # m at grid[0] = 0.70819 is no m(0, y(0)): the CE read 1.027577 for
+        # 1.021878 at p 4 and 1.123631 for 1.085706 at p 1
+        sol = solve_optimal(base_model, Preference(p))
+        with pytest.raises(DomainError, match=r"not at grid\[0\] = 0\.70819"):
+            welfare_from_curve(
+                base_model, sol.preference, sol.grid[256:], sol.tilt.values[256:]
+            )
 
 
 class TestWealthCompensatorIdentity:
