@@ -126,7 +126,7 @@ class PanelRule:
         parts = self.panel_integrals(values)
         out = np.empty(len(self.grid))
         out[-1] = 0.0
-        out[:-1] = np.cumsum(parts[::-1])[::-1]
+        np.cumsum(parts[::-1], out=out[-2::-1])
         return out
 
 
@@ -160,9 +160,9 @@ class Curve:
         y = np.asarray(values, dtype=float)
         if x.ndim != 1 or x.shape != y.shape or len(x) < 2:
             raise ValueError("grid and values must be 1-d arrays of one length >= 2")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError("grid and values must be finite")
-        if np.any(np.diff(x) <= 0.0):
+        if (np.diff(x) <= 0.0).any():
             raise ValueError("grid must be strictly increasing")
         self.grid, self.values = x, y
 
@@ -336,13 +336,19 @@ def integrate_toward(
     return ShellIntegral(total, INDETERMINATE, k, last)
 
 
+def _spread(v, shape: tuple) -> np.ndarray:
+    # ``v`` as a flat float array over ``shape``, broadcast only if it must be
+    v = np.asarray(v, dtype=float)
+    return (v if v.shape == shape else np.broadcast_to(v, shape)).ravel()
+
+
 def monotone_inverse(fdf, lo, hi, targets: np.ndarray, x0=None) -> np.ndarray:
     """Vectorized inverse of increasing functions on [lo, hi): safeguarded
     Newton (rtsafe, Numerical Recipes section 9.4).
 
     Point ``i`` solves ``f(x, i) = targets[i]``; ``fdf(x, idx)`` returns
     the function and its derivative ``(f, f')`` of the points ``idx`` at
-    ``x``, so the iteration only touches unconverged points.
+    ``x`` (``...`` until a point stops), so it only touches unconverged points.
     ``lo`` and ``hi`` are scalars or per-point arrays.  Each evaluation
     shrinks the bracket; a Newton step that would leave it, or that fails
     to halve the step before last, becomes a bisection step.  A point stops
@@ -355,43 +361,41 @@ def monotone_inverse(fdf, lo, hi, targets: np.ndarray, x0=None) -> np.ndarray:
     evaluated at ``hi``, so it may blow up there.  ``x0`` (scalar or
     per-point) is an optional start, used where it lies strictly inside the
     bracket; elsewhere, and where it is NaN, the iteration starts at the
-    midpoint.
+    midpoint.  ``fdf`` runs with division and invalid warnings off.
     """
     targets = np.asarray(targets, dtype=float)
     out = np.empty(targets.shape)
-    idx = np.arange(targets.size)
+    idx, sel = np.arange(targets.size), ...
     tgt = targets.ravel()
-    low = np.broadcast_to(np.asarray(lo, dtype=float), targets.shape).ravel()
-    high = np.broadcast_to(np.asarray(hi, dtype=float), targets.shape).ravel()
-    x = 0.5 * (low + high)
-    if x0 is not None:
-        start = np.broadcast_to(np.asarray(x0, dtype=float), targets.shape).ravel()
-        x = np.where((start > low) & (start < high), start, x)
+    low, high, start = (_spread(v, targets.shape) for v in (lo, hi, np.nan if x0 is None else x0))
+    x = np.where((start > low) & (start < high), start, 0.5 * (low + high))
     dx = dx_old = high - low
-    for _ in range(_MAX_NEWTON_STEPS):
-        value, slope = fdf(x, idx)
-        resid = value - tgt
-        below = resid < 0.0
-        low = np.where(below, x, low)
-        high = np.where(below, high, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    resolution = _ULPS * np.abs(tgt)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_NEWTON_STEPS):
+            value, slope = fdf(x, sel)
+            resid = value - tgt
+            below = resid < 0.0
+            low = np.where(below, x, low)
+            high = np.where(below, high, x)
             step = resid / slope
-        newton = x - step
-        tol = _ULPS * np.maximum(np.abs(low), np.abs(high))
-        resolved = np.abs(resid) <= _ULPS * np.abs(tgt)
-        done = resolved | (np.abs(step) <= tol) | (high - low <= tol)
-        if np.any(done):
-            inside = (newton >= low) & (newton <= high)
-            out.flat[idx[done]] = np.where(inside, newton, x)[done]
-            keep = ~done
-            if not np.any(keep):
-                return out
-            idx, tgt, x, low, high = idx[keep], tgt[keep], x[keep], low[keep], high[keep]
-            dx, dx_old, step, newton = dx[keep], dx_old[keep], step[keep], newton[keep]
-        # comparisons with a NaN step are false, so a NaN step bisects
-        bisect = ~((newton > low) & (newton < high) & (np.abs(step) <= 0.5 * dx_old))
-        dx_old, dx = dx, np.where(bisect, 0.5 * (high - low), np.abs(step))
-        x = np.where(bisect, 0.5 * (low + high), newton)
+            newton, size, span = x - step, np.abs(step), high - low
+            tol = _ULPS * np.maximum(np.abs(low), np.abs(high))
+            # fmin skips a NaN step, which then never counts as small
+            done = (np.abs(resid) <= resolution) | (np.fmin(size, span) <= tol)
+            if done.any():
+                inside = (newton >= low) & (newton <= high)
+                out.flat[idx[done]] = np.where(inside, newton, x)[done]
+                keep = ~done
+                if not keep.any():
+                    return out
+                sel = idx = idx[keep]
+                tgt, resolution, x, low, high = (v[keep] for v in (tgt, resolution, x, low, high))
+                dx, dx_old, newton, size, span = (v[keep] for v in (dx, dx_old, newton, size, span))
+            # comparisons with a NaN step are false, so a NaN step bisects
+            newton_ok = (newton > low) & (newton < high) & (size <= 0.5 * dx_old)
+            dx_old, dx = dx, np.where(newton_ok, size, 0.5 * span)
+            x = np.where(newton_ok, newton, 0.5 * (low + high))
     out.flat[idx] = x
     return out
 

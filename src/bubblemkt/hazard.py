@@ -542,13 +542,13 @@ class MarketModel:
         return self.hazard.horizon
 
     @_elementwise
-    def delta(self, t):
-        """Relative crash size phi'/kappa with the 0/0 := 0 convention."""
+    def delta(self, t, dphi=None, kap=None):
+        """Relative crash size phi'/kappa, 0/0 := 0; the caller may pass phi' and kappa at t."""
         direct = self.excess.delta(t)
         if direct is not None:
             return direct
-        dphi = np.asarray(self.excess.dphi(t))
-        kap = np.asarray(self.hazard.hazard(t))
+        dphi = np.asarray(self.excess.dphi(t) if dphi is None else dphi)
+        kap = np.asarray(self.hazard.hazard(t) if kap is None else kap)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(dphi == 0.0, 0.0, dphi / kap)
 
@@ -629,7 +629,7 @@ def validate(model: MarketModel) -> ValidationReport:
 
     kap = np.asarray(model.hazard.hazard(grid))
     bad = kap <= 0.0
-    if np.any(bad):
+    if bad.any():
         i = int(np.argmax(bad))
         violations.append(
             Violation("hazard_positive", float(grid[i]), f"kappa = {float(kap[i])!r} <= 0")
@@ -637,13 +637,13 @@ def validate(model: MarketModel) -> ValidationReport:
 
     dphi = np.asarray(model.excess.dphi(grid))
     neg = dphi < -1e-12
-    if np.any(neg):
+    if neg.any():
         i = int(np.argmax(neg))
         violations.append(
             Violation("excess_nonnegative", float(grid[i]), f"phi' = {float(dphi[i])!r} < 0")
         )
     over = dphi > kap * (1.0 + 1e-10) + 1e-12
-    if np.any(over):
+    if over.any():
         i = int(np.argmax(over))
         violations.append(
             Violation(

@@ -26,6 +26,7 @@ then is the solution (a quadratic with a closed form,
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -76,19 +77,19 @@ class Preference:
 
 @dataclass(frozen=True)
 class AuxEval:
-    """Auxiliary functions and the partials the solver needs, at one point."""
+    """Auxiliary functions and the partials the solver needs, at one point or many."""
 
-    a: float
-    b: float
-    m: float
-    n: float
-    da_dy: float
-    dm_dy: float
-    dn_dy: float
+    a: float | np.ndarray
+    b: float | np.ndarray
+    m: float | np.ndarray
+    n: float | np.ndarray
+    da_dy: float | np.ndarray
+    dm_dy: float | np.ndarray
+    dn_dy: float | np.ndarray
 
 
 class _Coef:
-    """Model coefficients sampled on a time grid, shared by the vector ops."""
+    """Model coefficients on a time grid, shared by the vector ops; ``slope`` is a_y."""
 
     def __init__(self, model: MarketModel, p: float, t: np.ndarray):
         t = np.asarray(t, dtype=float)
@@ -98,10 +99,18 @@ class _Coef:
         self.p = p
         self.phi_p = np.asarray(model.excess.dphi(t))
         self.kap = np.asarray(model.hazard.hazard(t))
-        self.dlt = np.asarray(model.delta(t))
+        self.dlt = np.asarray(model.delta(t, self.phi_p, self.kap))
+        self.slope = self.dlt * self.phi_p / self.sig2p
+
+    def take(self, nodes: np.ndarray) -> "_Coef":
+        """These coefficients at the grid points ``nodes``."""
+        sub = copy.copy(self)
+        for name in ("t", "phi_p", "kap", "dlt", "slope"):
+            setattr(sub, name, getattr(self, name)[nodes])
+        return sub
 
 
-# ``i`` selects the grid points that ``y`` belongs to (all by default)
+# ``i`` selects the grid points of ``y`` (all by default); ``a`` is a(t, y) if the caller has it
 def _aux_a(c: _Coef, y: np.ndarray, i=...) -> np.ndarray:
     return 1.0 - c.dlt[i] * (c.mu - c.phi_p[i] * y) / c.sig2p
 
@@ -110,9 +119,8 @@ def _aux_m(c: _Coef, y: np.ndarray, i=...) -> np.ndarray:
     return np.maximum(1.0 + y, 0.0) ** (1.0 / c.p) * _aux_a(c, y, i)
 
 
-def _aux_n(c: _Coef, y: np.ndarray) -> np.ndarray:
-    a = _aux_a(c, y)
-    b = (1.0 + y / c.p) * a
+def _aux_n(c: _Coef, y: np.ndarray, a=None) -> np.ndarray:
+    b = (1.0 + y / c.p) * (_aux_a(c, y) if a is None else a)
     return -(1.0 - c.p) * (c.phi_p * y) ** 2 / (2.0 * c.p * c.sig2p) + c.kap * (b - 1.0)
 
 
@@ -121,12 +129,14 @@ def _aux_m_dm(c: _Coef, y: np.ndarray, i=...) -> tuple[np.ndarray, np.ndarray]:
     a = _aux_a(c, y, i)
     one_plus = np.maximum(1.0 + y, 1e-300)
     g = one_plus ** (1.0 / c.p)
-    return g * a, g * (a / (c.p * one_plus) + c.dlt[i] * c.phi_p[i] / c.sig2p)
+    return g * a, g * (a / (c.p * one_plus) + c.slope[i])
 
 
-def _aux_dn_dy(c: _Coef, y: np.ndarray) -> np.ndarray:
-    # n's y-derivative: the jump size delta = phi'/kappa cancels its (1-p) term
-    return c.kap * (_aux_a(c, y) / c.p + (1.0 + y) * c.dlt * c.phi_p / c.sig2p)
+def _aux_dn_dy(c: _Coef, y: np.ndarray, a=None) -> np.ndarray:
+    # n's y-derivative: the jump size delta = phi'/kappa cancels its (1-p) term;
+    # it rounds as written, not through ``slope``: a stalled solve follows the ulps
+    a = _aux_a(c, y) if a is None else a
+    return c.kap * (a / c.p + (1.0 + y) * c.dlt * c.phi_p / c.sig2p)
 
 
 def _aux_floor(c: _Coef, i=...) -> np.ndarray:
@@ -142,26 +152,23 @@ def lower_boundary(model: MarketModel, prefs: Preference, t):
     return _scalar_or_array(lambda t: _aux_floor(_Coef(model, prefs.p, t)), t)
 
 
-def aux_eval(model: MarketModel, prefs: Preference, t: float, y: float) -> AuxEval:
+def aux_eval(model: MarketModel, prefs: Preference, t, y) -> AuxEval:
     """Evaluate a, b, m, n and their solver partials at (t, y).
 
-    Values may be negative below the admissible boundary; callers enforce
-    the domain.
+    ``t`` and ``y`` are scalars, which give floats, or arrays that broadcast
+    together, which give arrays.  Values may be negative below the
+    admissible boundary; callers enforce the domain.
     """
-    if not 0.0 <= t < model.horizon:
+    t, y = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(y, dtype=float))
+    if not ((0.0 <= t) & (t < model.horizon)).all():
         raise DomainError("t must lie in [0, T)")
-    if y < -1.0:
+    if (y < -1.0).any():
         raise DomainError("y must be >= -1")
-    c = _Coef(model, prefs.p, np.array([t]))
-    yv = np.array([float(y)])
-    a = float(_aux_a(c, yv)[0])
-    b = float((1.0 + y / prefs.p) * a)
-    m = float(_aux_m(c, yv)[0])
-    n = float(_aux_n(c, yv)[0])
-    da_dy = float((c.dlt * c.phi_p / c.sig2p)[0])
-    dm_dy = float(_aux_m_dm(c, yv)[1][0])
-    dn_dy = float(_aux_dn_dy(c, yv)[0])
-    return AuxEval(a, b, m, n, da_dy, dm_dy, dn_dy)
+    c, yv = _Coef(model, prefs.p, t.ravel()), y.ravel()
+    a = _aux_a(c, yv)
+    fields = (a, (1.0 + yv / prefs.p) * a, _aux_m(c, yv), _aux_n(c, yv, a), c.slope,
+              _aux_m_dm(c, yv)[1], _aux_dn_dy(c, yv, a))
+    return AuxEval(*(float(v[0]) if t.ndim == 0 else v.reshape(t.shape) for v in fields))
 
 
 def _upper_root(qa, qb, qc):
@@ -184,40 +191,41 @@ def _implicit_many(c: _Coef, targets: np.ndarray, x0=None) -> np.ndarray:
     y = max(f^p, mu/phi') + 1 gives a >= 1 and (1 + y)^(1/p) > f.
     """
     f = np.asarray(targets, dtype=float).ravel()
-    if np.any(f <= 0.0):
+    if (f <= 0.0).any():
         raise DomainError("implicit solve needs a positive target")
     p, mu, sig2p = c.p, c.mu, c.sig2p
     out = np.empty(f.shape)
 
     node = np.arange(f.size) % c.t.size
     flat = c.phi_p[node] == 0.0
-    if np.any(flat):
+    pts = ...  # the points where phi' > 0: all of them unless some are flat
+    if flat.any():
         out[flat] = f[flat] ** p - 1.0
-    pts = np.flatnonzero(~flat)
-    if pts.size == 0:
-        return out.reshape(np.shape(targets))
+        pts = np.flatnonzero(~flat)
+        if pts.size == 0:
+            return out.reshape(np.shape(targets))
 
-    act = node[pts]
-    phi_p, kap, fa = c.phi_p[act], c.kap[act], f[pts]
-    lo = _aux_floor(c, act)
-    small = phi_p <= sig2p * kap / (2.0 * mu)
-    hi = np.where(small, (2.0 * fa) ** p, np.maximum(fa**p, mu / phi_p))
+    at, fa = c.take(node[pts]), f[pts]  # the coefficients of each point's node
+    lo = _aux_floor(at)
+    small = at.phi_p <= sig2p * at.kap / (2.0 * mu)
+    hi = np.where(small, (2.0 * fa) ** p, np.maximum(fa**p, mu / at.phi_p))
     hi = hi + 1.0  # slack over the growth bound
     if x0 is None:  # a = a0 + slope y
-        slope, a0 = c.dlt[act] * phi_p / sig2p, 1.0 - c.dlt[act] * mu / sig2p
-        x0 = _upper_root(slope / p, a0 / p + slope, a0 - fa)
-    else:
+        a0 = 1.0 - at.dlt * mu / sig2p
+        x0 = _upper_root(at.slope / p, a0 / p + at.slope, a0 - fa)
+    elif pts is not ...:
         x0 = np.broadcast_to(x0, f.shape)[pts]
-    out[pts] = monotone_inverse(lambda y, i: _aux_m_dm(c, y, act[i]), lo, hi, fa, x0)
+    out[pts] = monotone_inverse(lambda y, i: _aux_m_dm(at, y, i), lo, hi, fa, x0)
     return out.reshape(np.shape(targets))
 
 
-def implicit_solve(model: MarketModel, prefs: Preference, t: float, target: float) -> float:
-    """Unique y above the admissible boundary with m(t, y, p) = target."""
-    if target <= 0.0:
+def implicit_solve(model: MarketModel, prefs: Preference, t, target):
+    """Unique y above the admissible boundary with m(t, y, p) = target, at scalars or arrays."""
+    t, target = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(target, dtype=float))
+    if (target <= 0.0).any():
         raise DomainError("target must be positive")
-    c = _Coef(model, prefs.p, np.array([float(t)]))
-    return float(_implicit_many(c, np.array([float(target)]))[0])
+    y = _implicit_many(_Coef(model, prefs.p, t.ravel()), target.ravel())
+    return float(y[0]) if t.ndim == 0 else y.reshape(t.shape)
 
 
 def _solver_grid(model: MarketModel, n_grid: int) -> np.ndarray:
@@ -395,7 +403,7 @@ def solve_optimal(
         upper=upper,
         myopic=myopic,
         residuals=resid,
-        m_start=float(_aux_m(c, y)[0]),
+        m_start=float(_aux_m(c, y[:1], slice(0, 1))[0]),
         method="newton",
         iterations=iterations,
     )
@@ -406,22 +414,23 @@ def _newton(c, rule, lower, upper, start, tail, tol):
     # residual profile; a stall or running out of iterations raises.
     half = 0.5 * np.diff(c.t)
     y = start
-    F, profile = _defect(c, rule, y, tail)
+    F, profile, L, N = _evaluate(c, rule, y, tail)
     for it in range(1, MAX_NEWTON_ITER + 1):
-        if float(np.max(profile)) <= tol:
+        if profile.max() <= tol:
             return y, it, profile
         if it == MAX_NEWTON_ITER:
             break
-        d = _newton_step(c, y, F, half)
+        d = _newton_step(L, N, F, half)
+        worst = np.abs(F).max()
         for _ in range(MAX_HALVINGS + 1):
-            trial = np.clip(y + d, lower, upper)
-            F_trial, profile_trial = _defect(c, rule, trial, tail)
-            if np.max(np.abs(F_trial)) < np.max(np.abs(F)):
+            trial = np.minimum(np.maximum(y + d, lower), upper)
+            evaluated = _evaluate(c, rule, trial, tail)
+            if np.abs(evaluated[0]).max() < worst:
                 break
             d = 0.5 * d
         else:
             break  # stalled: no halving lowers max |F|
-        y, F, profile = trial, F_trial, profile_trial
+        y, (F, profile, L, N) = trial, evaluated
     raise SolverError(
         f"integral-equation residual {np.max(profile):.3e} above tol {tol:.1e} "
         f"after {it} Newton iterations",
@@ -429,7 +438,7 @@ def _newton(c, rule, lower, upper, start, tail, tol):
     )
 
 
-def _newton_step(c, y, F, half):
+def _newton_step(L, N, F, half):
     """Solve (diag(L) + W diag(N)) d = -F, L = m_y/m, N = n_y, W the
     trapezoid integral to the right on panels of half-widths h = ``half``.
     Row i minus row i + 1 gives d_i = A_i d_{i+1} + B_i with
@@ -437,9 +446,6 @@ def _newton_step(c, y, F, half):
     D_i = L_i + h_i N_i, closed by d_{n-1} = -F_{n-1} / L_{n-1}.  These
     affine maps compose in ceil(log2 n) doubling passes of a prefix scan
     (Blelloch, CMU-CS-90-190, 1990), which divides by no running product."""
-    m, m_y = _aux_m_dm(c, y)
-    L = m_y / m
-    N = _aux_dn_dy(c, y)
     D = L[:-1] + half * N[:-1]
     A = np.append((L[1:] - half * N[1:]) / D, 0.0)
     B = np.append((F[1:] - F[:-1]) / D, -F[-1] / L[-1])
@@ -451,11 +457,16 @@ def _newton_step(c, y, F, half):
     return B
 
 
-def _defect(c, rule, y, tail):
-    """F = log m + int n + tail along ``y``, and the residual |e^F - 1|."""
-    F = np.log(_aux_m(c, y)) + rule.cumulative_to_right(_aux_n(c, y)) + tail
+def _evaluate(c, rule, y, tail):
+    """F = log m + int n + tail along ``y``, the residual |e^F - 1| and the Jacobian's
+    diagonals L = m_y/m and N = n_y, from one a(t, y) and one (1 + y)^(1/p)."""
+    a, one_plus = _aux_a(c, y), 1.0 + y
+    g = np.maximum(one_plus, 0.0) ** (1.0 / c.p)
+    m = g * a
+    F = np.log(m) + rule.cumulative_to_right(_aux_n(c, y, a)) + tail
+    L = g * (a / (c.p * np.maximum(one_plus, 1e-300)) + c.slope) / m
     with np.errstate(over="ignore"):
-        return F, np.abs(np.expm1(F))
+        return F, np.abs(np.expm1(F)), L, _aux_dn_dy(c, y, a)
 
 
 def dual_multiplier(solution: Solution) -> float:

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; the whole suite is sized for a laptop.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -264,43 +265,62 @@ def test_criterion_13_elmm_identities(ce_scenarios):
     )
 
 
+# sha256 of the accepted (t, p, y) triples, in draw order, as float64 rows
+CRITERION_14_SAMPLES = "080da024a0ae4f5668cd0e0d59064d0297f0bfd9ab203feacfb940e1c55c07e4"
+
+
 def test_criterion_14_derivative_identities(base_model):
+    # a sample draws t, then p, then y = uniform(floor + 0.02, 4.0) with the
+    # floor taken at (t, p); uniform(lo, hi) is lo + (hi - lo) d for one
+    # double d, so the stream is drawn first and every check runs on arrays
     rng = np.random.default_rng(987)
     n_samples = 10_000
+    p_values = (0.25, 0.5, 1.0, 2.0, 4.0)
+    t, p, y = np.empty(0), np.empty(0), np.empty(0)
+    while t.size < n_samples:  # a sample with m <= 0 is drawn and dropped
+        draws = [
+            (rng.uniform(0.0, 0.98), rng.choice(p_values), rng.random())
+            for _ in range(n_samples - t.size)
+        ]
+        ct, cp, d = np.array(draws).T
+        cy, keep = np.empty(ct.size), np.empty(ct.size, dtype=bool)
+        for pv in p_values:
+            at = cp == pv
+            floor = np.maximum(lower_boundary(base_model, Preference(pv), ct[at]), -0.95)
+            cy[at] = (floor + 0.02) + (4.0 - (floor + 0.02)) * d[at]
+            keep[at] = aux_eval(base_model, Preference(pv), ct[at], cy[at]).m > 0
+        t, p, y = (np.append(old, new[keep]) for old, new in ((t, ct), (p, cp), (y, cy)))
+    triples = np.column_stack([t, p, y])
+    assert hashlib.sha256(triples.tobytes()).hexdigest() == CRITERION_14_SAMPLES
+
     worst = 0.0
     mu, sig2 = base_model.mu, base_model.sigma**2
-    count = 0
-    while count < n_samples:
-        t = float(rng.uniform(0.0, 0.98))
-        p = float(rng.choice([0.25, 0.5, 1.0, 2.0, 4.0]))
-        prefs = Preference(p)
-        floor = max(lower_boundary(base_model, prefs, t), -0.95)
-        y = float(rng.uniform(floor + 0.02, 4.0))
-        ev = aux_eval(base_model, prefs, t, y)
-        if ev.m <= 0:
-            continue
-        count += 1
-        h = 1e-6 * max(1.0, abs(y))
-        up = aux_eval(base_model, prefs, t, y + h)
-        dn = aux_eval(base_model, prefs, t, y - h)
+    for pv in p_values:
+        at = p == pv
+        tp, yp, prefs = t[at], y[at], Preference(pv)
+        ev = aux_eval(base_model, prefs, tp, yp)
+        h = 1e-6 * np.maximum(1.0, np.abs(yp))
+        up = aux_eval(base_model, prefs, tp, yp + h)
+        dn = aux_eval(base_model, prefs, tp, yp - h)
         for name, analytic, fd in (
             ("da_dy", ev.da_dy, (up.a - dn.a) / (2 * h)),
             ("dm_dy", ev.dm_dy, (up.m - dn.m) / (2 * h)),
             ("dn_dy", ev.dn_dy, (up.n - dn.n) / (2 * h)),
         ):
-            rel = abs(analytic - fd) / max(1.0, abs(analytic))
-            worst = max(worst, rel)
-            assert rel <= 1e-6, (name, t, y, p)
+            rel = np.abs(analytic - fd) / np.maximum(1.0, np.abs(analytic))
+            worst = max(worst, float(rel.max()))
+            i = int(rel.argmax())
+            assert rel[i] <= 1e-6, (name, tp[i], yp[i], pv)
         # the drift-completed representation of n
-        phi_p = float(base_model.excess.dphi(t))
-        kap = float(base_model.hazard.hazard(t))
-        b1 = aux_eval(base_model, Preference(1.0), t, y).b
+        phi_p = np.asarray(base_model.excess.dphi(tp))
+        kap = np.asarray(base_model.hazard.hazard(tp))
+        b1 = aux_eval(base_model, Preference(1.0), tp, yp).b
         alt = (
-            -(1 - p) * mu**2 / (2 * p**2 * sig2)
-            + (1 - p) * (phi_p * y - mu) ** 2 / (2 * p**2 * sig2)
-            + kap * (b1 - 1.0) / p
+            -(1 - pv) * mu**2 / (2 * pv**2 * sig2)
+            + (1 - pv) * (phi_p * yp - mu) ** 2 / (2 * pv**2 * sig2)
+            + kap * (b1 - 1.0) / pv
         )
-        rel = abs(ev.n - alt) / max(1.0, abs(ev.n))
-        worst = max(worst, rel)
-        assert rel <= 1e-6
+        rel = np.abs(ev.n - alt) / np.maximum(1.0, np.abs(ev.n))
+        worst = max(worst, float(rel.max()))
+        assert rel.max() <= 1e-6
     _passed(14, f"{n_samples} samples; worst relative mismatch {worst:.1e}")

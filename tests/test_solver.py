@@ -466,6 +466,33 @@ class TestFixedPoint:
             model = _singular_lppl(-0.1, 0.1)
         _check_newton_step(model, p, 512)
 
+    @pytest.mark.parametrize("p", [0.25, 1.0, 4.0])
+    def test_newton_evaluates_each_iterate_once(self, base_model, p, monkeypatch):
+        # the start and every trial iterate are evaluated once, with one
+        # a(t, y): the accepted trial's m_y/m and n_y feed the next step
+        calls = {"_evaluate": 0, "_newton_step": 0, "_aux_a": 0}
+        in_newton = []
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(solver, name)):
+                calls[_name] += bool(in_newton)
+                return _fn(*args)
+
+            monkeypatch.setattr(solver, name, counted)
+
+        def newton(*args, _fn=solver._newton):
+            in_newton.append(True)
+            try:
+                return _fn(*args)
+            finally:
+                in_newton.clear()
+
+        monkeypatch.setattr(solver, "_newton", newton)
+        sol = solve_optimal(base_model, Preference(p))
+        # no step is halved on the baseline, so each step makes one trial
+        assert calls["_newton_step"] == sol.iterations - 1
+        assert calls["_evaluate"] == 1 + calls["_newton_step"]
+        assert calls["_aux_a"] == calls["_evaluate"]
+
     def test_nonconvergence_names_the_last_residual(self, base_model, monkeypatch):
         monkeypatch.setattr(solver, "MAX_NEWTON_ITER", 1)
         with pytest.raises(
@@ -515,7 +542,7 @@ def _check_newton_step(model, p, n_grid):
     L = solver._aux_m_dm(c, y)[1] / solver._aux_m(c, y)
     J = np.diag(L) + W * solver._aux_dn_dy(c, y)
     expected = np.linalg.solve(J, -F)
-    got = solver._newton_step(c, y, F, half)
+    got = solver._newton_step(*solver._evaluate(c, solver.panel_rule(grid), y, 0.0)[2:], F, half)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
