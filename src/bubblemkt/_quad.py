@@ -348,7 +348,7 @@ def monotone_inverse(fdf, lo, hi, targets: np.ndarray, x0=None) -> np.ndarray:
 
     Point ``i`` solves ``f(x, i) = targets[i]``; ``fdf(x, idx)`` returns
     the function and its derivative ``(f, f')`` of the points ``idx`` at
-    ``x`` (``...`` until a point stops), so it only touches unconverged points.
+    ``x``, so the iteration only touches unconverged points.
     ``lo`` and ``hi`` are scalars or per-point arrays.  Each evaluation
     shrinks the bracket; a Newton step that would leave it, or that fails
     to halve the step before last, becomes a bisection step.  A point stops
@@ -361,41 +361,42 @@ def monotone_inverse(fdf, lo, hi, targets: np.ndarray, x0=None) -> np.ndarray:
     evaluated at ``hi``, so it may blow up there.  ``x0`` (scalar or
     per-point) is an optional start, used where it lies strictly inside the
     bracket; elsewhere, and where it is NaN, the iteration starts at the
-    midpoint.  ``fdf`` runs with division and invalid warnings off.
+    midpoint.
     """
     targets = np.asarray(targets, dtype=float)
     out = np.empty(targets.shape)
-    idx, sel = np.arange(targets.size), ...
+    idx = np.arange(targets.size)
     tgt = targets.ravel()
     low, high, start = (_spread(v, targets.shape) for v in (lo, hi, np.nan if x0 is None else x0))
     x = np.where((start > low) & (start < high), start, 0.5 * (low + high))
     dx = dx_old = high - low
     resolution = _ULPS * np.abs(tgt)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_MAX_NEWTON_STEPS):
-            value, slope = fdf(x, sel)
-            resid = value - tgt
-            below = resid < 0.0
-            low = np.where(below, x, low)
-            high = np.where(below, high, x)
+    for _ in range(_MAX_NEWTON_STEPS):
+        value, slope = fdf(x, idx)
+        resid = value - tgt
+        below = resid < 0.0
+        low = np.where(below, x, low)
+        high = np.where(below, high, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
             step = resid / slope
-            newton, size, span = x - step, np.abs(step), high - low
-            tol = _ULPS * np.maximum(np.abs(low), np.abs(high))
-            # fmin skips a NaN step, which then never counts as small
-            done = (np.abs(resid) <= resolution) | (np.fmin(size, span) <= tol)
-            if done.any():
-                inside = (newton >= low) & (newton <= high)
-                out.flat[idx[done]] = np.where(inside, newton, x)[done]
-                keep = ~done
-                if not keep.any():
-                    return out
-                sel = idx = idx[keep]
-                tgt, resolution, x, low, high = (v[keep] for v in (tgt, resolution, x, low, high))
-                dx, dx_old, newton, size, span = (v[keep] for v in (dx, dx_old, newton, size, span))
-            # comparisons with a NaN step are false, so a NaN step bisects
-            newton_ok = (newton > low) & (newton < high) & (size <= 0.5 * dx_old)
-            dx_old, dx = dx, np.where(newton_ok, size, 0.5 * span)
-            x = np.where(newton_ok, newton, 0.5 * (low + high))
+        newton, size, span = x - step, np.abs(step), high - low
+        tol = _ULPS * np.maximum(np.abs(low), np.abs(high))
+        # fmin skips a NaN step, which then never counts as small
+        done = (np.abs(resid) <= resolution) | (np.fmin(size, span) <= tol)
+        if done.any():
+            inside = (newton >= low) & (newton <= high)
+            out.flat[idx[done]] = np.where(inside, newton, x)[done]
+            keep = ~done
+            if not keep.any():
+                return out
+            idx, tgt, resolution = idx[keep], tgt[keep], resolution[keep]
+            x, low, high = x[keep], low[keep], high[keep]
+            dx, dx_old = dx[keep], dx_old[keep]
+            newton, size, span = newton[keep], size[keep], span[keep]
+        # comparisons with a NaN step are false, so a NaN step bisects
+        newton_ok = (newton > low) & (newton < high) & (size <= 0.5 * dx_old)
+        dx_old, dx = dx, np.where(newton_ok, size, 0.5 * span)
+        x = np.where(newton_ok, newton, 0.5 * (low + high))
     out.flat[idx] = x
     return out
 

@@ -542,13 +542,13 @@ class MarketModel:
         return self.hazard.horizon
 
     @_elementwise
-    def delta(self, t, dphi=None, kap=None):
-        """Relative crash size phi'/kappa, 0/0 := 0; the caller may pass phi' and kappa at t."""
+    def delta(self, t):
+        """Relative crash size phi'/kappa with the 0/0 := 0 convention."""
         direct = self.excess.delta(t)
         if direct is not None:
             return direct
-        dphi = np.asarray(self.excess.dphi(t) if dphi is None else dphi)
-        kap = np.asarray(self.hazard.hazard(t) if kap is None else kap)
+        dphi = np.asarray(self.excess.dphi(t))
+        kap = np.asarray(self.hazard.hazard(t))
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(dphi == 0.0, 0.0, dphi / kap)
 

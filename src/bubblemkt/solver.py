@@ -99,7 +99,7 @@ class _Coef:
         self.p = p
         self.phi_p = np.asarray(model.excess.dphi(t))
         self.kap = np.asarray(model.hazard.hazard(t))
-        self.dlt = np.asarray(model.delta(t, self.phi_p, self.kap))
+        self.dlt = np.asarray(model.delta(t))
         self.slope = self.dlt * self.phi_p / self.sig2p
 
     def take(self, nodes: np.ndarray) -> "_Coef":
@@ -124,9 +124,9 @@ def _aux_n(c: _Coef, y: np.ndarray, a=None) -> np.ndarray:
     return -(1.0 - c.p) * (c.phi_p * y) ** 2 / (2.0 * c.p * c.sig2p) + c.kap * (b - 1.0)
 
 
-def _aux_m_dm(c: _Coef, y: np.ndarray, i=...) -> tuple[np.ndarray, np.ndarray]:
+def _aux_m_dm(c: _Coef, y: np.ndarray, i=..., a=None) -> tuple[np.ndarray, np.ndarray]:
     # m and m_y above y = -1, from one (1 + y)^(1/p) and one a
-    a = _aux_a(c, y, i)
+    a = _aux_a(c, y, i) if a is None else a
     one_plus = np.maximum(1.0 + y, 1e-300)
     g = one_plus ** (1.0 / c.p)
     return g * a, g * (a / (c.p * one_plus) + c.slope[i])
@@ -198,12 +198,11 @@ def _implicit_many(c: _Coef, targets: np.ndarray, x0=None) -> np.ndarray:
 
     node = np.arange(f.size) % c.t.size
     flat = c.phi_p[node] == 0.0
-    pts = ...  # the points where phi' > 0: all of them unless some are flat
     if flat.any():
         out[flat] = f[flat] ** p - 1.0
-        pts = np.flatnonzero(~flat)
-        if pts.size == 0:
-            return out.reshape(np.shape(targets))
+    pts = np.flatnonzero(~flat)
+    if pts.size == 0:
+        return out.reshape(np.shape(targets))
 
     at, fa = c.take(node[pts]), f[pts]  # the coefficients of each point's node
     lo = _aux_floor(at)
@@ -213,7 +212,7 @@ def _implicit_many(c: _Coef, targets: np.ndarray, x0=None) -> np.ndarray:
     if x0 is None:  # a = a0 + slope y
         a0 = 1.0 - at.dlt * mu / sig2p
         x0 = _upper_root(at.slope / p, a0 / p + at.slope, a0 - fa)
-    elif pts is not ...:
+    else:
         x0 = np.broadcast_to(x0, f.shape)[pts]
     out[pts] = monotone_inverse(lambda y, i: _aux_m_dm(at, y, i), lo, hi, fa, x0)
     return out.reshape(np.shape(targets))
@@ -460,13 +459,13 @@ def _newton_step(L, N, F, half):
 def _evaluate(c, rule, y, tail):
     """F = log m + int n + tail along ``y``, the residual |e^F - 1| and the Jacobian's
     diagonals L = m_y/m and N = n_y, from one a(t, y) and one (1 + y)^(1/p)."""
-    a, one_plus = _aux_a(c, y), 1.0 + y
-    g = np.maximum(one_plus, 0.0) ** (1.0 / c.p)
-    m = g * a
+    # ``y`` lies between the bracket curves, above y = -1, where the 1e-300
+    # floor of ``_aux_m_dm`` and the 0 floor of ``_aux_m`` give the same m
+    a = _aux_a(c, y)
+    m, m_y = _aux_m_dm(c, y, a=a)
     F = np.log(m) + rule.cumulative_to_right(_aux_n(c, y, a)) + tail
-    L = g * (a / (c.p * np.maximum(one_plus, 1e-300)) + c.slope) / m
     with np.errstate(over="ignore"):
-        return F, np.abs(np.expm1(F)), L, _aux_dn_dy(c, y, a)
+        return F, np.abs(np.expm1(F)), m_y / m, _aux_dn_dy(c, y, a)
 
 
 def dual_multiplier(solution: Solution) -> float:

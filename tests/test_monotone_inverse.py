@@ -116,6 +116,15 @@ def test_start_outside_the_bracket_is_the_midpoint(x0):
     assert warm_calls == cold_calls
 
 
+def test_callback_warnings_reach_the_caller():
+    # only the Newton division runs with its warnings off, not the callback
+    def fdf(x, idx):
+        return np.log(x - x), np.ones_like(x)
+
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        monotone_inverse(fdf, 0.0, 1.0, np.array([0.5]))
+
+
 def test_per_point_start_falls_back_pointwise():
     lo, hi = -10.0, 9.0
     cold = monotone_inverse(_cubic, lo, hi, TARGETS)
