@@ -14,8 +14,8 @@ Five tools live here:
   rate observable.  The integrand is evaluated on a batch of shells per
   call, and the verdict is still reached shell by shell.
 * :func:`monotone_inverse` inverts increasing functions pointwise with a
-  safeguarded Newton iteration; every root solve in the package uses it.
-  A point stops as soon as the function resolves its target to a few ulps.
+  safeguarded Newton iteration for the crash-law and tilted-law inversions;
+  a point stops as soon as the function resolves its target to a few ulps.
 * :class:`Curve` is the monotone cubic, with its derivative, behind every
   tabulated object in the package.
 * :func:`local_slope` differentiates exp(int g) by central differences

@@ -12,14 +12,14 @@ built from the auxiliary functions
     m(t, y) = (1 + y)^(1/p) a(t, y)
     n(t, y) = -(1-p) (phi' y)^2 / (2 p^2 sigma^2) + kappa (b - 1).
 
-m(t, .) increases strictly above the boundary where it vanishes, so the
-equation inverts pointwise with a safeguarded Newton iteration, which gives
-backward lower/upper solutions bracketing the curve.  On the grid, inexact
-Newton (Kelley, SIAM 1995, ch. 5-6) solves F(y) = log m + int n = 0 from
-the myopic bracket; a curve is returned exactly when its residual
-|m exp(int n) - 1| is at most ``tol`` at every node, and every other outcome
-raises :class:`SolverError`.  The same iteration serves every p: at log
-utility (p = 1) the brackets coincide with the myopic curve m = 1, which
+log m = log(1 + y)/p + log a is strictly concave and increasing above the
+boundary where m vanishes, so Newton on it inverts the equation pointwise,
+which gives backward lower/upper solutions bracketing the curve.  On the
+grid, inexact Newton (Kelley, SIAM 1995, ch. 5-6) solves F(y) = log m +
+int n = 0 from the myopic bracket; a curve is returned exactly when its
+residual |m exp(int n) - 1| is at most ``tol`` at every node, and every other
+outcome raises :class:`SolverError`.  The same iteration serves every p: at
+log utility (p = 1) the brackets coincide with the myopic curve m = 1, which
 then is the solution (a quadratic with a closed form,
 :func:`log_utility_solution`).
 """
@@ -34,7 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._quad import CONVERGED, Curve, clustered_grid, integrate_toward, monotone_inverse, panel_rule
+from ._quad import (_MAX_NEWTON_STEPS, _ULPS, CONVERGED, Curve, clustered_grid,
+                    integrate_toward, panel_rule)
 from .elmm import TiltedMeasure, TiltFunction, build_tilted_measure
 from .hazard import (
     DomainError,
@@ -124,12 +125,12 @@ def _aux_n(c: _Coef, y: np.ndarray, a=None) -> np.ndarray:
     return -(1.0 - c.p) * (c.phi_p * y) ** 2 / (2.0 * c.p * c.sig2p) + c.kap * (b - 1.0)
 
 
-def _aux_m_dm(c: _Coef, y: np.ndarray, i=..., a=None) -> tuple[np.ndarray, np.ndarray]:
+def _aux_m_dm(c: _Coef, y: np.ndarray, a=None) -> tuple[np.ndarray, np.ndarray]:
     # m and m_y above y = -1, from one (1 + y)^(1/p) and one a
-    a = _aux_a(c, y, i) if a is None else a
+    a = _aux_a(c, y) if a is None else a
     one_plus = np.maximum(1.0 + y, 1e-300)
     g = one_plus ** (1.0 / c.p)
-    return g * a, g * (a / (c.p * one_plus) + c.slope[i])
+    return g * a, g * (a / (c.p * one_plus) + c.slope)
 
 
 def _aux_dn_dy(c: _Coef, y: np.ndarray, a=None) -> np.ndarray:
@@ -179,16 +180,26 @@ def _upper_root(qa, qb, qc):
         return np.where(qb <= 0.0, (disc - qb) / (2.0 * qa), -2.0 * qc / (disc + qb))
 
 
+def _log_m_step(y, y_a, scale, ip):
+    # log(m/f) above the boundary, m/f = (1 + y)^ip scale (y - y_a), and its Newton step
+    d = y - y_a
+    h = np.log1p(y) * ip + np.log(scale * d)
+    return h, h / (ip / (1.0 + y) + 1.0 / d)
+
+
 def _implicit_many(c: _Coef, targets: np.ndarray, x0=None) -> np.ndarray:
     """Solve m(t_i, y_i) = f_i for each grid point, f_i > 0; the flat
     point k of ``targets`` belongs to the node k mod n of the grid.
 
-    Safeguarded Newton on [boundary, growth bound + 1] from the start
-    ``x0``.  Without one it starts at the root of (1 + y/p) a(t, y) = f,
-    which is m = f with (1 + y)^(1/p) taken to first order, and exact at
-    p = 1.  The growth bound always encloses the root: if phi' <= p sigma^2
-    kappa / (2 mu), then a >= 1/2 at y = (2f)^p + 1, so m > f; otherwise
-    y = max(f^p, mu/phi') + 1 gives a >= 1 and (1 + y)^(1/p) > f.
+    Newton on h = log(m/f), strictly concave and increasing above the boundary
+    max(-1, y_a), a = a_y (y - y_a): from left of the root it rises to it, from
+    right of it one step lands left (Ortega & Rheinboldt, 1970).  A step to or
+    below the boundary is retaken in log(1 + y), then pulled halfway back.  A
+    point stops at its Newton point once |h| <= 4 ulps of 1 + |log f|, its step
+    is within 4 ulps of y while |h| max(1, p) <= 1/2, or it is within 4 ulps
+    right of the boundary.  The default start, the root of (1 + y/p) a = f, is
+    exact at p = 1, left of the root for p > 1 and right of it for p < 1; a
+    start that is NaN or not above the boundary moves one unit above it.
     """
     f = np.asarray(targets, dtype=float).ravel()
     if (f <= 0.0).any():
@@ -205,16 +216,34 @@ def _implicit_many(c: _Coef, targets: np.ndarray, x0=None) -> np.ndarray:
         return out.reshape(np.shape(targets))
 
     at, fa = c.take(node[pts]), f[pts]  # the coefficients of each point's node
-    lo = _aux_floor(at)
-    small = at.phi_p <= sig2p * at.kap / (2.0 * mu)
-    hi = np.where(small, (2.0 * fa) ** p, np.maximum(fa**p, mu / at.phi_p))
-    hi = hi + 1.0  # slack over the growth bound
-    if x0 is None:  # a = a0 + slope y
-        a0 = 1.0 - at.dlt * mu / sig2p
+    a0 = 1.0 - at.dlt * mu / sig2p  # a = a0 + slope y = slope (y - y_a)
+    y_a = -a0 / at.slope
+    lo = np.maximum(y_a, -1.0)
+    if x0 is None:
         x0 = _upper_root(at.slope / p, a0 / p + at.slope, a0 - fa)
     else:
         x0 = np.broadcast_to(x0, f.shape)[pts]
-    out[pts] = monotone_inverse(lambda y, i: _aux_m_dm(at, y, i), lo, hi, fa, x0)
+    x, idx = np.where(x0 > lo, x0, lo + 1.0), pts  # idx: the points still iterating
+    scale, ip, tol = at.slope / fa, 1.0 / p, _ULPS * (1.0 + np.abs(np.log(fa)))
+    for _ in range(_MAX_NEWTON_STEPS):
+        h, step = _log_m_step(x, y_a, scale, ip)
+        x, old = x - step, x
+        below = x <= lo
+        if below.any():
+            xb, lb = old[below], lo[below]
+            zy = (1.0 + xb) * np.exp(-step[below] / (1.0 + xb)) - 1.0
+            x[below] = np.where(zy > lb, zy, 0.5 * (xb + lb))
+            h[below] = np.where(xb - lb <= _ULPS * np.abs(xb), 0.0, h[below])  # root in between
+        size = np.abs(h)
+        done = (size <= tol) | ((np.abs(step) <= _ULPS * np.abs(old)) & (size * max(p, 1.0) <= 0.5))
+        if done.any():
+            out[idx[done]] = x[done]
+            keep = ~done
+            if not keep.any():
+                break
+            idx, x, lo, tol, y_a, scale = (v[keep] for v in (idx, x, lo, tol, y_a, scale))
+    else:
+        out[idx] = x
     return out.reshape(np.shape(targets))
 
 
@@ -342,14 +371,16 @@ def _terminal_tail(model: MarketModel, prefs: Preference, t_end: float, y_end: f
     Both brackets converge to the myopic curve at the horizon and n along
     it is bounded by |1-p| mu^2 / (2 p^2 sigma^2), so the tail is finite
     and tiny; a non-convergent verdict therefore signals a model outside
-    the solver's assumptions.
+    the solver's assumptions.  On m = 1, b - 1 = expm1(log1p(y/p) - log1p(y)/p):
+    no rounding of a is multiplied by a kappa that blows up at the horizon.
     """
 
     def integrand(u):
         u = np.asarray(u, dtype=float)
         c = _Coef(model, prefs.p, u)
         ym = _implicit_many(c, np.ones_like(u), x0=y_end)
-        return _aux_n(c, ym)
+        b_1 = np.expm1(np.log1p(ym / c.p) - np.log1p(ym) / c.p)
+        return -(1.0 - c.p) * (c.phi_p * ym) ** 2 / (2.0 * c.p * c.sig2p) + c.kap * b_1
 
     res = integrate_toward(integrand, t_end, model.horizon, rtol=1e-12, atol=1e-12)
     if res.status != CONVERGED:

@@ -144,15 +144,16 @@ def test_start_near_the_root_takes_fewer_evaluations():
     assert warm_calls[0] < cold_calls[0] / 2
 
 
-def test_solver_start_near_the_root_takes_fewer_evaluations():
+def test_solver_start_near_the_root_takes_fewer_evaluations(monkeypatch):
     model = MarketModel(0.1, 0.2, EXP_LAW, ConstantExcess(0.2))
     c = sv._Coef(model, 4.0, sv._solver_grid(model, 512))
     targets = np.exp(np.linspace(-1.0, 1.0, 512))
     cold = sv._implicit_many(c, targets)
+    calls = _count_solver_evaluations(monkeypatch)
 
     def run(x0):
-        fdf, calls = _counted(lambda y, i: sv._aux_m_dm(c, y, i))
-        monotone_inverse(fdf, -1.0, 10.0, targets, x0)
+        calls[0] = 0
+        sv._implicit_many(c, targets, x0)
         return calls[0]
 
     assert run(cold * (1.0 + 1e-6)) < run(None)
@@ -175,9 +176,22 @@ def _count_evaluations(monkeypatch, module):
     return calls
 
 
+def _count_solver_evaluations(monkeypatch):
+    """Count the evaluations of log m and its slope in the solver's inversions."""
+    calls = [0]
+    evaluate = sv._log_m_step
+
+    def counting(*args):
+        calls[0] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(sv, "_log_m_step", counting)
+    return calls
+
+
 def test_baseline_solve_stops_once_m_resolves_its_target(monkeypatch):
     # the step and bracket tests alone took 151 evaluations of m here
-    calls = _count_evaluations(monkeypatch, sv)
+    calls = _count_solver_evaluations(monkeypatch)
     model = MarketModel(0.1, 0.2, EXP_LAW, ConstantExcess(0.2))
     sv.solve_optimal(model, sv.Preference(4.0))
     assert calls[0] <= 60
@@ -203,7 +217,7 @@ def test_start_and_log_utility_share_one_root(monkeypatch):
 
 @pytest.mark.parametrize("p, most", [(0.25, 5), (1.0, 1), (4.0, 4)])
 def test_myopic_inversion_starts_next_to_its_root(p, most, monkeypatch):
-    calls = _count_evaluations(monkeypatch, sv)
+    calls = _count_solver_evaluations(monkeypatch)
     model = MarketModel(0.1, 0.2, EXP_LAW, ConstantExcess(0.2))
     sv.myopic_curve(model, sv.Preference(p), sv._solver_grid(model, 512))
     assert 1 <= calls[0] <= most
@@ -246,13 +260,13 @@ def test_both_brackets_come_from_one_inversion(model, p, monkeypatch):
     myopic = sv._implicit_many(c, np.ones_like(c.t))
     other = sv._implicit_many(c, np.exp(rate * (model.horizon - c.t)))
     inversions = [0]
-    inverse = sv.monotone_inverse
+    inverse = sv._implicit_many
 
     def counting(*args):
         inversions[0] += 1
         return inverse(*args)
 
-    monkeypatch.setattr(sv, "monotone_inverse", counting)
+    monkeypatch.setattr(sv, "_implicit_many", counting)
     lower, upper = sv._brackets(model, c)
     assert inversions[0] == 1
     assert np.array_equal(lower, myopic if p < 1.0 else other)

@@ -37,6 +37,7 @@ from bubblemkt import (
 from bubblemkt import solver
 from bubblemkt.elmm import TiltFunction
 
+EPS = np.finfo(float).eps
 P4 = Preference(4.0)
 P1 = Preference(1.0)
 PQ = Preference(0.25)
@@ -525,6 +526,28 @@ class TestFixedPoint:
         fine = certainty_equivalent(solve_optimal(model, prefs, n_grid=4096, tol=tol))
         assert abs(certainty_equivalent(sol) / fine - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("delta0", [0.1, 0.5])
+    @pytest.mark.parametrize("p", [0.5, 4.0])
+    def test_terminal_tail_of_a_singular_hazard(self, delta0, p, monkeypatch):
+        # as kappa -> inf on m = 1, phi' y -> mu and kappa (b - 1) -> 0, so the
+        # sliver integral tends to -rate (T - t_end); with b - 1 formed from a,
+        # kappa (~1e20 in the last shells) amplified a's rounding 1.6e-4 off
+        model = _singular_lppl(-0.6, delta0)
+        grid = solver._solver_grid(model, 512)
+        y_end = solver.myopic_curve(model, Preference(p), grid).values[-1]
+        integrate, results = solver.integrate_toward, []
+
+        def spy(*args, **kwargs):
+            results.append(integrate(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(solver, "integrate_toward", spy)
+        tail = solver._terminal_tail(model, Preference(p), float(grid[-1]), float(y_end))
+        rate = (1.0 - p) * model.mu**2 / (2.0 * p**2 * model.sigma**2)
+        (res,) = results
+        assert res.status == solver.CONVERGED and res.shells <= 8
+        assert abs(tail / (-rate * (model.horizon - grid[-1])) - 1.0) <= 1e-6
+
 
 def _check_newton_step(model, p, n_grid):
     # the scan against a dense solve of (diag(m_y/m) + W diag(n_y)) d = -F,
@@ -659,22 +682,58 @@ def _growth_bound_models():
     }
 
 
+def _float_key(x):
+    # an integer for each float, in the floats' order
+    bits = np.asarray(x, dtype=float).view(np.int64)
+    size = bits & np.int64(2**63 - 1)
+    return np.where(bits < 0, -size, size)
+
+
+def _key_float(k):
+    return np.where(k < 0, -k | np.int64(-(2**63)), k).view(np.float64)
+
+
+def _crossing(m, lo, hi, f):
+    """The least float y in (lo, hi] with m(y) >= f, by bisection over the
+    floats themselves, so it lands on the float where m crosses f."""
+    a, b = _float_key(lo), _float_key(hi)
+    while (b > a + 1).any():
+        mid = a // 2 + b // 2 + (a % 2 + b % 2) // 2
+        up = m(_key_float(mid)) >= f
+        a, b = np.where(up, a, mid), np.where(up, mid, b)
+    return _key_float(b)
+
+
 @pytest.mark.parametrize("name", sorted(_growth_bound_models()))
 @pytest.mark.parametrize("p", [0.05, 0.25, 1.0, 4.0, 30.0])
-def test_growth_bound_encloses_the_root(name, p, monkeypatch):
-    # _implicit_many hands monotone_inverse the growth bound as the upper
-    # end of every bracket; m must reach the target there
+def test_growth_bound_encloses_the_root(name, p):
+    # the inversion keeps no upper bracket; the growth bound that was one,
+    # (2f)^p + 1 where phi' <= p sigma^2 kappa / (2 mu), else
+    # max(f^p, mu/phi') + 1, still encloses the root and brackets the oracle
     model = _growth_bound_models()[name]
     c = solver._Coef(model, p, solver._solver_grid(model, 65))
     rate = (1.0 - p) * model.mu**2 / (2.0 * p**2 * model.sigma**2)
-    ratios = []
-
-    def bracket_top(fdf, lo, hi, targets, x0=None):
-        ratios.append(np.min(fdf(hi, np.arange(targets.size))[0] / targets))
-        return hi  # the inversion itself is not under test
-
-    monkeypatch.setattr(solver, "monotone_inverse", bracket_top)
-    # constant targets from 1e-8 to 1e8 (1 among them), and the upper bracket's
-    for target in (*np.logspace(-8.0, 8.0, 65), np.exp(rate * (model.horizon - c.t))):
-        solver._implicit_many(c, np.broadcast_to(target, c.t.shape))
-    assert len(ratios) == 66 and min(ratios) > 1.0
+    # constant targets from 1e-8 to 1e8 (1 among them), and the upper bracket's;
+    # point k belongs to node k mod n, and nodes with phi' = 0 invert in closed form
+    targets = [np.broadcast_to(v, c.t.shape) for v in np.logspace(-8.0, 8.0, 65)]
+    f = np.concatenate([*targets, np.exp(rate * (model.horizon - c.t))])
+    at = c.take(np.arange(f.size) % c.t.size)
+    live = at.phi_p > 0.0
+    at, f = at.take(live), f[live]
+    lo = solver._aux_floor(at)
+    small = at.phi_p <= at.sig2p * at.kap / (2.0 * model.mu)
+    hi = np.where(small, (2.0 * f) ** p, np.maximum(f**p, model.mu / at.phi_p)) + 1.0
+    assert np.all(solver._aux_m(at, hi) > f)
+    root = _crossing(lambda y: solver._aux_m(at, y), lo, hi, f)
+    # one unit: an ulp of the root, or the width of the set where m rounds to f;
+    # m here rounds as its logs do, within eps (1 + |log f|), and as
+    # a = 1 - (1 - a) does, whose terms cancel next to the boundary
+    m, m_y = solver._aux_m_dm(at, root)
+    a = solver._aux_a(at, root)
+    rounding = EPS * (2.0 + np.abs(np.log(f)) + np.abs(1.0 - a) / a)
+    unit = np.maximum(EPS * np.maximum(1.0, np.abs(root)), rounding * m / m_y)
+    # the default start, starts just above the boundary and far right of the root
+    above = lo + 1e-9 * np.maximum(1.0, np.abs(lo))
+    for x0 in (None, above, root + 1e3 * np.maximum(1.0, np.abs(root))):
+        got = solver._implicit_many(at, f, x0)
+        assert np.all(np.abs(got - root) <= 4.0 * unit)
