@@ -42,6 +42,7 @@ _MAX_NEWTON_STEPS = 200
 _MAX_SHELLS = 60
 _DIVERGENCE_RUN = 8
 _SHELL_BATCH = 8  # shells per call of the integrand
+_HALVINGS = 0.5 ** np.arange(_MAX_SHELLS + 1)  # shell k spans (b - w 2^-k, b - w 2^-k-1]
 
 CONVERGED = "converged"
 DIVERGENT = "divergent"
@@ -217,13 +218,24 @@ class ShellIntegral:
     tail_bound: float
 
 
-def _gauss_shell(f, lo: float, hi: float) -> float:
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return half * float(f(mid + half * _GL15_X) @ _GL15_W)
+def _shells(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Half-widths and 15-point Gauss nodes, a row per shell, of the dyadic
+    shells of (a, b), up to the first whose width underflows near ``b``."""
+    edges = b - (b - a) * _HALVINGS
+    lo, hi = edges[:-1], edges[1:]
+    res_limit = 64.0 * np.finfo(float).eps * max(abs(a), abs(b), 1.0)
+    keep = np.logical_and.accumulate((hi > lo) & (b - lo > res_limit))
+    half = 0.5 * (hi[keep] - lo[keep])
+    return half, (0.5 * (lo[keep] + hi[keep]))[:, None] + half[:, None] * _GL15_X
 
 
-def _shell_parts(f, a: float, b: float):
+def first_shell_nodes(a: float, b: float) -> np.ndarray:
+    """The nodes of :func:`integrate_toward`'s first call of its integrand
+    on (a, b): those of its first ``_SHELL_BATCH`` shells, in order."""
+    return _shells(a, b)[1][:_SHELL_BATCH].ravel()
+
+
+def _shell_parts(f, a: float, b: float, first=None):
     """Yield the Gauss integrals of ``f`` over the dyadic shells of (a, b)
     in order, until a shell's width underflows near ``b``.
 
@@ -231,27 +243,19 @@ def _shell_parts(f, a: float, b: float):
     nodes.  The batch's floating-point errors are held back; shells of a
     batch that raised one are evaluated again one at a time as they are
     consumed, so an error surfaces for exactly the shells whose values the
-    caller uses.
+    caller uses.  ``first``, if given, is ``f`` at the first batch's nodes
+    and replaces that call: it is used as given, never evaluated again, and
+    holds no error back, since its caller formed it.
     """
-    width = b - a
-    res_limit = 64.0 * np.finfo(float).eps * max(abs(a), abs(b), 1.0)
-    edges = []
-    for k in range(_MAX_SHELLS):
-        lo, hi = b - width * 0.5**k, b - width * 0.5 ** (k + 1)
-        if hi <= lo or (b - lo) <= res_limit:
-            break
-        edges.append((lo, hi))
+    half, nodes = _shells(a, b)
     held = {kind: "call" for kind, mode in np.geterr().items() if mode != "ignore"}
-    for start in range(0, len(edges), _SHELL_BATCH):
-        batch = edges[start : start + _SHELL_BATCH]
-        lo, hi = np.array(batch).T
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes = (mid[:, None] + half[:, None] * _GL15_X).ravel()
+    for start in range(0, half.size, _SHELL_BATCH):
+        rows = nodes[start : start + _SHELL_BATCH]
         flagged = []
         with np.errstate(call=lambda *_: flagged.append(True), **held):
-            values = f(nodes).reshape(len(batch), _GL15_X.size)
-        for (l, h), w, row in zip(batch, half.tolist(), values):
-            yield _gauss_shell(f, l, h) if flagged else w * float(row @ _GL15_W)
+            values = np.reshape(f(rows.ravel()) if start or first is None else first, rows.shape)
+        for w, x, row in zip(half[start : start + _SHELL_BATCH].tolist(), rows, values):
+            yield w * float((f(x) if flagged else row) @ _GL15_W)
 
 
 def integrate_toward(
@@ -261,6 +265,7 @@ def integrate_toward(
     *,
     rtol: float = 1e-10,
     atol: float = 0.0,
+    first=None,
 ) -> ShellIntegral:
     """Integrate ``f`` over (a, b) where ``f`` may be singular at ``b``.
 
@@ -277,11 +282,13 @@ def integrate_toward(
     ``atol + rtol |total|`` (the QUADPACK convention).  The default
     ``atol = 0`` leaves the verdict and the shell count unchanged when ``f``
     is scaled, as a finiteness question needs; a caller that wants a value
-    to an absolute accuracy passes ``atol``.
+    to an absolute accuracy passes ``atol``.  ``first``, if given, is ``f``
+    at :func:`first_shell_nodes` and replaces the first call: its caller
+    formed it and saw its floating-point errors, so none is held back.
     """
     if not b > a:
         raise ValueError("need b > a")
-    parts = _shell_parts(lambda x: np.asarray(f(x), dtype=float), a, b)
+    parts = _shell_parts(lambda x: np.asarray(f(x), dtype=float), a, b, first)
     total = 0.0
     comp = 0.0  # Kahan carry
     prev_mag = None

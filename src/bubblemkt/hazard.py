@@ -601,6 +601,8 @@ class ValidationReport:
 
 
 _VALIDATION_POINTS = 1024  # interior grid points validate samples
+# T times this is clustered_grid(T, .) to the bit, its endpoint T dropped
+_VALIDATION_UNIT = clustered_grid(1.0, _VALIDATION_POINTS + 1)[:-1]
 
 
 def validate(model: MarketModel) -> ValidationReport:
@@ -610,8 +612,7 @@ def validate(model: MarketModel) -> ValidationReport:
     and LPPL positivity |c| < b.  Violations concentrate near the horizon,
     hence the clustered sampling.
     """
-    T = model.horizon
-    grid = clustered_grid(T, _VALIDATION_POINTS + 1)[:-1]  # drop the endpoint T
+    grid = model.horizon * _VALIDATION_UNIT
     violations: list[Violation] = []
 
     phi0 = float(model.excess.phi(0.0))

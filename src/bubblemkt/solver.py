@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from ._quad import (_MAX_NEWTON_STEPS, _ULPS, CONVERGED, Curve, clustered_grid,
-                    integrate_toward, panel_rule)
+                    first_shell_nodes, integrate_toward, panel_rule)
 from .elmm import TiltedMeasure, TiltFunction, build_tilted_measure
 from .hazard import (
     DomainError,
@@ -90,28 +90,35 @@ class AuxEval:
 
 
 class _Coef:
-    """Model coefficients on a time grid, shared by the vector ops; ``slope`` is a_y."""
+    """Model coefficients on a time grid, shared by the vector ops, from one
+    sample of phi' and kappa (delta = phi'/kappa, 0/0 := 0, unless the excess
+    fixes it).  Per node, a = a0 + slope y (``slope`` is a_y) and
+    n = c0 + y (c1 + c2 y), the quadratic that b = (1 + y/p) a makes of n."""
 
     def __init__(self, model: MarketModel, p: float, t: np.ndarray):
         t = np.asarray(t, dtype=float)
-        self.t = t
-        self.mu = model.mu
-        self.sig2p = p * model.sigma**2
-        self.p = p
-        self.phi_p = np.asarray(model.excess.dphi(t))
-        self.kap = np.asarray(model.hazard.hazard(t))
-        self.dlt = np.asarray(model.delta(t))
+        self.t, self.mu, self.p, self.sig2p = t, model.mu, p, p * model.sigma**2
+        self.phi_p, self.kap = np.asarray(model.excess.dphi(t)), np.asarray(model.hazard.hazard(t))
+        dlt = model.excess.delta(t)
+        if dlt is None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                dlt = np.where(self.phi_p == 0.0, 0.0, self.phi_p / self.kap)
+        self.dlt = np.asarray(dlt, dtype=float)
         self.slope = self.dlt * self.phi_p / self.sig2p
+        self.a0 = 1.0 - self.dlt * self.mu / self.sig2p
+        self.c0 = self.kap * (self.a0 - 1.0)
+        self.c1 = self.kap * (self.slope + self.a0 / p)
+        self.c2 = -(1.0 - p) * self.phi_p**2 / (2.0 * p * self.sig2p) + self.kap * self.slope / p
 
-    def take(self, nodes: np.ndarray) -> "_Coef":
-        """These coefficients at the grid points ``nodes``."""
+    def take(self, nodes) -> "_Coef":
+        """These coefficients at the grid points ``nodes`` (indices or a slice)."""
         sub = copy.copy(self)
-        for name in ("t", "phi_p", "kap", "dlt", "slope"):
+        for name in ("t", "phi_p", "kap", "dlt", "slope", "a0", "c0", "c1", "c2"):
             setattr(sub, name, getattr(self, name)[nodes])
         return sub
 
 
-# ``i`` selects the grid points of ``y`` (all by default); ``a`` is a(t, y) if the caller has it
+# ``i`` selects the grid points of ``y`` (all by default)
 def _aux_a(c: _Coef, y: np.ndarray, i=...) -> np.ndarray:
     return 1.0 - c.dlt[i] * (c.mu - c.phi_p[i] * y) / c.sig2p
 
@@ -120,24 +127,20 @@ def _aux_m(c: _Coef, y: np.ndarray, i=...) -> np.ndarray:
     return np.maximum(1.0 + y, 0.0) ** (1.0 / c.p) * _aux_a(c, y, i)
 
 
-def _aux_n(c: _Coef, y: np.ndarray, a=None) -> np.ndarray:
-    b = (1.0 + y / c.p) * (_aux_a(c, y) if a is None else a)
-    return -(1.0 - c.p) * (c.phi_p * y) ** 2 / (2.0 * c.p * c.sig2p) + c.kap * (b - 1.0)
+def _aux_n(c: _Coef, y: np.ndarray) -> np.ndarray:
+    return c.c0 + y * (c.c1 + c.c2 * y)
 
 
-def _aux_m_dm(c: _Coef, y: np.ndarray, a=None) -> tuple[np.ndarray, np.ndarray]:
+def _aux_m_dm(c: _Coef, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # m and m_y above y = -1, from one (1 + y)^(1/p) and one a
-    a = _aux_a(c, y) if a is None else a
+    a = _aux_a(c, y)
     one_plus = np.maximum(1.0 + y, 1e-300)
     g = one_plus ** (1.0 / c.p)
     return g * a, g * (a / (c.p * one_plus) + c.slope)
 
 
-def _aux_dn_dy(c: _Coef, y: np.ndarray, a=None) -> np.ndarray:
-    # n's y-derivative: the jump size delta = phi'/kappa cancels its (1-p) term;
-    # it rounds as written, not through ``slope``: a stalled solve follows the ulps
-    a = _aux_a(c, y) if a is None else a
-    return c.kap * (a / c.p + (1.0 + y) * c.dlt * c.phi_p / c.sig2p)
+def _aux_dn_dy(c: _Coef, y: np.ndarray) -> np.ndarray:
+    return c.c1 + 2.0 * c.c2 * y
 
 
 def _aux_floor(c: _Coef, i=...) -> np.ndarray:
@@ -167,8 +170,8 @@ def aux_eval(model: MarketModel, prefs: Preference, t, y) -> AuxEval:
         raise DomainError("y must be >= -1")
     c, yv = _Coef(model, prefs.p, t.ravel()), y.ravel()
     a = _aux_a(c, yv)
-    fields = (a, (1.0 + yv / prefs.p) * a, _aux_m(c, yv), _aux_n(c, yv, a), c.slope,
-              _aux_m_dm(c, yv)[1], _aux_dn_dy(c, yv, a))
+    fields = (a, (1.0 + yv / prefs.p) * a, _aux_m(c, yv), _aux_n(c, yv), c.slope,
+              _aux_m_dm(c, yv)[1], _aux_dn_dy(c, yv))
     return AuxEval(*(float(v[0]) if t.ndim == 0 else v.reshape(t.shape) for v in fields))
 
 
@@ -204,7 +207,7 @@ def _implicit_many(c: _Coef, targets: np.ndarray, x0=None) -> np.ndarray:
     f = np.asarray(targets, dtype=float).ravel()
     if (f <= 0.0).any():
         raise DomainError("implicit solve needs a positive target")
-    p, mu, sig2p = c.p, c.mu, c.sig2p
+    p = c.p
     out = np.empty(f.shape)
 
     node = np.arange(f.size) % c.t.size
@@ -215,16 +218,16 @@ def _implicit_many(c: _Coef, targets: np.ndarray, x0=None) -> np.ndarray:
     if pts.size == 0:
         return out.reshape(np.shape(targets))
 
-    at, fa = c.take(node[pts]), f[pts]  # the coefficients of each point's node
-    a0 = 1.0 - at.dlt * mu / sig2p  # a = a0 + slope y = slope (y - y_a)
-    y_a = -a0 / at.slope
+    at = node[pts]  # each point's node; a = a0 + slope y = slope (y - y_a)
+    a0, slope, fa = c.a0[at], c.slope[at], f[pts]
+    y_a = -a0 / slope
     lo = np.maximum(y_a, -1.0)
     if x0 is None:
-        x0 = _upper_root(at.slope / p, a0 / p + at.slope, a0 - fa)
+        x0 = _upper_root(slope / p, a0 / p + slope, a0 - fa)
     else:
         x0 = np.broadcast_to(x0, f.shape)[pts]
     x, idx = np.where(x0 > lo, x0, lo + 1.0), pts  # idx: the points still iterating
-    scale, ip, tol = at.slope / fa, 1.0 / p, _ULPS * (1.0 + np.abs(np.log(fa)))
+    scale, ip, tol = slope / fa, 1.0 / p, _ULPS * (1.0 + np.abs(np.log(fa)))
     for _ in range(_MAX_NEWTON_STEPS):
         h, step = _log_m_step(x, y_a, scale, ip)
         x, old = x - step, x
@@ -266,21 +269,22 @@ def _require_drift(model: MarketModel) -> None:
         raise DomainError("positive instantaneous expected return required")
 
 
-def _brackets(model: MarketModel, c: _Coef) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) on the grid of ``c``: the myopic curve m = 1 and the
-    curve m = exp(rate (T - t)) of the growth bound.  Raises
-    :class:`SolverError` when exp(rate T) overflows a float."""
+def _brackets(model: MarketModel, c: _Coef, n=None) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) from one inversion: the myopic curve m = 1 at every
+    node of ``c`` and the curve m = exp(rate (T - t)) of the growth bound at
+    its first ``n`` (all by default).  Raises :class:`SolverError` when
+    exp(rate T) overflows a float."""
     rate = (1.0 - c.p) * model.mu**2 / (2.0 * c.p**2 * model.sigma**2)
     if rate * model.horizon > _LOG_FLOAT_MAX:
         raise SolverError(
             f"growth bound exp(rate (T - t)) overflows: rate * T = {rate * model.horizon:.6g} "
             f"exceeds {_LOG_FLOAT_MAX:.6g}; risk aversion p = {c.p:g} is too small"
         )
-    if rate == 0.0:  # log utility: the other bracket is the myopic curve
-        myopic = other = _implicit_many(c, np.ones_like(c.t))
-    else:  # one inversion of both targets, point k at node k mod n
-        both = np.stack([np.ones_like(c.t), np.exp(rate * (model.horizon - c.t))])
-        myopic, other = _implicit_many(c, both)
+    # point k at node k mod len(c.t): the growth targets belong to the first n
+    growth = [] if rate == 0.0 else [np.exp(rate * (model.horizon - c.t[:n]))]
+    y = _implicit_many(c, np.concatenate([np.ones_like(c.t), *growth]))
+    myopic = y[: c.t.size]
+    other = y[c.t.size :] if growth else myopic  # log utility: the myopic curve
     return (myopic, other) if c.p < 1.0 else (other, myopic)
 
 
@@ -364,25 +368,31 @@ class Solution:
         return self.fraction_along(self.tilt, t)
 
 
-def _terminal_tail(model: MarketModel, prefs: Preference, t_end: float, y_end: float) -> float:
-    """int_{t_end}^T n(u, y(u)) du approximated along the myopic curve,
-    whose inversions start from its value ``y_end`` at ``t_end``.
+def _myopic_n(c: _Coef, ym: np.ndarray) -> np.ndarray:
+    # n on m = 1, where b - 1 = expm1(log1p(y/p) - log1p(y)/p)
+    b_1 = np.expm1(np.log1p(ym / c.p) - np.log1p(ym) / c.p)
+    return -(1.0 - c.p) * (c.phi_p * ym) ** 2 / (2.0 * c.p * c.sig2p) + c.kap * b_1
+
+
+def _terminal_tail(model: MarketModel, prefs: Preference, t_end: float, y_end: float,
+                   first=None) -> float:
+    """int_{t_end}^T n(u, y(u)) du approximated along the myopic curve.
 
     Both brackets converge to the myopic curve at the horizon and n along
     it is bounded by |1-p| mu^2 / (2 p^2 sigma^2), so the tail is finite
     and tiny; a non-convergent verdict therefore signals a model outside
-    the solver's assumptions.  On m = 1, b - 1 = expm1(log1p(y/p) - log1p(y)/p):
-    no rounding of a is multiplied by a kappa that blows up at the horizon.
+    the solver's assumptions.  n is formed through b - 1 on m = 1, so no
+    rounding of a is multiplied by a kappa that blows up at the horizon.
+    ``first``, if given, is that n at the first shell batch's nodes, formed
+    (and its floating-point errors seen) by the caller; later batches invert
+    m = 1 from ``y_end``, the myopic value at ``t_end``, errors held back.
     """
 
     def integrand(u):
-        u = np.asarray(u, dtype=float)
         c = _Coef(model, prefs.p, u)
-        ym = _implicit_many(c, np.ones_like(u), x0=y_end)
-        b_1 = np.expm1(np.log1p(ym / c.p) - np.log1p(ym) / c.p)
-        return -(1.0 - c.p) * (c.phi_p * ym) ** 2 / (2.0 * c.p * c.sig2p) + c.kap * b_1
+        return _myopic_n(c, _implicit_many(c, np.ones_like(c.t), x0=y_end))
 
-    res = integrate_toward(integrand, t_end, model.horizon, rtol=1e-12, atol=1e-12)
+    res = integrate_toward(integrand, t_end, model.horizon, rtol=1e-12, atol=1e-12, first=first)
     if res.status != CONVERGED:
         raise SolverError(
             "terminal tail of the integral equation did not converge; "
@@ -415,15 +425,19 @@ def solve_optimal(
     _require_drift(model)
     require_valid(model)
 
+    # one model sample and one inversion for the grid and the sliver's first shells
     grid = _solver_grid(model, n_grid)
-    c = _Coef(model, prefs.p, grid)
-    lo, hi = _brackets(model, c)
-    lower, upper = Curve(grid, lo), Curve(grid, hi)
+    t_end, n = float(grid[-1]), grid.size
+    full = _Coef(model, prefs.p, np.concatenate([grid, first_shell_nodes(t_end, model.horizon)]))
+    lo, hi = _brackets(model, full, n)
+    c = full.take(slice(0, n))
+    lower, upper = Curve(grid, lo[:n]), Curve(grid, hi[:n])
     myopic = lower if prefs.p < 1.0 else upper
-    rule = panel_rule(grid)
-    tail = _terminal_tail(model, prefs, float(grid[-1]), float(myopic.values[-1]))
+    first = _myopic_n(full.take(slice(n, None)), (lo if prefs.p < 1.0 else hi)[n:])
+    tail = _terminal_tail(model, prefs, t_end, float(myopic.values[-1]), first)
 
-    y, iterations, resid = _newton(c, rule, lo, hi, myopic.values, tail, tol)
+    rule = panel_rule(grid)
+    y, iterations, resid = _newton(c, rule, lower.values, upper.values, myopic.values, tail, tol)
     return Solution(
         model=model,
         preference=prefs,
@@ -489,14 +503,12 @@ def _newton_step(L, N, F, half):
 
 def _evaluate(c, rule, y, tail):
     """F = log m + int n + tail along ``y``, the residual |e^F - 1| and the Jacobian's
-    diagonals L = m_y/m and N = n_y, from one a(t, y) and one (1 + y)^(1/p)."""
-    # ``y`` lies between the bracket curves, above y = -1, where the 1e-300
-    # floor of ``_aux_m_dm`` and the 0 floor of ``_aux_m`` give the same m
-    a = _aux_a(c, y)
-    m, m_y = _aux_m_dm(c, y, a=a)
-    F = np.log(m) + rule.cumulative_to_right(_aux_n(c, y, a)) + tail
+    diagonals L = m_y/m and N = n_y, from the per-node forms of ``c``: a = a0 + a_y y,
+    log m = log1p(y)/p + log a, m_y/m = 1/(p (1 + y)) + a_y/a and n's quadratic."""
+    a = c.a0 + c.slope * y
+    F = np.log1p(y) / c.p + np.log(a) + rule.cumulative_to_right(_aux_n(c, y)) + tail
     with np.errstate(over="ignore"):
-        return F, np.abs(np.expm1(F)), m_y / m, _aux_dn_dy(c, y, a)
+        return F, np.abs(np.expm1(F)), 1.0 / (c.p * (1.0 + y)) + c.slope / a, _aux_dn_dy(c, y)
 
 
 def dual_multiplier(solution: Solution) -> float:

@@ -91,8 +91,9 @@ class TestSolve:
         assert all(float(r["residual"]) <= 1e-4 for r in parse_csv(out))
 
     def test_unreachable_tol_exits_3(self, tmp_path, capsys):
+        # no float residual profile meets 1e-300; 1e-16 lies near the rounding floor
         path = write_scenario(tmp_path, {})
-        code, out, err = run_cli(["solve", "--scenario", path, "--tol", "1e-16"], capsys)
+        code, out, err = run_cli(["solve", "--scenario", path, "--tol", "1e-300"], capsys)
         assert code == 3 and out == ""
         assert err.startswith("ERROR code=3 kind=solver message=\"integral-equation residual ")
 
