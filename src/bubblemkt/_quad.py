@@ -161,9 +161,9 @@ class Curve:
         y = np.asarray(values, dtype=float)
         if x.ndim != 1 or x.shape != y.shape or len(x) < 2:
             raise ValueError("grid and values must be 1-d arrays of one length >= 2")
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise ValueError("grid and values must be finite")
-        if (np.diff(x) <= 0.0).any():
+        if not ((x[1:] > x[:-1]).all() and np.isfinite(x[[0, -1]]).all() and np.isfinite(y).all()):
+            if not (np.isfinite(x).all() and np.isfinite(y).all()):  # NaN fails x[1:] > x[:-1]
+                raise ValueError("grid and values must be finite")
             raise ValueError("grid must be strictly increasing")
         self.grid, self.values = x, y
 
@@ -218,7 +218,7 @@ class ShellIntegral:
     tail_bound: float
 
 
-def _shells(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+def shell_table(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Half-widths and 15-point Gauss nodes, a row per shell, of the dyadic
     shells of (a, b), up to the first whose width underflows near ``b``."""
     edges = b - (b - a) * _HALVINGS
@@ -229,33 +229,37 @@ def _shells(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return half, (0.5 * (lo[keep] + hi[keep]))[:, None] + half[:, None] * _GL15_X
 
 
-def first_shell_nodes(a: float, b: float) -> np.ndarray:
-    """The nodes of :func:`integrate_toward`'s first call of its integrand
-    on (a, b): those of its first ``_SHELL_BATCH`` shells, in order."""
-    return _shells(a, b)[1][:_SHELL_BATCH].ravel()
+def first_shell_nodes(shells) -> np.ndarray:
+    """The nodes of :func:`integrate_toward`'s first call of its integrand on
+    the :func:`shell_table` ``shells``: its first ``_SHELL_BATCH`` shells'."""
+    return shells[1][:_SHELL_BATCH].ravel()
 
 
-def _shell_parts(f, a: float, b: float, first=None):
-    """Yield the Gauss integrals of ``f`` over the dyadic shells of (a, b)
-    in order, until a shell's width underflows near ``b``.
+def _shell_parts(f, shells, first=None):
+    """Yield the Gauss integrals of ``f`` over :func:`shell_table` ``shells``.
 
     ``f`` is called once per batch of ``_SHELL_BATCH`` shells, on all their
-    nodes.  The batch's floating-point errors are held back; shells of a
-    batch that raised one are evaluated again one at a time as they are
-    consumed, so an error surfaces for exactly the shells whose values the
-    caller uses.  ``first``, if given, is ``f`` at the first batch's nodes
-    and replaces that call: it is used as given, never evaluated again, and
-    holds no error back, since its caller formed it.
+    nodes, and a batch is summed by one reduction along each shell's row, the
+    same bits for a shell in a batch of any size.  The batch's floating-point
+    errors are held back; shells of a batch that raised one are evaluated
+    again one at a time as they are consumed, so an error surfaces for
+    exactly the shells whose values the caller uses.  ``first``, if given, is
+    ``f`` at the first batch's nodes and replaces that call: it is summed as
+    given, with no error held back, since its caller formed it.
     """
-    half, nodes = _shells(a, b)
+    def sums(w, values):
+        return (w * (np.reshape(values, (w.size, -1)) * _GL15_W).sum(axis=1)).tolist()
+    half, nodes = shells
     held = {kind: "call" for kind, mode in np.geterr().items() if mode != "ignore"}
     for start in range(0, half.size, _SHELL_BATCH):
-        rows = nodes[start : start + _SHELL_BATCH]
-        flagged = []
-        with np.errstate(call=lambda *_: flagged.append(True), **held):
-            values = np.reshape(f(rows.ravel()) if start or first is None else first, rows.shape)
-        for w, x, row in zip(half[start : start + _SHELL_BATCH].tolist(), rows, values):
-            yield w * float((f(x) if flagged else row) @ _GL15_W)
+        w, rows, flagged = half[start : start + _SHELL_BATCH], nodes[start : start + _SHELL_BATCH], []
+        if start or first is None:
+            with np.errstate(call=lambda *_: flagged.append(True), **held):
+                parts = sums(w, f(rows.ravel()))
+        else:
+            parts = sums(w, first)
+        for j, part in enumerate(parts):
+            yield sums(w[j : j + 1], f(rows[j]))[0] if flagged else part
 
 
 def integrate_toward(
@@ -265,6 +269,7 @@ def integrate_toward(
     *,
     rtol: float = 1e-10,
     atol: float = 0.0,
+    shells=None,
     first=None,
 ) -> ShellIntegral:
     """Integrate ``f`` over (a, b) where ``f`` may be singular at ``b``.
@@ -282,13 +287,14 @@ def integrate_toward(
     ``atol + rtol |total|`` (the QUADPACK convention).  The default
     ``atol = 0`` leaves the verdict and the shell count unchanged when ``f``
     is scaled, as a finiteness question needs; a caller that wants a value
-    to an absolute accuracy passes ``atol``.  ``first``, if given, is ``f``
-    at :func:`first_shell_nodes` and replaces the first call: its caller
+    to an absolute accuracy passes ``atol``.  ``shells``, if given, is the
+    :func:`shell_table` of (a, b); ``first``, if given, is ``f`` at its
+    :func:`first_shell_nodes` and replaces the first call: its caller
     formed it and saw its floating-point errors, so none is held back.
     """
     if not b > a:
         raise ValueError("need b > a")
-    parts = _shell_parts(lambda x: np.asarray(f(x), dtype=float), a, b, first)
+    parts = _shell_parts(lambda x: np.asarray(f(x), dtype=float), shells or shell_table(a, b), first)
     total = 0.0
     comp = 0.0  # Kahan carry
     prev_mag = None

@@ -26,7 +26,6 @@ then is the solution (a quadratic with a closed form,
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -35,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from ._quad import (_MAX_NEWTON_STEPS, _ULPS, CONVERGED, Curve, clustered_grid,
-                    first_shell_nodes, integrate_toward, panel_rule)
+                    first_shell_nodes, integrate_toward, panel_rule, shell_table)
 from .elmm import TiltedMeasure, TiltFunction, build_tilted_measure
 from .hazard import (
     DomainError,
@@ -112,19 +111,17 @@ class _Coef:
 
     def take(self, nodes) -> "_Coef":
         """These coefficients at the grid points ``nodes`` (indices or a slice)."""
-        sub = copy.copy(self)
-        for name in ("t", "phi_p", "kap", "dlt", "slope", "a0", "c0", "c1", "c2"):
-            setattr(sub, name, getattr(self, name)[nodes])
+        sub = object.__new__(_Coef)
+        sub.__dict__ = {k: v[nodes] if type(v) is np.ndarray else v for k, v in vars(self).items()}
         return sub
 
 
-# ``i`` selects the grid points of ``y`` (all by default)
-def _aux_a(c: _Coef, y: np.ndarray, i=...) -> np.ndarray:
-    return 1.0 - c.dlt[i] * (c.mu - c.phi_p[i] * y) / c.sig2p
+def _aux_a(c: _Coef, y: np.ndarray) -> np.ndarray:
+    return 1.0 - c.dlt * (c.mu - c.phi_p * y) / c.sig2p
 
 
-def _aux_m(c: _Coef, y: np.ndarray, i=...) -> np.ndarray:
-    return np.maximum(1.0 + y, 0.0) ** (1.0 / c.p) * _aux_a(c, y, i)
+def _aux_m(c: _Coef, y: np.ndarray) -> np.ndarray:
+    return np.maximum(1.0 + y, 0.0) ** (1.0 / c.p) * _aux_a(c, y)
 
 
 def _aux_n(c: _Coef, y: np.ndarray) -> np.ndarray:
@@ -143,11 +140,10 @@ def _aux_dn_dy(c: _Coef, y: np.ndarray) -> np.ndarray:
     return c.c1 + 2.0 * c.c2 * y
 
 
-def _aux_floor(c: _Coef, i=...) -> np.ndarray:
-    phi_p = c.phi_p[i]
+def _aux_floor(c: _Coef) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = c.mu / phi_p - c.sig2p * c.kap[i] / phi_p**2
-    return np.where(phi_p > 0.0, np.maximum(-1.0, val), -1.0)
+        val = c.mu / c.phi_p - c.sig2p * c.kap / c.phi_p**2
+    return np.where(c.phi_p > 0.0, np.maximum(-1.0, val), -1.0)
 
 
 def lower_boundary(model: MarketModel, prefs: Preference, t):
@@ -166,7 +162,7 @@ def aux_eval(model: MarketModel, prefs: Preference, t, y) -> AuxEval:
     t, y = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(y, dtype=float))
     if not ((0.0 <= t) & (t < model.horizon)).all():
         raise DomainError("t must lie in [0, T)")
-    if (y < -1.0).any():
+    if not (y >= -1.0).all():  # NaN fails too
         raise DomainError("y must be >= -1")
     c, yv = _Coef(model, prefs.p, t.ravel()), y.ravel()
     a = _aux_a(c, yv)
@@ -191,7 +187,7 @@ def _log_m_step(y, y_a, scale, ip):
 
 
 def _implicit_many(c: _Coef, targets: np.ndarray, x0=None) -> np.ndarray:
-    """Solve m(t_i, y_i) = f_i for each grid point, f_i > 0; the flat
+    """Solve m(t_i, y_i) = f_i for each grid point, 0 < f_i < inf; the flat
     point k of ``targets`` belongs to the node k mod n of the grid.
 
     Newton on h = log(m/f), strictly concave and increasing above the boundary
@@ -200,13 +196,16 @@ def _implicit_many(c: _Coef, targets: np.ndarray, x0=None) -> np.ndarray:
     below the boundary is retaken in log(1 + y), then pulled halfway back.  A
     point stops at its Newton point once |h| <= 4 ulps of 1 + |log f|, its step
     is within 4 ulps of y while |h| max(1, p) <= 1/2, or it is within 4 ulps
-    right of the boundary.  The default start, the root of (1 + y/p) a = f, is
-    exact at p = 1, left of the root for p > 1 and right of it for p < 1; a
-    start that is NaN or not above the boundary moves one unit above it.
+    right of the boundary; from h < 0, unevaluated once max(1, p) h^2 / 2 <=
+    eps/2, which bounds its |h| (Taylor): h' = u + v and |h''| = p u^2 + v^2 <=
+    max(1, p) h'^2 falls as y rises, u = 1/(p (1 + y)), v = 1/(y - y_a).  The
+    default start, the root of (1 + y/p) a = f, is exact at p = 1, left of the
+    root for p > 1 and right of it for p < 1; a start that is NaN or not above
+    the boundary moves one unit above it.
     """
     f = np.asarray(targets, dtype=float).ravel()
-    if (f <= 0.0).any():
-        raise DomainError("implicit solve needs a positive target")
+    if not ((f > 0.0) & (f < np.inf)).all():  # NaN fails too
+        raise DomainError("target must be positive and finite")
     p = c.p
     out = np.empty(f.shape)
 
@@ -227,7 +226,8 @@ def _implicit_many(c: _Coef, targets: np.ndarray, x0=None) -> np.ndarray:
     else:
         x0 = np.broadcast_to(x0, f.shape)[pts]
     x, idx = np.where(x0 > lo, x0, lo + 1.0), pts  # idx: the points still iterating
-    scale, ip, tol = slope / fa, 1.0 / p, _ULPS * (1.0 + np.abs(np.log(fa)))
+    scale, ip, tol, q = slope / fa, 1.0 / p, _ULPS * (1.0 + np.abs(np.log(fa))), max(p, 1.0)
+    wide = math.sqrt(np.finfo(float).eps / q)  # h in [-wide, 0): its Newton point has |h| <= eps/2
     for _ in range(_MAX_NEWTON_STEPS):
         h, step = _log_m_step(x, y_a, scale, ip)
         x, old = x - step, x
@@ -237,8 +237,8 @@ def _implicit_many(c: _Coef, targets: np.ndarray, x0=None) -> np.ndarray:
             zy = (1.0 + xb) * np.exp(-step[below] / (1.0 + xb)) - 1.0
             x[below] = np.where(zy > lb, zy, 0.5 * (xb + lb))
             h[below] = np.where(xb - lb <= _ULPS * np.abs(xb), 0.0, h[below])  # root in between
-        size = np.abs(h)
-        done = (size <= tol) | ((np.abs(step) <= _ULPS * np.abs(old)) & (size * max(p, 1.0) <= 0.5))
+        done = ((h >= -wide) & (h <= tol)) | (
+            (np.abs(step) <= _ULPS * np.abs(old)) & (np.abs(h) <= 0.5 / q))
         if done.any():
             out[idx[done]] = x[done]
             keep = ~done
@@ -253,8 +253,6 @@ def _implicit_many(c: _Coef, targets: np.ndarray, x0=None) -> np.ndarray:
 def implicit_solve(model: MarketModel, prefs: Preference, t, target):
     """Unique y above the admissible boundary with m(t, y, p) = target, at scalars or arrays."""
     t, target = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(target, dtype=float))
-    if (target <= 0.0).any():
-        raise DomainError("target must be positive")
     y = _implicit_many(_Coef(model, prefs.p, t.ravel()), target.ravel())
     return float(y[0]) if t.ndim == 0 else y.reshape(t.shape)
 
@@ -375,7 +373,7 @@ def _myopic_n(c: _Coef, ym: np.ndarray) -> np.ndarray:
 
 
 def _terminal_tail(model: MarketModel, prefs: Preference, t_end: float, y_end: float,
-                   first=None) -> float:
+                   shells=None, first=None) -> float:
     """int_{t_end}^T n(u, y(u)) du approximated along the myopic curve.
 
     Both brackets converge to the myopic curve at the horizon and n along
@@ -383,16 +381,18 @@ def _terminal_tail(model: MarketModel, prefs: Preference, t_end: float, y_end: f
     and tiny; a non-convergent verdict therefore signals a model outside
     the solver's assumptions.  n is formed through b - 1 on m = 1, so no
     rounding of a is multiplied by a kappa that blows up at the horizon.
-    ``first``, if given, is that n at the first shell batch's nodes, formed
-    (and its floating-point errors seen) by the caller; later batches invert
-    m = 1 from ``y_end``, the myopic value at ``t_end``, errors held back.
+    ``shells`` and ``first``, if given, are the shell table of (t_end, T) and
+    that n at its first batch's nodes, formed (and its errors seen) by the
+    caller; later batches invert m = 1 from ``y_end``, the myopic value at
+    ``t_end``, errors held back.  At p = 1 n is 0 and the solve calls none.
     """
 
     def integrand(u):
         c = _Coef(model, prefs.p, u)
         return _myopic_n(c, _implicit_many(c, np.ones_like(c.t), x0=y_end))
 
-    res = integrate_toward(integrand, t_end, model.horizon, rtol=1e-12, atol=1e-12, first=first)
+    res = integrate_toward(integrand, t_end, model.horizon, rtol=1e-12, atol=1e-12,
+                           shells=shells, first=first)
     if res.status != CONVERGED:
         raise SolverError(
             "terminal tail of the integral equation did not converge; "
@@ -425,16 +425,20 @@ def solve_optimal(
     _require_drift(model)
     require_valid(model)
 
-    # one model sample and one inversion for the grid and the sliver's first shells
     grid = _solver_grid(model, n_grid)
     t_end, n = float(grid[-1]), grid.size
-    full = _Coef(model, prefs.p, np.concatenate([grid, first_shell_nodes(t_end, model.horizon)]))
-    lo, hi = _brackets(model, full, n)
-    c = full.take(slice(0, n))
-    lower, upper = Curve(grid, lo[:n]), Curve(grid, hi[:n])
-    myopic = lower if prefs.p < 1.0 else upper
-    first = _myopic_n(full.take(slice(n, None)), (lo if prefs.p < 1.0 else hi)[n:])
-    tail = _terminal_tail(model, prefs, t_end, float(myopic.values[-1]), first)
+    if prefs.p == 1.0:  # the sliver's n on m = 1, -(1 - p)(...) + kappa expm1(0), is 0
+        c, tail = _Coef(model, prefs.p, grid), 0.0
+        lower = upper = myopic = Curve(grid, _implicit_many(c, np.ones(n)))
+    else:  # one model sample and one inversion for the grid and the sliver's first shells
+        shells = shell_table(t_end, model.horizon)
+        full = _Coef(model, prefs.p, np.concatenate([grid, first_shell_nodes(shells)]))
+        lo, hi = _brackets(model, full, n)
+        c = full.take(slice(0, n))
+        lower, upper = Curve(grid, lo[:n]), Curve(grid, hi[:n])
+        myopic = lower if prefs.p < 1.0 else upper
+        first = _myopic_n(full.take(slice(n, None)), (lo if prefs.p < 1.0 else hi)[n:])
+        tail = _terminal_tail(model, prefs, t_end, float(myopic.values[-1]), shells, first)
 
     rule = panel_rule(grid)
     y, iterations, resid = _newton(c, rule, lower.values, upper.values, myopic.values, tail, tol)
@@ -447,7 +451,7 @@ def solve_optimal(
         upper=upper,
         myopic=myopic,
         residuals=resid,
-        m_start=float(_aux_m(c, y[:1], slice(0, 1))[0]),
+        m_start=float(_aux_m(c.take(slice(0, 1)), y[:1])[0]),
         method="newton",
         iterations=iterations,
     )
@@ -491,13 +495,16 @@ def _newton_step(L, N, F, half):
     affine maps compose in ceil(log2 n) doubling passes of a prefix scan
     (Blelloch, CMU-CS-90-190, 1990), which divides by no running product."""
     D = L[:-1] + half * N[:-1]
-    A = np.append((L[1:] - half * N[1:]) / D, 0.0)
-    B = np.append((F[1:] - F[:-1]) / D, -F[-1] / L[-1])
+    A, B = np.empty(F.size), np.empty(F.size)
+    np.divide(L[1:] - half * N[1:], D, out=A[:-1])
+    np.divide(F[1:] - F[:-1], D, out=B[:-1])
+    A[-1], B[-1] = 0.0, -F[-1] / L[-1]
     k = 1  # (A_i, B_i) composes the maps i .. i + k - 1
-    while k < A.size:
+    while 2 * k < F.size:
         B[:-k] += A[:-k] * B[k:]
         A[:-k] *= A[k:]
         k *= 2
+    B[:-k] += A[:-k] * B[k:]  # the last pass, whose A would never be read
     return B
 
 
@@ -524,6 +531,8 @@ def dual_multiplier(solution: Solution) -> float:
 def optimal_fraction(solution: Solution, t: float, crashed: bool = False):
     """Fraction of wealth in the stock: Merton after the crash or at the
     horizon, tilt-adjusted before."""
+    if np.isnan(t).any():
+        raise DomainError("t must not be NaN")
     out = np.full(t.shape, solution.merton_fraction)
     if not crashed:
         pre = t < solution.model.horizon

@@ -197,6 +197,16 @@ def test_baseline_solve_stops_once_m_resolves_its_target(monkeypatch):
     assert calls[0] <= 60
 
 
+@pytest.mark.parametrize("p, evaluations", [(0.25, 5), (1.0, 1), (4.0, 3)])
+def test_baseline_solve_evaluations_are_pinned(p, evaluations, monkeypatch):
+    # a Newton point left of its root is returned unevaluated once its bound
+    # max(1, p) h^2 / 2 on |h| is under eps/2: 6 / 1 / 4 evaluations before
+    calls = _count_solver_evaluations(monkeypatch)
+    model = MarketModel(0.1, 0.2, EXP_LAW, ConstantExcess(0.2))
+    sv.solve_optimal(model, sv.Preference(p))
+    assert calls[0] == evaluations
+
+
 def test_start_and_log_utility_share_one_root(monkeypatch):
     model = MarketModel(0.1, 0.2, EXP_LAW, ConstantExcess(0.2))
     grid = sv._solver_grid(model, 64)
@@ -215,7 +225,7 @@ def test_start_and_log_utility_share_one_root(monkeypatch):
     assert np.all(np.abs(start - closed) <= 1e-14 * np.abs(closed))
 
 
-@pytest.mark.parametrize("p, most", [(0.25, 5), (1.0, 1), (4.0, 4)])
+@pytest.mark.parametrize("p, most", [(0.25, 5), (1.0, 1), (4.0, 3)])
 def test_myopic_inversion_starts_next_to_its_root(p, most, monkeypatch):
     calls = _count_solver_evaluations(monkeypatch)
     model = MarketModel(0.1, 0.2, EXP_LAW, ConstantExcess(0.2))

@@ -82,20 +82,26 @@ def test_panel_evaluation_is_the_search_and_the_cubic(name):
     np.testing.assert_array_equal(got_slope, curve(t[idx], nu=1))
 
 
+_INCREASING, _FINITE = "^grid must be strictly increasing$", "^grid and values must be finite$"
+
+
 @pytest.mark.parametrize(
-    "grid, values",
+    "grid, values, message",
     [
-        ([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0]),
-        ([0.0, 2.0, 1.0], [0.0, 1.0, 2.0]),
-        ([0.0, np.nan, 2.0], [0.0, 1.0, 2.0]),
-        ([0.0, 1.0, 2.0], [0.0, np.inf, 2.0]),
-        ([0.0, 1.0, 2.0], [0.0, 1.0]),
-        ([0.0], [1.0]),
+        ([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0], _INCREASING),
+        ([0.0, 2.0, 1.0], [0.0, 1.0, 2.0], _INCREASING),
+        ([0.0, np.nan, 2.0], [0.0, 1.0, 2.0], _FINITE),
+        ([0.0, 1.0, np.inf], [0.0, 1.0, 2.0], _FINITE),
+        ([-np.inf, 1.0, 2.0], [0.0, 1.0, 2.0], _FINITE),
+        ([0.0, 1.0, 2.0], [0.0, np.inf, 2.0], _FINITE),
+        ([0.0, 1.0, 2.0], [0.0, 1.0], "^grid and values must be 1-d"),
+        ([0.0], [1.0], "^grid and values must be 1-d"),
     ],
-    ids=["repeated-knot", "decreasing", "nan-knot", "inf-value", "mismatched", "one-knot"],
+    ids=["repeated-knot", "decreasing", "nan-knot", "inf-end", "minus-inf-start", "inf-value",
+         "mismatched", "one-knot"],
 )
-def test_rejects_bad_tables(grid, values):
-    with pytest.raises(ValueError):
+def test_rejects_bad_tables(grid, values, message):
+    with pytest.raises(ValueError, match=message):
         Curve(np.array(grid), np.array(values))
 
 

@@ -89,6 +89,11 @@ class TestAuxEval:
         assert ev.a == pytest.approx(0.875, abs=1e-14)
         assert ev.m == pytest.approx(0.875, abs=1e-14)
 
+    def test_nan_tilt_is_a_domain_error(self, base_model):
+        # NaN passed the y >= -1 check and came back as NaN fields
+        with pytest.raises(DomainError, match="^y must be >= -1$"):
+            aux_eval(base_model, P4, 0.3, np.array([0.0, np.nan]))
+
     @given(
         t=st.floats(0.0, 0.9),
         y=st.floats(-0.4, 3.0),
@@ -168,6 +173,14 @@ class TestImplicitSolve:
     def test_rejects_nonpositive_target(self, base_model):
         with pytest.raises(DomainError):
             implicit_solve(base_model, P4, 0.3, 0.0)
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf])
+    def test_rejects_a_target_that_is_no_positive_float(self, base_model, target):
+        # NaN ran all Newton steps and returned NaN; inf warned from log(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^target must be positive and finite$"):
+                implicit_solve(base_model, P4, 0.5, target)
 
     @given(
         t=st.floats(0.0, 0.9),
@@ -370,6 +383,12 @@ class TestOptimalFraction:
     def test_horizon_is_merton(self, base_solution):
         assert optimal_fraction(base_solution, 1.0) == base_solution.merton_fraction
 
+    @pytest.mark.parametrize("crashed", [False, True])
+    def test_nan_time_is_a_domain_error(self, base_solution, crashed):
+        # NaN < T is false, so a NaN time read the Merton fraction 0.625
+        with pytest.raises(DomainError, match="^t must not be NaN$"):
+            optimal_fraction(base_solution, np.array([0.3, np.nan]), crashed=crashed)
+
 
 class TestDecompose:
     def test_log_utility_no_hedging(self, base_model):
@@ -552,8 +571,9 @@ class TestFixedPoint:
     @pytest.mark.parametrize("p", [0.25, 1.0, 4.0])
     def test_solve_inverts_once(self, base_model, p, monkeypatch):
         # one inversion: m = 1 at the 512 grid nodes and the 8 x 15 nodes of
-        # the sliver's first shell batch, the growth target at the grid nodes
-        # (none at log utility); the sliver needs no later batch here
+        # the sliver's first shell batch, the growth target at the grid nodes;
+        # at log utility, which has no sliver, m = 1 at the grid nodes alone.
+        # The sliver needs no later batch here
         sizes, inverse = [], solver._implicit_many
 
         def counting(*args, **kwargs):
@@ -562,7 +582,7 @@ class TestFixedPoint:
 
         monkeypatch.setattr(solver, "_implicit_many", counting)
         solve_optimal(base_model, Preference(p))
-        assert sizes == [512 + 120 + (0 if p == 1.0 else 512)]
+        assert sizes == [512 if p == 1.0 else 512 + 120 + 512]
 
     @pytest.mark.parametrize("p", [0.25, 4.0])
     def test_sliver_tail_matches_the_lazy_path(self, base_model, p, monkeypatch):
@@ -640,6 +660,29 @@ def test_solution_carries_the_myopic_curve(model, p):
     phi_t = np.asarray(model.excess.dphi(np.minimum(t, sol.grid[-1])))
     expected = (model.mu - phi_t * cold(t)) / denom
     assert np.array_equal(myopic_only_strategy(sol).pre(t), expected)
+
+
+LPPL_04 = LPPLHazard(power=0.4, horizon=1.0, b=1.2, c=0.3, omega=6.0, phase=0.5)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        MarketModel(0.1, 0.2, EXP_LAW, ConstantExcess(0.2)),
+        MarketModel(0.1, 0.2, UNIFORM, linear_delta_excess(UNIFORM, 0.9)),
+        MarketModel(0.1, 0.2, LPPL_04, ConstantJumpSizeExcess(LPPL_04, 0.3)),
+    ],
+    ids=["exp", "uniform0.9", "lppl0.4"],
+)
+def test_log_utility_builds_no_sliver(model, monkeypatch):
+    # on m = 1 at p = 1 the sliver's integrand is 0 exactly, so the solve
+    # integrates none, even where kappa blows up inside it, and returns its
+    # myopic start
+    calls = []
+    monkeypatch.setattr(solver, "integrate_toward", lambda *args, **kw: calls.append(args))
+    sol = solve_optimal(model, P1)
+    assert calls == [] and sol.iterations == 1
+    assert np.array_equal(sol.tilt.values, myopic_curve(model, P1, sol.grid).values)
 
 
 NEAR_LOG = [1.0 - 5e-7, 1.0, 1.0 + 5e-7, 1.0 + 1e-6]
@@ -724,6 +767,19 @@ def _growth_bound_models():
     }
 
 
+def _growth_bound_points(model, p):
+    """Coefficients and targets, a point each: constant targets from 1e-8 to
+    1e8 (1 among them) and the upper bracket's at the 65 nodes with phi' > 0
+    (nodes with phi' = 0 invert in closed form)."""
+    c = solver._Coef(model, p, solver._solver_grid(model, 65))
+    rate = (1.0 - p) * model.mu**2 / (2.0 * p**2 * model.sigma**2)
+    targets = [np.broadcast_to(v, c.t.shape) for v in np.logspace(-8.0, 8.0, 65)]
+    f = np.concatenate([*targets, np.exp(rate * (model.horizon - c.t))])
+    at = c.take(np.arange(f.size) % c.t.size)  # point k belongs to node k mod n
+    live = at.phi_p > 0.0
+    return at.take(live), f[live]
+
+
 def _float_key(x):
     # an integer for each float, in the floats' order
     bits = np.asarray(x, dtype=float).view(np.int64)
@@ -753,15 +809,7 @@ def test_growth_bound_encloses_the_root(name, p):
     # (2f)^p + 1 where phi' <= p sigma^2 kappa / (2 mu), else
     # max(f^p, mu/phi') + 1, still encloses the root and brackets the oracle
     model = _growth_bound_models()[name]
-    c = solver._Coef(model, p, solver._solver_grid(model, 65))
-    rate = (1.0 - p) * model.mu**2 / (2.0 * p**2 * model.sigma**2)
-    # constant targets from 1e-8 to 1e8 (1 among them), and the upper bracket's;
-    # point k belongs to node k mod n, and nodes with phi' = 0 invert in closed form
-    targets = [np.broadcast_to(v, c.t.shape) for v in np.logspace(-8.0, 8.0, 65)]
-    f = np.concatenate([*targets, np.exp(rate * (model.horizon - c.t))])
-    at = c.take(np.arange(f.size) % c.t.size)
-    live = at.phi_p > 0.0
-    at, f = at.take(live), f[live]
+    at, f = _growth_bound_points(model, p)
     lo = solver._aux_floor(at)
     small = at.phi_p <= at.sig2p * at.kap / (2.0 * model.mu)
     hi = np.where(small, (2.0 * f) ** p, np.maximum(f**p, model.mu / at.phi_p)) + 1.0
@@ -779,3 +827,38 @@ def test_growth_bound_encloses_the_root(name, p):
     for x0 in (None, above, root + 1e3 * np.maximum(1.0, np.abs(root))):
         got = solver._implicit_many(at, f, x0)
         assert np.all(np.abs(got - root) <= 4.0 * unit)
+
+
+@pytest.mark.parametrize("name", sorted(_growth_bound_models()))
+@pytest.mark.parametrize("p", [0.05, 0.25, 1.0, 4.0, 30.0])
+def test_newton_points_stopped_on_the_bound_resolve_their_target(name, p, monkeypatch):
+    # from h = log(m/f) in [-sqrt(eps / max(1, p)), 0) the inversion returns
+    # the Newton point unevaluated, as max(1, p) h^2 / 2 bounds its |h|;
+    # evaluated, that |h| is within the stop width 4 ulps of 1 + |log f|, or
+    # within what one ulp of y moves h where y cannot resolve h further
+    model = _growth_bound_models()[name]
+    at, f = _growth_bound_points(model, p)
+    y_a, scale, ip = -at.a0 / at.slope, at.slope / f, 1.0 / p
+    tol = 4.0 * EPS * (1.0 + np.abs(np.log(f)))
+    evaluate, stepped_from = solver._log_m_step, {}  # Newton point -> (h, step, y) it came from
+
+    def recording(y, *args):
+        h, step = evaluate(y, *args)
+        stepped_from.update(zip((y - step).tolist(), zip(h.tolist(), step.tolist(), y.tolist())))
+        return h, step
+
+    monkeypatch.setattr(solver, "_log_m_step", recording)
+    lo, stopped = solver._aux_floor(at), 0
+    for x0 in (None, lo + 1e-9 * np.maximum(1.0, np.abs(lo)), 1e3 * np.maximum(1.0, np.abs(lo))):
+        stepped_from.clear()
+        got = solver._implicit_many(at, f, x0)
+        # a point retaken below the boundary is no Newton point: NaN, never on the bound
+        h_from, step, y_from = np.array([stepped_from.get(y, (np.nan,) * 3) for y in got.tolist()]).T
+        # returned unevaluated from h < -tol, and not for a step within 4 ulps of y
+        on_bound = (h_from < -tol) & (np.abs(step) > 4.0 * EPS * np.abs(y_from))
+        y = got[on_bound]
+        h, _ = evaluate(y, y_a[on_bound], scale[on_bound], ip)
+        slope = ip / (1.0 + y) + 1.0 / (y - y_a[on_bound])
+        assert np.all(np.abs(h) <= np.maximum(tol[on_bound], slope * np.spacing(np.abs(y))))
+        stopped += on_bound.sum()
+    assert stopped > 0

@@ -147,6 +147,15 @@ class TestWelfareFromCurve:
                 base_model, sol.preference, sol.grid[256:], sol.tilt.values[256:]
             )
 
+    @pytest.mark.parametrize("p", [1.0, 4.0])
+    def test_nan_start_is_refused(self, base_model, p):
+        # a NaN y(0) passed the y >= -1 check and the CE read nan
+        sol = solve_optimal(base_model, Preference(p))
+        y = sol.tilt.values.copy()
+        y[0] = np.nan
+        with pytest.raises(DomainError, match="^y must be >= -1$"):
+            welfare_from_curve(base_model, sol.preference, sol.grid, y)
+
 
 class TestWealthCompensatorIdentity:
     def test_zero_profile_exact(self, zero_profile):
