@@ -27,12 +27,10 @@ from .hazard import (
     ZeroExcess,
     ag_transform,
     classify_under_P,
-    hazard_rate,
     jump_size,
     linear_delta_excess,
     lppl_log_price,
     single_jump_class,
-    survival_and_atom,
     validate,
 )
 from .elmm import (
@@ -78,10 +76,7 @@ from .montecarlo import (
     merton_strategy,
     myopic_only_strategy,
     optimal_strategy,
-    sample_crash_time,
     scaled_strategy,
-    simulate_price_path,
-    simulate_wealth_path,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

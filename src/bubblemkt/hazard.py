@@ -119,7 +119,7 @@ class CrashHazard:
     @_elementwise
     def survival(self, t):
         """P(crash time > t); returns 0 at the horizon (the atom is reported
-        separately, see :func:`survival_and_atom`)."""
+        separately, as :attr:`atom`)."""
         if not np.all((t >= 0.0) & (t <= self.horizon)):
             raise DomainError("time must lie in [0, T]")
         out = np.zeros_like(t)
@@ -560,16 +560,6 @@ class MarketModel:
 # ---------------------------------------------------------------------------
 # Spec operations
 # ---------------------------------------------------------------------------
-
-
-def hazard_rate(hazard: CrashHazard, t):
-    """kappa(t) = G'(t) / (1 - G(t)) on [0, T)."""
-    return hazard.hazard(t)
-
-
-def survival_and_atom(hazard: CrashHazard, t) -> tuple[float, float]:
-    """(P(crash > t), survival atom at the horizon)."""
-    return hazard.survival(t), hazard.atom
 
 
 def jump_size(model: MarketModel, t):

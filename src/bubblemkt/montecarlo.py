@@ -16,9 +16,7 @@ measure mu_eff = mu and the exponent E is phi; under the tilted measure
 the drift vanishes, E = int phi'(1 + y), and the crash time is drawn from
 the tilted law; the law and E come from the solution's dual measure,
 built once per solution.  pi, D and V are tabulated once per wealth
-estimate; that quadrature is the only discretization error.  The
-single-path simulators step on a uniform grid of ``n_steps`` split at
-the crash, and a price path is the wealth path of the unit strategy.
+estimate; that quadrature is the only discretization error.
 
 Randomness is counter-based (Philox) keyed by (seed, block), with a fixed
 block layout, so estimates are pure functions of (config, model, strategy)
@@ -46,7 +44,6 @@ from .hazard import MarketModel, ModelError
 from .solver import Preference, Solution
 
 _TERMINAL_BLOCK_PAIRS = 1 << 15
-_PATH_KEY_OFFSET = 1 << 60
 _SUB_BLOCK = 1 << 14  # samples per pass of the conditional-value kernel
 
 
@@ -63,8 +60,8 @@ class SimConfig:
     """Reproducible simulation settings; estimates are pure functions of
     (config, model, strategy).
 
-    ``n_steps`` sets only the uniform grids of the single-path simulators;
-    the estimators are exact given the crash time and do not step.
+    The estimators are exact given the crash time and do not step, so
+    nothing reads ``n_steps``; it stays only for callers that still pass it.
     """
 
     n_paths: int = 100_000
@@ -74,8 +71,6 @@ class SimConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValueError("need at least one path")
-        if self.n_steps < 2:
-            raise ValueError("need at least two wealth steps")
 
 
 @dataclass(frozen=True)
@@ -98,9 +93,6 @@ class Strategy:
 
     def pre(self, t) -> np.ndarray:
         return np.asarray(self.pre_crash(np.asarray(t, dtype=float)), dtype=float)
-
-
-_UNIT = Strategy("unit", lambda t: np.ones(np.shape(np.asarray(t))), 1.0)
 
 
 def merton_strategy(model: MarketModel, p: float) -> Strategy:
@@ -156,16 +148,6 @@ class BudgetUnderQ:
     """E^Q[X_T] for the optimal strategy; must equal the initial capital."""
 
     solution: Solution
-
-
-def sample_crash_time(dist, u):
-    """Generalized-inverse sampling of the crash time.
-
-    ``dist`` is any crash-time law exposing ``inverse_cdf`` (a hazard
-    family or a tilted measure); returns exactly the horizon when the
-    variate falls into the survival atom.
-    """
-    return dist.inverse_cdf(u)
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -349,92 +331,3 @@ def estimate(model: MarketModel, cfg: SimConfig, estimand) -> EstimatorResult:
         law = _WealthLaw(model, optimal_strategy(sol), grid, sol)
         return _estimate(law, cfg, _wealth_value(sol.preference.x), "EQ_XT")
     raise TypeError(f"unknown estimand: {estimand!r}")
-
-
-# -- per-path operations -----------------------------------------------------
-
-
-def _path_rng(seed: int, path_index: int) -> np.random.Generator:
-    key = ((int(seed) & (2**64 - 1)) << 64) | (
-        _PATH_KEY_OFFSET + (int(path_index) & (2**59 - 1))
-    )
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def _path_draws(model: MarketModel, cfg: SimConfig, path_index: int):
-    """Crash time, step Gaussians and the two split Gaussians of one path."""
-    rng = _path_rng(cfg.seed, path_index)
-    u = float(rng.random())
-    z = rng.standard_normal(cfg.n_steps)
-    g1, g2 = rng.standard_normal(2)
-    gam = float(np.asarray(model.hazard.inverse_cdf(np.array([u])))[0])
-    return gam, z, g1, g2
-
-
-def _log_wealth_path(model: MarketModel, strategy: Strategy, cfg: SimConfig, gam, z, g1, g2):
-    """Knots of one path and the log wealth of ``strategy`` along them.
-
-    The knots are the uniform grid of ``n_steps`` with the crash time
-    inserted; the step holding the crash splits its Gaussian into one per
-    part, and the fraction is frozen over each step.  Returns the knot
-    times, log(X / x) at each knot without the crash's jump, the index of
-    the crash knot (``n_steps`` on an atom path, which has none) and the
-    jump factor 1 - pi(gamma) delta(gamma) (1 on an atom path).
-    """
-    T, n, sigma = model.horizon, cfg.n_steps, model.sigma
-    times = np.linspace(0.0, T, n + 1)
-    dw = math.sqrt(T / n) * np.asarray(z, dtype=float)
-    crash, factor = n, 1.0
-    if gam < T:
-        k = int(np.clip(np.searchsorted(times, gam, side="left") - 1, 0, n - 1))
-        split = [math.sqrt(gam - times[k]) * g1, math.sqrt(times[k + 1] - gam) * g2]
-        dw = np.concatenate([dw[:k], split, dw[k + 1:]])
-        times = np.insert(times, k + 1, gam)
-        crash = k + 1
-        factor = 1.0 - float(strategy.pre(gam)) * float(model.delta(gam))
-    # the exponent freezes at the crash; an atom path stops at phi(T-),
-    # which is finite whenever the atom exists
-    exponent = np.asarray(model.excess.phi(np.minimum(times, min(gam, np.nextafter(T, 0.0)))))
-    dt = np.diff(times)
-    pi = np.full(len(dt), strategy.post_crash)
-    pi[:crash] = strategy.pre(times[:crash])
-    steps = pi * (model.mu * dt + np.diff(exponent) + sigma * dw) - 0.5 * (sigma * pi) ** 2 * dt
-    return times, np.concatenate([[0.0], np.cumsum(steps)]), crash, factor
-
-
-def simulate_price_path(model: MarketModel, cfg: SimConfig, path_index: int):
-    """One exact price path: (crash time, grid times, prices).
-
-    The price is the wealth of the unit strategy (fraction 1 before and
-    after the crash).  The grid step containing the crash is split at the
-    crash, so the jump lands at the right price level; the returned prices
-    sit on the uniform grid (the final entry is S_T).  A crash that
-    removes the whole price leaves it at 0.
-    """
-    gam, z, g1, g2 = _path_draws(model, cfg, path_index)
-    return gam, *_price_path_given(model, cfg, gam, z, g1, g2)
-
-
-def _price_path_given(model: MarketModel, cfg: SimConfig, gam: float, z, g1, g2):
-    times, log_s, crash, factor = _log_wealth_path(model, _UNIT, cfg, gam, z, g1, g2)
-    if gam < model.horizon:
-        with np.errstate(divide="ignore"):  # a full loss leaves the price at 0
-            log_s[crash + 1:] += np.log(factor)
-        times, log_s = np.delete(times, crash), np.delete(log_s, crash)
-    return times, np.exp(log_s)
-
-
-def simulate_wealth_path(
-    model: MarketModel, strategy: Strategy, cfg: SimConfig, path_index: int
-) -> float:
-    """Terminal wealth of one path under the physical measure, on the
-    stream and knots of :func:`simulate_price_path`.
-
-    Raises :class:`SimulationDiagnostic` when the crash wipes out a
-    leveraged position (jump factor <= 0).
-    """
-    gam, z, g1, g2 = _path_draws(model, cfg, path_index)
-    _, log_x, _, factor = _log_wealth_path(model, strategy, cfg, gam, z, g1, g2)
-    if factor <= 0.0:
-        raise SimulationDiagnostic("path went bankrupt at the crash", {"gamma": gam})
-    return math.exp(log_x[-1] + math.log(factor))

@@ -116,24 +116,17 @@ class _Coef:
         return sub
 
 
-def _aux_a(c: _Coef, y: np.ndarray) -> np.ndarray:
-    return 1.0 - c.dlt * (c.mu - c.phi_p * y) / c.sig2p
-
-
-def _aux_m(c: _Coef, y: np.ndarray) -> np.ndarray:
-    return np.maximum(1.0 + y, 0.0) ** (1.0 / c.p) * _aux_a(c, y)
+def _aux_m_dm(a0, a_y, p: float, y):
+    """a = a0 + a_y y, m = (1 + y)^(1/p) a and m_y, at per-node arrays or at
+    one node's floats, y >= -1.  m(-1) = 0, and m_y(-1) is its limit from
+    above: 0, a or +-inf as p < 1, p = 1 or p > 1."""
+    a, one_plus = a0 + a_y * y, 1.0 + y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return a, one_plus ** (1.0 / p) * a, one_plus ** (1.0 / p - 1.0) * (a / p + one_plus * a_y)
 
 
 def _aux_n(c: _Coef, y: np.ndarray) -> np.ndarray:
     return c.c0 + y * (c.c1 + c.c2 * y)
-
-
-def _aux_m_dm(c: _Coef, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # m and m_y above y = -1, from one (1 + y)^(1/p) and one a
-    a = _aux_a(c, y)
-    one_plus = np.maximum(1.0 + y, 1e-300)
-    g = one_plus ** (1.0 / c.p)
-    return g * a, g * (a / (c.p * one_plus) + c.slope)
 
 
 def _aux_dn_dy(c: _Coef, y: np.ndarray) -> np.ndarray:
@@ -141,14 +134,14 @@ def _aux_dn_dy(c: _Coef, y: np.ndarray) -> np.ndarray:
 
 
 def _aux_floor(c: _Coef) -> np.ndarray:
+    # the inversion's boundary max(-1, y_a), a = a_y (y - y_a); -1 where a_y = 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = c.mu / c.phi_p - c.sig2p * c.kap / c.phi_p**2
-    return np.where(c.phi_p > 0.0, np.maximum(-1.0, val), -1.0)
+        return np.where(c.slope > 0.0, np.maximum(-1.0, -c.a0 / c.slope), -1.0)
 
 
 def lower_boundary(model: MarketModel, prefs: Preference, t):
-    """Below this tilt level the function m is nonpositive: -1 where the
-    excess return vanishes, else max(-1, mu/phi' - p sigma^2 kappa/phi'^2)."""
+    """Below this tilt level the function m is nonpositive: max(-1, -a0/a_y)
+    with a = a0 + a_y y, and -1 where a_y = 0 (the excess return vanishes)."""
     return _scalar_or_array(lambda t: _aux_floor(_Coef(model, prefs.p, t)), t)
 
 
@@ -165,9 +158,8 @@ def aux_eval(model: MarketModel, prefs: Preference, t, y) -> AuxEval:
     if not (y >= -1.0).all():  # NaN fails too
         raise DomainError("y must be >= -1")
     c, yv = _Coef(model, prefs.p, t.ravel()), y.ravel()
-    a = _aux_a(c, yv)
-    fields = (a, (1.0 + yv / prefs.p) * a, _aux_m(c, yv), _aux_n(c, yv), c.slope,
-              _aux_m_dm(c, yv)[1], _aux_dn_dy(c, yv))
+    a, m, m_y = _aux_m_dm(c.a0, c.slope, c.p, yv)
+    fields = (a, (1.0 + yv / prefs.p) * a, m, _aux_n(c, yv), c.slope, m_y, _aux_dn_dy(c, yv))
     return AuxEval(*(float(v[0]) if t.ndim == 0 else v.reshape(t.shape) for v in fields))
 
 
@@ -226,7 +218,9 @@ def _implicit_many(c: _Coef, targets: np.ndarray, x0=None) -> np.ndarray:
     else:
         x0 = np.broadcast_to(x0, f.shape)[pts]
     x, idx = np.where(x0 > lo, x0, lo + 1.0), pts  # idx: the points still iterating
-    scale, ip, tol, q = slope / fa, 1.0 / p, _ULPS * (1.0 + np.abs(np.log(fa))), max(p, 1.0)
+    with np.errstate(over="ignore"):  # inf below f = a_y/DBL_MAX, whose root rounds to the boundary
+        scale = slope / fa
+    ip, tol, q = 1.0 / p, _ULPS * (1.0 + np.abs(np.log(fa))), max(p, 1.0)
     wide = math.sqrt(np.finfo(float).eps / q)  # h in [-wide, 0): its Newton point has |h| <= eps/2
     for _ in range(_MAX_NEWTON_STEPS):
         h, step = _log_m_step(x, y_a, scale, ip)
@@ -451,7 +445,7 @@ def solve_optimal(
         upper=upper,
         myopic=myopic,
         residuals=resid,
-        m_start=float(_aux_m(c.take(slice(0, 1)), y[:1])[0]),
+        m_start=float(_aux_m_dm(c.a0[0], c.slope[0], prefs.p, y[0])[1]),
         method="newton",
         iterations=iterations,
     )

@@ -98,12 +98,19 @@ def welfare_from_curve(
     model: MarketModel, prefs: Preference, grid, y_values
 ) -> WelfareReport:
     """Welfare metrics for a tabulated tilt curve from t = 0 (e.g. re-ingested
-    solver output), else :class:`DomainError`; for power utility only y(0) matters."""
+    solver output): one finite y > -1 per grid node, else :class:`DomainError`,
+    at every p, though for power utility only y(0) enters the CE."""
     grid = np.asarray(grid, dtype=float)
     y_values = np.asarray(y_values, dtype=float)
+    if y_values.shape != grid.shape:
+        raise DomainError(f"y_values has shape {y_values.shape}, grid {grid.shape}; they must match")
     if grid[0] != 0.0:  # m(grid[0], y(grid[0])) is no m(0, y(0))
         raise DomainError(f"tilt curve must start at t = 0, not at grid[0] = {float(grid[0])!r}")
     m0 = aux_eval(model, prefs, float(grid[0]), float(y_values[0])).m
+    bad = np.flatnonzero(~(np.isfinite(y_values) & (y_values > -1.0)))
+    if bad.size:
+        k = int(bad[0])
+        raise DomainError(f"y_values must be finite and > -1, not y_values[{k}] = {float(y_values[k])!r}")
     return _report(model, prefs, _certainty_equivalent(model, prefs, grid, y_values, m0))
 
 

@@ -28,12 +28,10 @@ from bubblemkt import (
     ag_transform,
     classify_under_P,
     classify_under_Q,
-    hazard_rate,
     jump_size,
     linear_delta_excess,
     lppl_log_price,
     single_jump_class,
-    survival_and_atom,
     validate,
 )
 from bubblemkt._quad import integrate_toward
@@ -41,32 +39,36 @@ from bubblemkt.elmm import build_tilted_measure, constant_tilt
 
 
 class TestHazardRate:
+    # kappa(t) = G'(t) / (1 - G(t)) on [0, T)
     def test_uniform(self):
-        assert hazard_rate(UniformHazard(1.0), 0.5) == pytest.approx(2.0, abs=1e-14)
+        assert UniformHazard(1.0).hazard(0.5) == pytest.approx(2.0, abs=1e-14)
 
     def test_exponential_cutoff(self):
-        assert hazard_rate(ExponentialCutoffHazard(1.0, 1.0), 0.3) == pytest.approx(
+        assert ExponentialCutoffHazard(1.0, 1.0).hazard(0.3) == pytest.approx(
             1.0, abs=1e-14
         )
 
     def test_lppl_power_half(self):
         law = LPPLHazard(b=1.0, c=0.0, power=0.5, horizon=1.0)
-        assert hazard_rate(law, 0.75) == pytest.approx(2.0, rel=1e-14)
+        assert law.hazard(0.75) == pytest.approx(2.0, rel=1e-14)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            hazard_rate(UniformHazard(1.0), 1.0)
+            UniformHazard(1.0).hazard(1.0)
         with pytest.raises(DomainError):
-            hazard_rate(UniformHazard(1.0), -0.1)
+            UniformHazard(1.0).hazard(-0.1)
 
 
 class TestSurvivalAndAtom:
+    # P(crash > t) and the survival atom at the horizon
     def test_exponential_cutoff_atom(self):
-        _, atom = survival_and_atom(ExponentialCutoffHazard(1.0, 1.0), 0.5)
+        law = ExponentialCutoffHazard(1.0, 1.0)
+        _, atom = law.survival(0.5), law.atom
         assert atom == pytest.approx(math.exp(-1.0), rel=1e-14)
 
     def test_uniform_no_atom(self):
-        surv, atom = survival_and_atom(UniformHazard(1.0), 0.25)
+        law = UniformHazard(1.0)
+        surv, atom = law.survival(0.25), law.atom
         assert atom == 0.0
         assert surv == pytest.approx(0.75, abs=1e-14)
 
@@ -75,7 +77,7 @@ class TestSurvivalAndAtom:
 
     def test_survival_zero_at_horizon(self):
         law = ExponentialCutoffHazard(1.0, 1.0)
-        surv, atom = survival_and_atom(law, 1.0)
+        surv, atom = law.survival(1.0), law.atom
         assert surv == 0.0 and atom > 0.0
 
 

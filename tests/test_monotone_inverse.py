@@ -62,7 +62,7 @@ def test_solver_inversion_warm_matches_cold(model, p):
     c = sv._Coef(model, p, grid)
     targets = np.exp(rng.uniform(-5.0, 5.0, grid.size))
     cold = sv._implicit_many(c, targets)
-    unit = _resolution(cold, targets, sv._aux_m_dm(c, cold)[1])
+    unit = _resolution(cold, targets, sv._aux_m_dm(c.a0, c.slope, c.p, cold)[2])
     for rel in (0.1, 1e-3, 1e-8, 0.0):
         warm = sv._implicit_many(c, targets, x0=_near(cold, rng, rel))
         assert np.all(np.abs(warm - cold) <= 4.0 * unit)

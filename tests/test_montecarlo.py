@@ -20,14 +20,10 @@ from bubblemkt import (
     TabulatedHazard,
     TerminalPrice,
     UniformHazard,
-    ZeroExcess,
     estimate,
     merton_strategy,
     myopic_only_strategy,
     optimal_strategy,
-    sample_crash_time,
-    simulate_price_path,
-    simulate_wealth_path,
     solve_optimal,
 )
 from bubblemkt import elmm
@@ -43,7 +39,6 @@ from bubblemkt.montecarlo import (
     _block_rng,
     _crra_value_fn,
     _estimate,
-    _price_path_given,
     _wealth_value,
 )
 
@@ -73,89 +68,33 @@ def analytic_terminal_mean(model):
 
 
 class TestSampleCrashTime:
+    # generalized-inverse sampling: exactly the horizon on the survival atom
     def test_uniform_identity(self):
-        assert sample_crash_time(UniformHazard(1.0), 0.37) == pytest.approx(
+        assert UniformHazard(1.0).inverse_cdf(0.37) == pytest.approx(
             0.37, abs=1e-14
         )
 
     def test_atom_hit(self):
         law = ExponentialCutoffHazard(1.0, 1.0)
-        assert sample_crash_time(law, 0.8) == 1.0  # 0.8 > 1 - e^{-1}
+        assert law.inverse_cdf(0.8) == 1.0  # 0.8 > 1 - e^{-1}
 
     def test_exponential_branch(self):
         law = ExponentialCutoffHazard(1.0, 1.0)
-        assert sample_crash_time(law, 0.5) == pytest.approx(math.log(2.0), rel=1e-12)
+        assert law.inverse_cdf(0.5) == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_rejects_bad_variate(self):
         with pytest.raises(DomainError):
-            sample_crash_time(UniformHazard(1.0), 1.0)
+            UniformHazard(1.0).inverse_cdf(1.0)
 
     def test_tilted_law_sampling(self, base_model):
         tm = build_tilted_measure(
             base_model, TiltFunction(y=lambda t: np.zeros_like(np.asarray(t, dtype=float)))
         )
-        assert sample_crash_time(tm, 0.5) == pytest.approx(math.log(2.0), rel=1e-8)
+        assert tm.inverse_cdf(0.5) == pytest.approx(math.log(2.0), rel=1e-8)
 
 
 class TestPricePaths:
-    def test_degenerate_path_is_flat(self):
-        law = ExponentialCutoffHazard(1.0, 1.0)
-        model = MarketModel(0.0, 1e-12, law, ZeroExcess())
-        _, prices = _price_path_given(model, SimConfig(n_steps=16), 1.0, np.zeros(16), 0.0, 0.0)
-        assert prices[-1] == pytest.approx(1.0, abs=1e-12)
-
-    def test_crash_level_matches_excess_runup(self):
-        # crash at 0.4 with silent Gaussians: S_T = exp(phi(0.4)) (1 - 0.4)
-        from bubblemkt import linear_delta_excess
-
-        law = UniformHazard(1.0)
-        model = MarketModel(0.0, 1e-12, law, linear_delta_excess(law, 1.0))
-        _, prices = _price_path_given(model, SimConfig(n_steps=16), 0.4, np.zeros(16), 0.0, 0.0)
-        assert prices[-1] == pytest.approx(math.exp(-0.4), rel=1e-10)
-
-    def test_full_loss_crash_leaves_price_at_zero(self):
-        law = UniformHazard(1.0)
-        model = MarketModel(0.1, 0.2, law, ConstantJumpSizeExcess(law, 1.0))
-        cfg = SimConfig(n_steps=64, seed=5)
-        for idx in range(3):
-            gamma, times, prices = simulate_price_path(model, cfg, idx)
-            before = times < gamma
-            assert np.all(prices[before] > 0.0) and np.all(prices[~before] == 0.0)
-            assert prices[-1] == 0.0
-        # the wealth of a fully invested path has no logarithm to carry
-        hold = Strategy("hold", lambda t: np.ones(np.shape(np.asarray(t))), 1.0)
-        with pytest.raises(SimulationDiagnostic):
-            simulate_wealth_path(model, hold, cfg, 0)
-
-    def test_atom_path_never_jumps(self, base_model):
-        cfg = SimConfig(n_steps=64, seed=11)
-        for idx in range(400):
-            gamma, times, prices = simulate_price_path(base_model, cfg, idx)
-            if gamma >= 1.0:
-                # strictly positive and continuous across every step
-                ratios = prices[1:] / prices[:-1]
-                assert np.all(np.abs(np.log(ratios)) < 0.5)
-                break
-        else:
-            pytest.fail("no atom path found in 400 draws")
-
-    def test_buy_and_hold_reproduces_price(self, base_model):
-        cfg = SimConfig(n_steps=256, seed=21)
-        hold = Strategy(
-            "hold", lambda t: np.ones(np.shape(np.asarray(t))), 1.0
-        )
-        for idx in (0, 1, 5):
-            gamma, _, prices = simulate_price_path(base_model, cfg, idx)
-            wealth = simulate_wealth_path(base_model, hold, cfg, idx)
-            assert wealth == pytest.approx(prices[-1], rel=1e-10)
-
-    def test_all_cash_is_flat(self, base_model):
-        cfg = SimConfig(n_steps=64, seed=3)
-        cash = Strategy("cash", lambda t: np.zeros(np.shape(np.asarray(t))), 0.0)
-        assert simulate_wealth_path(base_model, cash, cfg, 2) == pytest.approx(
-            1.0, abs=1e-14
-        )
-
+    # the jump a price path takes at the crash, as every wealth estimate takes it
     def test_optimal_jump_factor_is_wealth_share(self, base_model):
         # at the crash the wealth multiplies by the post-crash share a > 0
         sol = solve_optimal(base_model, Preference(4.0))

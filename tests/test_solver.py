@@ -623,7 +623,8 @@ def _check_newton_step(model, p, n_grid):
     for i in range(grid.size - 1):
         W[: i + 1, i] += half[i]
         W[: i + 1, i + 1] += half[i]
-    L = solver._aux_m_dm(c, y)[1] / solver._aux_m(c, y)
+    _, m, m_y = solver._aux_m_dm(c.a0, c.slope, p, y)
+    L = m_y / m
     J = np.diag(L) + W * solver._aux_dn_dy(c, y)
     expected = np.linalg.solve(J, -F)
     got = solver._newton_step(*solver._evaluate(c, solver.panel_rule(grid), y, 0.0)[2:], F, half)
@@ -813,13 +814,12 @@ def test_growth_bound_encloses_the_root(name, p):
     lo = solver._aux_floor(at)
     small = at.phi_p <= at.sig2p * at.kap / (2.0 * model.mu)
     hi = np.where(small, (2.0 * f) ** p, np.maximum(f**p, model.mu / at.phi_p)) + 1.0
-    assert np.all(solver._aux_m(at, hi) > f)
-    root = _crossing(lambda y: solver._aux_m(at, y), lo, hi, f)
+    assert np.all(solver._aux_m_dm(at.a0, at.slope, p, hi)[1] > f)
+    root = _crossing(lambda y: solver._aux_m_dm(at.a0, at.slope, p, y)[1], lo, hi, f)
     # one unit: an ulp of the root, or the width of the set where m rounds to f;
     # m here rounds as its logs do, within eps (1 + |log f|), and as
-    # a = 1 - (1 - a) does, whose terms cancel next to the boundary
-    m, m_y = solver._aux_m_dm(at, root)
-    a = solver._aux_a(at, root)
+    # a = a0 + a_y y does, whose terms cancel next to the boundary
+    a, m, m_y = solver._aux_m_dm(at.a0, at.slope, p, root)
     rounding = EPS * (2.0 + np.abs(np.log(f)) + np.abs(1.0 - a) / a)
     unit = np.maximum(EPS * np.maximum(1.0, np.abs(root)), rounding * m / m_y)
     # the default start, starts just above the boundary and far right of the root
@@ -827,6 +827,19 @@ def test_growth_bound_encloses_the_root(name, p):
     for x0 in (None, above, root + 1e3 * np.maximum(1.0, np.abs(root))):
         got = solver._implicit_many(at, f, x0)
         assert np.all(np.abs(got - root) <= 4.0 * unit)
+
+
+@pytest.mark.parametrize("name", sorted(_growth_bound_models()))
+@pytest.mark.parametrize("p", [0.05, 0.25, 1.0, 4.0, 30.0])
+def test_lower_boundary_is_the_inversions_boundary(name, p):
+    # m vanishes on lower_boundary and is positive above it, so no target
+    # inverts below it, not even one next to 0; and m(t, -1) is exactly 0
+    model, prefs = _growth_bound_models()[name], Preference(p)
+    grid = solver._solver_grid(model, 512)
+    floor = lower_boundary(model, prefs, grid)
+    for target in (1e-300, 1e-30, 1e-8):
+        assert np.all(implicit_solve(model, prefs, grid, np.full(grid.size, target)) >= floor)
+    assert np.all(aux_eval(model, prefs, grid, -1.0).m == 0.0)
 
 
 @pytest.mark.parametrize("name", sorted(_growth_bound_models()))

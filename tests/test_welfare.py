@@ -156,6 +156,24 @@ class TestWelfareFromCurve:
         with pytest.raises(DomainError, match="^y must be >= -1$"):
             welfare_from_curve(base_model, sol.preference, sol.grid, y)
 
+    @pytest.mark.parametrize("p", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("bad", [np.nan, -2.0, -1.0, np.inf])
+    def test_bad_value_inside_the_curve_is_refused(self, base_model, p, bad):
+        # at p = 1 a bad y(5) read CE nan, silently or after a RuntimeWarning;
+        # for power utility it was never looked at
+        sol = solve_optimal(base_model, Preference(p))
+        y = sol.tilt.values.copy()
+        y[5] = bad
+        with pytest.raises(DomainError, match=r"^y_values must be finite and > -1, not y_values\[5\]"):
+            welfare_from_curve(base_model, sol.preference, sol.grid, y)
+
+    @pytest.mark.parametrize("p", [0.25, 1.0, 4.0])
+    def test_curve_shorter_than_grid_is_refused(self, base_model, p):
+        # at p = 1 numpy raised "operands could not be broadcast"
+        sol = solve_optimal(base_model, Preference(p))
+        with pytest.raises(DomainError, match=r"^y_values has shape \(511,\), grid \(512,\)"):
+            welfare_from_curve(base_model, sol.preference, sol.grid, sol.tilt.values[:-1])
+
 
 class TestWealthCompensatorIdentity:
     def test_zero_profile_exact(self, zero_profile):
