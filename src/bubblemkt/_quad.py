@@ -26,6 +26,7 @@ Five tools live here:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,7 +162,8 @@ class Curve:
         y = np.asarray(values, dtype=float)
         if x.ndim != 1 or x.shape != y.shape or len(x) < 2:
             raise ValueError("grid and values must be 1-d arrays of one length >= 2")
-        if not ((x[1:] > x[:-1]).all() and np.isfinite(x[[0, -1]]).all() and np.isfinite(y).all()):
+        if not ((x[1:] > x[:-1]).all() and math.isfinite(x[0]) and math.isfinite(x[-1])
+                and np.isfinite(y).all()):
             if not (np.isfinite(x).all() and np.isfinite(y).all()):  # NaN fails x[1:] > x[:-1]
                 raise ValueError("grid and values must be finite")
             raise ValueError("grid must be strictly increasing")

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -251,9 +252,20 @@ def implicit_solve(model: MarketModel, prefs: Preference, t, target):
     return float(y[0]) if t.ndim == 0 else y.reshape(t.shape)
 
 
+@functools.lru_cache(maxsize=8)
+def _scaffold(horizon: float, n_grid: int):
+    """The grid on [0, T (1 - TERMINAL_CLIP_FRACTION)], its panel half-widths, its
+    :func:`panel_rule` and the sliver's :func:`shell_table`, kept for the last eight
+    (T, n_grid) and read-only, since every later solve on the grid shares them."""
+    grid = clustered_grid(horizon * (1.0 - TERMINAL_CLIP_FRACTION), n_grid)
+    half, shells = 0.5 * np.diff(grid), shell_table(float(grid[-1]), horizon)
+    for v in (grid, half, *shells):
+        v.flags.writeable = False
+    return grid, half, panel_rule(grid), shells
+
+
 def _solver_grid(model: MarketModel, n_grid: int) -> np.ndarray:
-    T = model.horizon
-    return clustered_grid(T * (1.0 - TERMINAL_CLIP_FRACTION), n_grid)
+    return _scaffold(float(model.horizon), n_grid)[0]
 
 
 def _require_drift(model: MarketModel) -> None:
@@ -412,20 +424,23 @@ def solve_optimal(
     ``iterations`` counts the iterates examined, the start included.  A
     stall (halving fails) or ``MAX_NEWTON_ITER`` iterates above ``tol``
     raise :class:`SolverError` with the last residual profile; a ``tol``
-    that is not positive and finite raises :class:`DomainError`.
+    that is not positive and finite, or an ``n_grid`` that is no integer >= 4,
+    raises :class:`DomainError`.  Solves on one grid share its read-only ``grid``.
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
+    size = int(n_grid) if isinstance(n_grid, numbers.Real) and math.isfinite(n_grid) else 0
+    if isinstance(n_grid, bool) or size != n_grid or size < 4:
+        raise DomainError(f"n_grid must be an integer >= 4, got {n_grid!r}")
     _require_drift(model)
     require_valid(model)
 
-    grid = _solver_grid(model, n_grid)
+    grid, half, rule, shells = _scaffold(float(model.horizon), size)
     t_end, n = float(grid[-1]), grid.size
     if prefs.p == 1.0:  # the sliver's n on m = 1, -(1 - p)(...) + kappa expm1(0), is 0
         c, tail = _Coef(model, prefs.p, grid), 0.0
         lower = upper = myopic = Curve(grid, _implicit_many(c, np.ones(n)))
     else:  # one model sample and one inversion for the grid and the sliver's first shells
-        shells = shell_table(t_end, model.horizon)
         full = _Coef(model, prefs.p, np.concatenate([grid, first_shell_nodes(shells)]))
         lo, hi = _brackets(model, full, n)
         c = full.take(slice(0, n))
@@ -434,8 +449,7 @@ def solve_optimal(
         first = _myopic_n(full.take(slice(n, None)), (lo if prefs.p < 1.0 else hi)[n:])
         tail = _terminal_tail(model, prefs, t_end, float(myopic.values[-1]), shells, first)
 
-    rule = panel_rule(grid)
-    y, iterations, resid = _newton(c, rule, lower.values, upper.values, myopic.values, tail, tol)
+    y, iterations, resid = _newton(c, rule, half, lower.values, upper.values, myopic.values, tail, tol)
     return Solution(
         model=model,
         preference=prefs,
@@ -451,28 +465,28 @@ def solve_optimal(
     )
 
 
-def _newton(c, rule, lower, upper, start, tail, tol):
+def _newton(c, rule, half, lower, upper, start, tail, tol):
     # Returns the first iterate within ``tol``, the iterates examined and its
-    # residual profile; a stall or running out of iterations raises.
-    half = 0.5 * np.diff(c.t)
+    # residual profile, the only one formed; a stall or running out of iterations raises.
     y = start
-    F, profile, L, N = _evaluate(c, rule, y, tail)
+    F, worst, top, L, N = _evaluate(c, rule, y, tail)
     for it in range(1, MAX_NEWTON_ITER + 1):
-        if profile.max() <= tol:
-            return y, it, profile
-        if it == MAX_NEWTON_ITER:
+        if top <= tol or it == MAX_NEWTON_ITER:
             break
         d = _newton_step(L, N, F, half)
-        worst = np.abs(F).max()
         for _ in range(MAX_HALVINGS + 1):
             trial = np.minimum(np.maximum(y + d, lower), upper)
             evaluated = _evaluate(c, rule, trial, tail)
-            if np.abs(evaluated[0]).max() < worst:
+            if evaluated[1] < worst:
                 break
             d = 0.5 * d
         else:
             break  # stalled: no halving lowers max |F|
-        y, (F, profile, L, N) = trial, evaluated
+        y, (F, worst, top, L, N) = trial, evaluated
+    with np.errstate(over="ignore"):
+        profile = np.abs(np.expm1(F))
+    if top <= tol:
+        return y, it, profile
     raise SolverError(
         f"integral-equation residual {np.max(profile):.3e} above tol {tol:.1e} "
         f"after {it} Newton iterations",
@@ -503,13 +517,15 @@ def _newton_step(L, N, F, half):
 
 
 def _evaluate(c, rule, y, tail):
-    """F = log m + int n + tail along ``y``, the residual |e^F - 1| and the Jacobian's
-    diagonals L = m_y/m and N = n_y, from the per-node forms of ``c``: a = a0 + a_y y,
+    """F = log m + int n + tail along ``y``, max |F|, max |e^F - 1| (both at F's extremes) and
+    the Jacobian's diagonals L = m_y/m and N = n_y, from the per-node forms of ``c``: a = a0 + a_y y,
     log m = log1p(y)/p + log a, m_y/m = 1/(p (1 + y)) + a_y/a and n's quadratic."""
     a = c.a0 + c.slope * y
     F = np.log1p(y) / c.p + np.log(a) + rule.cumulative_to_right(_aux_n(c, y)) + tail
+    hi, lo = F.max(), F.min()
     with np.errstate(over="ignore"):
-        return F, np.abs(np.expm1(F)), 1.0 / (c.p * (1.0 + y)) + c.slope / a, _aux_dn_dy(c, y)
+        top = max(np.expm1(hi), -np.expm1(lo))
+    return F, max(hi, -lo), top, 1.0 / (c.p * (1.0 + y)) + c.slope / a, _aux_dn_dy(c, y)
 
 
 def dual_multiplier(solution: Solution) -> float:

@@ -627,7 +627,7 @@ def _check_newton_step(model, p, n_grid):
     L = m_y / m
     J = np.diag(L) + W * solver._aux_dn_dy(c, y)
     expected = np.linalg.solve(J, -F)
-    got = solver._newton_step(*solver._evaluate(c, solver.panel_rule(grid), y, 0.0)[2:], F, half)
+    got = solver._newton_step(*solver._evaluate(c, solver.panel_rule(grid), y, 0.0)[3:], F, half)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -753,6 +753,105 @@ class TestToleranceContract:
             assert np.max(err.residuals) > tol
             return
         assert np.max(sol.residuals) <= tol
+
+
+def _solution_bits(sol):
+    curves = (sol.tilt, sol.lower, sol.upper, sol.myopic)
+    scalars = np.array([sol.m_start, certainty_equivalent(sol)])
+    return [c.values.tobytes() for c in curves] + [
+        sol.residuals.tobytes(), sol.iterations, scalars.tobytes()]
+
+
+BASELINE = MarketModel(0.1, 0.2, EXP_LAW, ConstantExcess(0.2))
+
+
+class TestGridScaffold:
+    """A solve's grid, half-widths, panel rule and sliver shells are built
+    once per (T, n_grid) and shared, read-only, by later solves."""
+
+    @pytest.mark.parametrize("n_grid", [600.5, 3, 1, 0, -5, True, False, math.nan, math.inf, "512", None])
+    def test_n_grid_that_is_no_integer_from_4_is_a_domain_error(self, n_grid):
+        # these had read "grid must be strictly increasing", PanelRule's "need a
+        # 1-d grid" or clustered_grid's "grid needs at least 2 points"
+        with pytest.raises(DomainError, match="n_grid must be an integer >= 4"):
+            solve_optimal(BASELINE, P4, n_grid=n_grid)
+
+    @pytest.mark.parametrize("n_grid", [512.0, np.int64(512), np.float64(512.0)])
+    def test_integral_n_grid_of_another_type_solves_as_its_int(self, n_grid):
+        assert _solution_bits(solve_optimal(BASELINE, P4, n_grid=n_grid)) == _solution_bits(
+            solve_optimal(BASELINE, P4, n_grid=512))
+
+    @pytest.mark.parametrize(
+        "model, p",
+        [
+            (BASELINE, 0.25),
+            (BASELINE, 1.0),
+            (BASELINE, 4.0),
+            (MarketModel(0.1, 0.2, UNIFORM, linear_delta_excess(UNIFORM, 0.9)), 4.0),
+            (MarketModel(0.1, 0.2, LPPL_04, ConstantJumpSizeExcess(LPPL_04, 0.3)), 0.25),
+        ],
+        ids=["exp-p0.25", "exp-p1", "exp-p4", "uniform0.9-p4", "lppl0.4-p0.25"],
+    )
+    def test_a_warm_scaffold_gives_the_bits_of_a_cold_one(self, model, p):
+        solver._scaffold.cache_clear()
+        cold = solve_optimal(model, Preference(p))
+        assert solver._scaffold.cache_info().currsize == 1
+        warm = solve_optimal(model, Preference(p))
+        assert solver._scaffold.cache_info().hits >= 1
+        assert _solution_bits(warm) == _solution_bits(cold)
+        for a, b in zip(decompose(warm), decompose(cold)):
+            assert a.values.tobytes() == b.values.tobytes()
+
+    def test_interleaved_grids_give_the_bits_of_each_alone(self):
+        keys = [(T, n) for T in (1.0, 2.0) for n in (512, 4096)]
+        models = {T: MarketModel(0.1, 0.2, ExponentialCutoffHazard(1.0, T), ConstantExcess(0.2))
+                  for T in (1.0, 2.0)}
+        alone = {}
+        for T, n in keys:
+            solver._scaffold.cache_clear()
+            alone[T, n] = _solution_bits(solve_optimal(models[T], P4, n_grid=n))
+        solver._scaffold.cache_clear()
+        for T, n in keys + keys[::-1] + keys:
+            assert _solution_bits(solve_optimal(models[T], P4, n_grid=n)) == alone[T, n]
+
+    def test_shared_arrays_are_read_only(self):
+        solver._scaffold.cache_clear()
+        sol = solve_optimal(BASELINE, P4)
+        grid, half, rule, (widths, nodes) = solver._scaffold(1.0, 512)
+        assert grid is sol.grid is sol.tilt.grid and rule is solver.panel_rule(grid)
+        for v in (grid, half, widths, nodes):
+            with pytest.raises(ValueError, match="read-only"):
+                v[0] = 0.5
+        assert np.array_equal(sol.grid, _quad.clustered_grid(1.0 - solver.TERMINAL_CLIP_FRACTION, 512))
+
+    def test_the_cache_keeps_eight_grids(self):
+        solver._scaffold.cache_clear()
+        for n in range(4, 14):
+            solver._solver_grid(BASELINE, n)
+        info = solver._scaffold.cache_info()
+        assert info.maxsize == 8 and info.currsize == 8 and info.misses == 10
+
+    @pytest.mark.parametrize("p", [0.25, 4.0])
+    @pytest.mark.parametrize(
+        "model",
+        [BASELINE, MarketModel(0.1, 0.2, LPPL_04, ConstantJumpSizeExcess(LPPL_04, 0.3))],
+        ids=["exp", "lppl0.4"],
+    )
+    def test_newton_reads_both_maxima_at_the_extremes_of_F(self, model, p, monkeypatch):
+        # the halving and stopping tests read max |F| and max |e^F - 1| from
+        # F.max() and F.min(); both must be the bits of the full profiles'
+        seen, evaluate = [], solver._evaluate
+
+        def spy(*args):
+            seen.append(evaluate(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(solver, "_evaluate", spy)
+        solve_optimal(model, Preference(p))
+        assert len(seen) > 1
+        for F, worst, top, *_ in seen:
+            assert np.float64(worst).tobytes() == np.abs(F).max().tobytes()
+            assert np.float64(top).tobytes() == np.abs(np.expm1(F)).max().tobytes()
 
 
 def _growth_bound_models():
