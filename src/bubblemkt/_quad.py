@@ -13,9 +13,9 @@ Five tools live here:
   silently truncates nonintegrable ones; the shell ladder makes the decay
   rate observable.  The integrand is evaluated on a batch of shells per
   call, and the verdict is still reached shell by shell.
-* :func:`monotone_inverse` inverts increasing functions pointwise with a
-  safeguarded Newton iteration for the crash-law and tilted-law inversions;
-  a point stops as soon as the function resolves its target to a few ulps.
+* :func:`monotone_inverse` inverts increasing functions pointwise by
+  Newton's method inside per-point brackets, the crash laws' knot panels;
+  a point stops once the function resolves its target or its step the root.
 * :class:`Curve` is the monotone cubic, with its derivative, behind every
   tabulated object in the package.
 * :func:`local_slope` differentiates exp(int g) by central differences
@@ -351,41 +351,18 @@ def integrate_toward(
     return ShellIntegral(total, INDETERMINATE, k, last)
 
 
-def _spread(v, shape: tuple) -> np.ndarray:
-    # ``v`` as a flat float array over ``shape``, broadcast only if it must be
-    v = np.asarray(v, dtype=float)
-    return (v if v.shape == shape else np.broadcast_to(v, shape)).ravel()
-
-
-def monotone_inverse(fdf, lo, hi, targets: np.ndarray, x0=None) -> np.ndarray:
-    """Vectorized inverse of increasing functions on [lo, hi): safeguarded
-    Newton (rtsafe, Numerical Recipes section 9.4).
-
-    Point ``i`` solves ``f(x, i) = targets[i]``; ``fdf(x, idx)`` returns
-    the function and its derivative ``(f, f')`` of the points ``idx`` at
-    ``x``, so the iteration only touches unconverged points.
-    ``lo`` and ``hi`` are scalars or per-point arrays.  Each evaluation
-    shrinks the bracket; a Newton step that would leave it, or that fails
-    to halve the step before last, becomes a bisection step.  A point stops
-    once ``f`` resolves its target (|f(x) - target| within 4 ulps of the
-    target), or once its raw Newton step or its bracket is within 4 ulps
-    of the bracket's magnitude; it returns its Newton point where that lies
-    in the bracket, else x.  Newton closes in from one side, so the far end
-    of the bracket rarely moves: without the residual test the last points
-    would bisect through the rounding noise of ``f``.  ``fdf`` is never
-    evaluated at ``hi``, so it may blow up there.  ``x0`` (scalar or
-    per-point) is an optional start, used where it lies strictly inside the
-    bracket; elsewhere, and where it is NaN, the iteration starts at the
-    midpoint.
+def monotone_inverse(fdf, lo, hi, targets, x0) -> np.ndarray:
+    """Solve ``f(x, i) = targets[i]`` for f increasing on [lo[i], hi[i]) from
+    ``x0[i]`` in it, all 1-d, by Newton's method with a bisection wherever a
+    step would leave the bracket, which each evaluation shrinks.
+    ``fdf(x, idx)`` returns (f, f') of the unconverged points ``idx``, never
+    at ``hi``.  A point stops once f resolves its target to 4 ulps or its
+    step is within 4 ulps of |x|; it returns its Newton point if that lies
+    strictly inside the bracket, else x, so every root is below ``hi``.
     """
-    targets = np.asarray(targets, dtype=float)
-    out = np.empty(targets.shape)
-    idx = np.arange(targets.size)
-    tgt = targets.ravel()
-    low, high, start = (_spread(v, targets.shape) for v in (lo, hi, np.nan if x0 is None else x0))
-    x = np.where((start > low) & (start < high), start, 0.5 * (low + high))
-    dx = dx_old = high - low
-    resolution = _ULPS * np.abs(tgt)
+    low, high, x, tgt = (np.asarray(v, dtype=float) for v in (lo, hi, x0, targets))
+    out = np.empty(tgt.size)
+    idx = np.arange(tgt.size)
     for _ in range(_MAX_NEWTON_STEPS):
         value, slope = fdf(x, idx)
         resid = value - tgt
@@ -394,25 +371,18 @@ def monotone_inverse(fdf, lo, hi, targets: np.ndarray, x0=None) -> np.ndarray:
         high = np.where(below, high, x)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = resid / slope
-        newton, size, span = x - step, np.abs(step), high - low
-        tol = _ULPS * np.maximum(np.abs(low), np.abs(high))
-        # fmin skips a NaN step, which then never counts as small
-        done = (np.abs(resid) <= resolution) | (np.fmin(size, span) <= tol)
+        newton = x - step
+        inside = (newton > low) & (newton < high)  # false for a NaN step, which bisects
+        done = (np.abs(resid) <= _ULPS * np.abs(tgt)) | (np.abs(step) <= _ULPS * np.abs(x))
         if done.any():
-            inside = (newton >= low) & (newton <= high)
-            out.flat[idx[done]] = np.where(inside, newton, x)[done]
+            out[idx[done]] = np.where(inside, newton, x)[done]
             keep = ~done
             if not keep.any():
                 return out
-            idx, tgt, resolution = idx[keep], tgt[keep], resolution[keep]
-            x, low, high = x[keep], low[keep], high[keep]
-            dx, dx_old = dx[keep], dx_old[keep]
-            newton, size, span = newton[keep], size[keep], span[keep]
-        # comparisons with a NaN step are false, so a NaN step bisects
-        newton_ok = (newton > low) & (newton < high) & (size <= 0.5 * dx_old)
-        dx_old, dx = dx, np.where(newton_ok, size, 0.5 * span)
-        x = np.where(newton_ok, newton, 0.5 * (low + high))
-    out.flat[idx] = x
+            idx, tgt, x, low, high, newton, inside = (
+                v[keep] for v in (idx, tgt, x, low, high, newton, inside))
+        x = np.where(inside, newton, 0.5 * (low + high))
+    out[idx] = x
     return out
 
 

@@ -1,4 +1,7 @@
-"""The safeguarded Newton inverse with and without a start point."""
+"""Newton inversion inside per-point brackets: the crash laws' knot panels
+against one whole-horizon bracket, and the solver's warm and cold starts."""
+
+import math
 
 import numpy as np
 import pytest
@@ -17,12 +20,13 @@ from bubblemkt import (
 )
 from bubblemkt import hazard as hz
 from bubblemkt import solver as sv
-from bubblemkt._quad import monotone_inverse
+from bubblemkt._quad import HORIZON_CLIP, monotone_inverse
 
 EPS = np.finfo(float).eps
 EXP_LAW = ExponentialCutoffHazard(1.0, 1.0)
 UNIFORM = UniformHazard(1.0)
 LPPL = LPPLHazard(power=0.4, horizon=1.0, b=1.2, c=0.3, omega=6.0, phase=0.5)
+LPPL_SINGULAR = LPPLHazard(power=-0.6, horizon=1.0, b=1.2, c=0.3, omega=6.0, phase=0.5)
 
 
 def _resolution(x, targets, slope):
@@ -34,6 +38,14 @@ def _resolution(x, targets, slope):
 
 def _near(root, rng, rel):
     return root * (1.0 + rel * rng.uniform(-1.0, 1.0, root.shape))
+
+
+def _inverse(fdf, lo, hi, targets, x0=None):
+    """``monotone_inverse`` of every target on the one bracket [lo, hi),
+    passed as per-point arrays, from ``x0`` or else the bracket's midpoint."""
+    n = np.size(targets)
+    start = np.full(n, 0.5 * (lo + hi)) if x0 is None else x0
+    return monotone_inverse(fdf, np.full(n, lo), np.full(n, hi), targets, start)
 
 
 def _counted(fdf):
@@ -73,10 +85,16 @@ def _tabulated():
     return TabulatedHazard(knots, 0.6 * -np.expm1(-2.0 * knots) / -np.expm1(-2.0))
 
 
+def _tilted(p):
+    model = MarketModel(0.1, 0.2, EXP_LAW, ConstantExcess(0.2))
+    sol = sv.solve_optimal(model, sv.Preference(p))
+    return build_tilted_measure(model, TiltFunction(y=sol.tilt))
+
+
 @pytest.mark.parametrize(
     "law",
-    [LPPL, _tabulated()],
-    ids=["lppl", "tabulated"],
+    [LPPL, LPPL_SINGULAR, _tabulated(), _tilted(0.25)],
+    ids=["lppl", "lppl-0.6", "tabulated", "tilted0.25"],
 )
 def test_crash_law_inversion_warm_matches_cold(law):
     rng = np.random.default_rng(11)
@@ -87,10 +105,10 @@ def test_crash_law_inversion_warm_matches_cold(law):
     def fdf(x, _):
         return law._cum(x), law._kappa(x)
 
-    cold = monotone_inverse(fdf, 0.0, end, w)
+    cold = _inverse(fdf, 0.0, end, w)
     unit = _resolution(cold, w, law._kappa(cold))
     for rel in (0.1, 1e-3, 1e-8, 0.0):
-        warm = monotone_inverse(fdf, 0.0, end, w, x0=_near(cold, rng, rel))
+        warm = _inverse(fdf, 0.0, end, w, x0=_near(cold, rng, rel))
         assert np.all(np.abs(warm - cold) <= 4.0 * unit)
 
 
@@ -101,46 +119,29 @@ def _cubic(x, _):
 TARGETS = np.linspace(-50.0, 700.0, 64)
 
 
-@pytest.mark.parametrize(
-    "x0",
-    [np.nan, -10.0, 9.0, -11.0, 12.0, np.inf],
-    ids=["nan", "at_lo", "at_hi", "below", "above", "inf"],
-)
-def test_start_outside_the_bracket_is_the_midpoint(x0):
-    lo, hi = -10.0, 9.0
-    cold_fn, cold_calls = _counted(_cubic)
-    cold = monotone_inverse(cold_fn, lo, hi, TARGETS)
-    warm_fn, warm_calls = _counted(_cubic)
-    warm = monotone_inverse(warm_fn, lo, hi, TARGETS, x0=x0)
-    assert np.array_equal(warm, cold)
-    assert warm_calls == cold_calls
-
-
 def test_callback_warnings_reach_the_caller():
     # only the Newton division runs with its warnings off, not the callback
     def fdf(x, idx):
         return np.log(x - x), np.ones_like(x)
 
     with pytest.warns(RuntimeWarning, match="divide by zero"):
-        monotone_inverse(fdf, 0.0, 1.0, np.array([0.5]))
+        _inverse(fdf, 0.0, 1.0, np.array([0.5]))
 
 
-def test_per_point_start_falls_back_pointwise():
-    lo, hi = -10.0, 9.0
-    cold = monotone_inverse(_cubic, lo, hi, TARGETS)
-    x0 = cold.copy()
-    x0[::2] = np.nan  # half the points start at the midpoint
-    warm = monotone_inverse(_cubic, lo, hi, TARGETS, x0=x0)
-    unit = _resolution(cold, TARGETS, _cubic(cold, None)[1])
-    assert np.all(np.abs(warm - cold) <= 4.0 * unit)
+def test_stop_is_relative_to_the_root():
+    # a stop at 4 ulps of the bracket's magnitude, 1.6e33, returned 2.054e9
+    target = np.array([math.log(2.87e9)])
+    root = np.exp(target)
+    got = monotone_inverse(lambda x, _: (np.log(x), 1.0 / x), [1.0], [1.6e33], target, [1e9])
+    assert np.all(np.abs(got - root) <= 4.0 * _resolution(root, target, 1.0 / root))
 
 
 def test_start_near_the_root_takes_fewer_evaluations():
     lo, hi = -10.0, 9.0
     cold_fn, cold_calls = _counted(_cubic)
-    cold = monotone_inverse(cold_fn, lo, hi, TARGETS)
+    cold = _inverse(cold_fn, lo, hi, TARGETS)
     warm_fn, warm_calls = _counted(_cubic)
-    monotone_inverse(warm_fn, lo, hi, TARGETS, x0=cold * (1.0 + 1e-6))
+    _inverse(warm_fn, lo, hi, TARGETS, x0=cold * (1.0 + 1e-6))
     assert warm_calls[0] < cold_calls[0] / 2
 
 
@@ -283,19 +284,21 @@ def test_both_brackets_come_from_one_inversion(model, p, monkeypatch):
     assert np.array_equal(upper, other if p < 1.0 else myopic)
 
 
-@pytest.mark.parametrize("name", ["tabulated", "tilted"])
+@pytest.mark.parametrize("name", ["tabulated", "tilted", "lppl-0.6", "tilted0.25"])
 def test_tabulated_law_inversion_starts_in_its_knot_panel(name, monkeypatch):
     if name == "tabulated":
         law, most = _tabulated(), 4
+    elif name == "tilted":
+        law, most = _tilted(4.0), 2
+    elif name == "lppl-0.6":
+        law, most = LPPL_SINGULAR, 6
     else:
-        model = MarketModel(0.1, 0.2, EXP_LAW, ConstantExcess(0.2))
-        sol = sv.solve_optimal(model, sv.Preference(4.0))
-        law, most = build_tilted_measure(model, TiltFunction(y=sol.tilt)), 2
+        law, most = _tilted(0.25), 2
     u = np.random.default_rng(5).uniform(1e-6, 1.0 - 1e-6, 5000)
     w = -np.log1p(-u)
-    end, cap = law._table_edge or (law.horizon, -np.log(law.atom))
+    end, cap = law._table_edge or (law.horizon, -math.log(law.atom) if law.atom > 0.0 else math.inf)
     inner = w < cap
-    cold = monotone_inverse(lambda x, _: (law._cum(x), law._kappa(x)), 0.0, end, w[inner])
+    cold = _inverse(lambda x, _: (law._cum(x), law._kappa(x)), 0.0, end, w[inner])
     calls = _count_evaluations(monkeypatch, hz)
     got = law.inverse_cdf(u)[inner]
     unit = _resolution(cold, w[inner], law._kappa(cold))
@@ -321,9 +324,33 @@ def test_lppl_inversion_starts_in_its_knot_table():
     w = -np.log1p(-u)
     inner = w < -np.log(law.atom)
     assert np.all(got[~inner] == law.horizon)
-    cold = monotone_inverse(lambda x, _: (cum(x), law._kappa(x)), 0.0, law.horizon, w[inner])
+    cold = _inverse(lambda x, _: (cum(x), law._kappa(x)), 0.0, law.horizon, w[inner])
     unit = _resolution(cold, w[inner], law._kappa(cold))
     assert np.all(np.abs(got[inner] - cold) <= 4.0 * unit)
+
+
+def test_open_last_knot_panel_is_never_evaluated_at_the_horizon():
+    # the panel [T (1 - 1e-9), T) has level inf, so its levels start at its
+    # left end; Newton and bisection then stay strictly below T
+    law = LPPLHazard(power=0.4, horizon=1.0, b=1.2, c=0.3, omega=6.0, phase=0.5)
+    cum, kappa, seen = law._cum, law._kappa, []
+
+    def spy(f):
+        return lambda x: seen.append(np.copy(x)) or f(x)
+
+    law._cum, law._kappa = spy(cum), spy(kappa)
+    law._inverse_cum(np.array([0.5]))  # builds the knot table
+    edge, first = law._knots[0][-2], law._knots[1][-2]
+    assert edge == law.horizon * (1.0 - HORIZON_CLIP)
+    total = -math.log(law.atom)
+    w = np.append(np.linspace(first, total, 2000, endpoint=False), np.nextafter(total, 0.0))
+    got = law._inverse_cum(w)
+    assert np.all((got >= edge) & (got < law.horizon))
+    # each level lies between H at 4 ulps either side of its root
+    step = 4.0 * _resolution(got, w, kappa(got))
+    assert np.all(cum(got - step) <= w)
+    assert np.all(w <= cum(np.minimum(got + step, law.horizon)))
+    assert not any(np.any(x == law.horizon) for x in seen)
 
 
 @pytest.mark.parametrize("u", [1e-300, 1e-200, 1e-100, 1e-50, 2.0**-53])
