@@ -139,9 +139,6 @@ class TiltedMeasure(CurveHazard):
         def minus_kappa_y(x):  # the log-slope of zeta
             return -np.asarray(hazard.hazard(x)) * self.tilt(x)
 
-        def kappa_total(x):
-            return np.asarray(hazard.hazard(x)) * (1.0 + self.tilt(x))
-
         dzeta = zeta * local_slope(minus_kappa_y, t, h)
         res1 = np.abs((zeta - dzeta / kap) - zeta * (1.0 + yv)) / zeta
 
@@ -150,7 +147,7 @@ class TiltedMeasure(CurveHazard):
             surv_t, 1e-300
         )
 
-        kap_h_fd = local_slope(kappa_total, t, h)  # log-slope of 1 / tilted survival
+        kap_h_fd = local_slope(self._kappa, t, h)  # log-slope of 1 / tilted survival
         res3 = np.abs(kap_h_fd - kap * (1.0 + yv)) / (kap * (1.0 + yv))
 
         return np.vstack([res1, res2, res3])

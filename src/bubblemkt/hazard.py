@@ -99,7 +99,6 @@ class CrashHazard:
     # (table end, H there) for a law tabulated short of the horizon: the
     # mass between the table end and T collapses to the table end
     _table_edge: Optional[tuple[float, float]] = None
-    _knots: Optional[tuple[np.ndarray, np.ndarray]] = None  # (knot times, H there)
 
     def _check_interior(self, t: np.ndarray) -> None:
         if not np.all((t >= 0.0) & (t < self.horizon)):
@@ -159,9 +158,6 @@ class CrashHazard:
         out = np.where(w < total, end, np.where(np.isnan(w), np.nan, self.horizon))
         inner = w < min(cap, total)
         if np.any(inner):
-            if self._knots is None:  # tabulated once; the last panel, up to T, stays open
-                grid = horizon_grid(self.horizon, HORIZON_NODES)
-                self._knots = (np.append(grid, self.horizon), np.append(self._cum(grid), math.inf))
             w, (knots, levels), roots = w[inner], self._knots, []
             for c in np.split(w, np.arange(4096, w.size, 4096)):  # chunks bound the temporaries
                 j = np.clip(np.searchsorted(levels, c) - 1, 0, len(levels) - 2)  # knot panel
@@ -170,6 +166,11 @@ class CrashHazard:
                 roots.append(monotone_inverse(self._panel_fdf(j), lo, hi, c, x0))
             out[inner] = np.concatenate(roots)
         return out
+
+    @functools.cached_property  # tabulated once; the last panel, up to T, stays open
+    def _knots(self) -> tuple[np.ndarray, np.ndarray]:  # (knot times, H there)
+        grid = horizon_grid(self.horizon, HORIZON_NODES)
+        return np.append(grid, self.horizon), np.append(self._cum(grid), math.inf)
 
     def _panel_fdf(self, panels: np.ndarray) -> Callable:  # never reads the panels
         return lambda x, _: (self._cum(x), self._kappa(x))
@@ -415,29 +416,6 @@ class LinearRampExcess(ExcessReturn):
         return self.slope * t
 
 
-class ConstantJumpSizeExcess(ExcessReturn):
-    """phi' = delta0 * kappa: the crash always removes the fraction delta0.
-
-    This couples the excess return to the hazard, so phi equals delta0
-    times the cumulative hazard.
-    """
-
-    def __init__(self, hazard: CrashHazard, delta0: float):
-        if not 0.0 <= delta0 <= 1.0:
-            raise ModelError("relative jump size must lie in [0, 1]")
-        self.hazard = hazard
-        self.delta0 = float(delta0)
-
-    def _phi(self, t):
-        return self.delta0 * np.asarray(self.hazard.cumulative_hazard(t))
-
-    def _dphi(self, t):
-        return self.delta0 * np.asarray(self.hazard.hazard(t))
-
-    def _delta(self, t):
-        return np.full_like(t, self.delta0)
-
-
 class RelaxedJLSExcess(ExcessReturn):
     """phi' = delta(t) * kappa(t) for a supplied relative jump size.
 
@@ -453,22 +431,33 @@ class RelaxedJLSExcess(ExcessReturn):
         self.hazard = hazard
         self._delta = delta_fn
         self._phi_fn = phi_fn
-        self._phi_interp = None
+
+    @functools.cached_property
+    def _phi_table(self) -> Curve:
+        grid = horizon_grid(self.hazard.horizon, HORIZON_NODES)
+        integrand = np.asarray(self._delta(grid)) * np.asarray(self.hazard.hazard(grid))
+        return Curve(grid, panel_rule(grid).cumulative_from_left(integrand))
 
     def _phi(self, t):
-        if self._phi_fn is not None:
-            return self._phi_fn(t)
-        if self._phi_interp is None:
-            T = self.hazard.horizon
-            grid = horizon_grid(T, HORIZON_NODES)
-            integrand = np.asarray(self._delta(grid)) * np.asarray(
-                self.hazard.hazard(grid)
-            )
-            self._phi_interp = Curve(grid, panel_rule(grid).cumulative_from_left(integrand))
-        return self._phi_interp(t)
+        return self._phi_table(t) if self._phi_fn is None else self._phi_fn(t)
 
     def _dphi(self, t):
         return np.asarray(self._delta(t)) * np.asarray(self.hazard.hazard(t))
+
+
+class ConstantJumpSizeExcess(RelaxedJLSExcess):
+    """phi' = delta0 * kappa: the crash always removes the fraction delta0.
+    The JLS profile: the relaxed one with delta = delta0 and phi = delta0 H."""
+
+    def __init__(self, hazard: CrashHazard, delta0: float):
+        if not 0.0 <= delta0 <= 1.0:
+            raise ModelError("relative jump size must lie in [0, 1]")
+        self.delta0 = delta0 = float(delta0)
+        super().__init__(
+            hazard,
+            delta_fn=lambda t: np.full_like(t, delta0),
+            phi_fn=lambda t: delta0 * np.asarray(hazard.cumulative_hazard(t)),
+        )
 
 
 def linear_delta_excess(hazard: CrashHazard, slope: float) -> RelaxedJLSExcess:

@@ -103,7 +103,7 @@ def merton_strategy(model: MarketModel, p: float) -> Strategy:
 def optimal_strategy(solution: Solution) -> Strategy:
     return Strategy(
         "optimal",
-        lambda t: solution.fraction_pre_crash(t),
+        lambda t: solution.fraction_along(solution.tilt, t),
         solution.merton_fraction,
     )
 

@@ -264,10 +264,6 @@ def _scaffold(horizon: float, n_grid: int):
     return grid, half, panel_rule(grid), shells
 
 
-def _solver_grid(model: MarketModel, n_grid: int) -> np.ndarray:
-    return _scaffold(float(model.horizon), n_grid)[0]
-
-
 def _require_drift(model: MarketModel) -> None:
     if model.mu <= 0:
         raise DomainError("positive instantaneous expected return required")
@@ -367,9 +363,6 @@ class Solution:
         t = np.minimum(np.asarray(t, dtype=float), self.grid[-1])
         phi_p = np.asarray(self.model.excess.dphi(t))
         return (self.model.mu - phi_p * curve(t)) / (self.preference.p * self.model.sigma**2)
-
-    def fraction_pre_crash(self, t):
-        return self.fraction_along(self.tilt, t)
 
 
 def _myopic_n(c: _Coef, ym: np.ndarray) -> np.ndarray:
@@ -547,7 +540,7 @@ def optimal_fraction(solution: Solution, t: float, crashed: bool = False):
     if not crashed:
         pre = t < solution.model.horizon
         if np.any(pre):
-            out[pre] = solution.fraction_pre_crash(t[pre])
+            out[pre] = solution.fraction_along(solution.tilt, t[pre])
     return out
 
 

@@ -499,6 +499,113 @@ def test_classify_contract_on_malformed_scenarios(tmp_path_factory, scenario, un
         assert code != 0
 
 
+LPPL_04 = {"family": "lppl", "params": {"b": 1.2, "c": 0.3, "power": 0.4, "omega": 6.0, "phase": 0.5}}
+TABULATED_9 = {"family": "tabulated", "params": {
+    "times": [0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0],
+    "cdf": [0.0, 0.05, 0.12, 0.2, 0.3, 0.42, 0.55, 0.68, 0.8]}}
+JUMP_03 = {"family": "constant_jump_size", "params": {"delta0": 0.3}}
+LPPL_JLS = {"hazard": LPPL_04, "excess": JUMP_03}
+TABULATED_JLS = {"hazard": TABULATED_9, "excess": JUMP_03}
+UNIFORM_RELAXED = {"hazard": {"family": "uniform"}, "excess": {
+    "family": "jls_relaxed", "params": {"delta": {"kind": "linear", "slope": 0.9}}}}
+DRIFTLESS = {"market": {"mu": 0.0}}
+
+
+def _at(p, scenario=None, **blocks):
+    return {**(scenario or {}), "preference": {"p": p}, **blocks}
+
+
+def _verdict(name):
+    return lambda out: parse_csv(out)[0]["verdict"] == name
+
+
+def _first_block_repeats(out):
+    blocks = re.split(r"(?m)^# .*\n", out)[1:]
+    return len(blocks) == 3 and blocks[0] == blocks[2]
+
+
+# One row per command-line call: command, scenario, flags, exit code and, if
+# any, a predicate on stdout.  Calls that another test already asserts (a
+# loose --tol, a log-utility welfare call, the strict-local classify under P
+# and Q, a solve piped into head, a solve at p = 0.01) are not repeated here.
+CONTRACT = [
+    pytest.param("classify", {}, [], 0, None, id="classify-default"),
+    pytest.param("classify", {}, ["--under-q"], 0, _verdict("TrueMartingale"),
+                 id="classify-default-Q"),
+    # on the LPPL 0.4 law the atom-law certificate inverts H by Newton
+    pytest.param("classify", {**DRIFTLESS, **LPPL_JLS}, ["--under-q"], 0,
+                 _verdict("TrueMartingale"), id="classify-lppl0.4-Q"),
+    # on the 9-knot law the zero tilt's square certificate reads an integrand
+    # that is exactly 0, which must converge with no floor
+    pytest.param("classify", {**DRIFTLESS, **TABULATED_JLS}, ["--under-q"], 0,
+                 _verdict("TrueMartingale"), id="classify-tabulated9-Q"),
+    # 200,000 paths, not 20,000: at seed 0 they draw two LPPL 0.4 variates in
+    # the open last knot panel [T(1 - 1e-9), T), where Newton starts at the
+    # panel's left end; 20,000 paths draw none
+    pytest.param("simulate", {**DRIFTLESS, **LPPL_JLS, "sim": {"estimand": "terminal_price"}},
+                 ["--paths", "200000"], 0, None, id="simulate-ES_T-lppl0.4"),
+    # every variate inverted by Newton in its knot panel, at the same count
+    pytest.param("simulate", {**DRIFTLESS, **TABULATED_JLS, "sim": {"estimand": "terminal_price"}},
+                 ["--paths", "200000"], 0, None, id="simulate-ES_T-tabulated9"),
+    # E^Q[X_T]: Newton inside the knot panels of the solution's tilted law
+    *(pytest.param("simulate", _at(p, scenario, sim={"estimand": "budget_under_q"}),
+                   ["--paths", "20000"], 0, None, id=f"simulate-EQ-{name}-p{p:g}")
+      for name, scenario in (("default", {}), ("tabulated9", TABULATED_JLS))
+      for p in (4.0, 0.25)),
+    # the first-order start of the pointwise inversion, and the case next to
+    # log utility
+    *(pytest.param(command, _at(p), [], 0, None, id=f"{command}-p{p:.8g}")
+      for p in (0.25, 1.0000005) for command in ("solve", "welfare")),
+    # growth targets reach e^47.5 at p = 0.05: the two ends of the Newton
+    # inversion of log m
+    *(pytest.param("solve", _at(p), [], 0, None, id=f"solve-p{p:g}") for p in (0.05, 30.0)),
+    # kappa blows up inside the sliver [T(1 - 1e-6), T), whose first shells
+    # are inverted with the brackets
+    *(pytest.param("solve", _at(p, scenario), [], 0, None, id=f"solve-{name}-p{p:g}")
+      for name, scenario in (("uniform0.9", UNIFORM_RELAXED), ("lppl0.4", LPPL_JLS))
+      for p in (4.0, 0.25)),
+    # at p = 1 the solve builds no sliver, since n on m = 1 is 0; the welfare
+    # call still integrates its loss over the sliver
+    *(pytest.param(command, _at(1.0, scenario), [], 0, None, id=f"{command}-{name}-p1")
+      for name, scenario in (("uniform0.9", UNIFORM_RELAXED), ("lppl0.4", LPPL_JLS))
+      for command in ("solve", "welfare")),
+    pytest.param("simulate", {}, ["--paths", "2000"], 0, None, id="simulate-default"),
+    pytest.param("decompose", {}, [], 0, None, id="decompose-default"),
+    pytest.param("sweep", {"sweep": {"parameter": "excess.params.alpha", "values": [0.1, 0.2, 0.4]}},
+                 [], 0, None, id="sweep-welfare-alpha"),
+    # a solve's grid scaffolding is cached per (T, n_grid): the third point of
+    # each sweep re-reads a cache entry after a different key, and must print
+    # the bytes of the first
+    *(pytest.param("sweep", {"sweep": {"parameter": parameter, "values": values, "command": "solve"}},
+                   [], 0, _first_block_repeats, id=f"sweep-solve-{parameter}")
+      for parameter, values in (("market.horizon", [1, 2, 1]), ("grid.n", [512, 4096, 512]))),
+    # expected utility: the optimal and myopic strategies exit 0, the Merton
+    # leverage at p = 0.25 goes bankrupt at a crash and exits 4
+    *(pytest.param("simulate", _at(p, sim={"estimand": "expected_utility", "strategy": strategy}),
+                   ["--paths", "20000"], code, None, id=f"simulate-EU-{strategy}-p{p:g}")
+      for strategy, p, code in (("optimal", 4.0, 0), ("optimal", 0.25, 0), ("myopic", 0.25, 0),
+                                ("merton", 0.25, 4))),
+]
+
+
+@pytest.mark.parametrize("command, scenario, flags, code, stdout_holds", CONTRACT)
+def test_cli_contract(tmp_path, capsys, command, scenario, flags, code, stdout_holds):
+    # the exit code, no warning of any category, and one ERROR line on
+    # stderr for a failure, nothing there otherwise
+    path = write_scenario(tmp_path, scenario)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status, out, err = run_cli([command, "--scenario", path, *flags], capsys)
+    assert status == code, err
+    assert not caught, [str(w.message) for w in caught]
+    if code:
+        assert out == "" and err.count("\n") == 1 and err.startswith(f"ERROR code={code} "), err
+    else:
+        assert err == ""
+    if stdout_holds is not None:
+        assert stdout_holds(out), out
+
+
 def test_console_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "bubblemkt.cli", "classify", "--scenario", "missing.json"],

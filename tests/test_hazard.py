@@ -498,6 +498,14 @@ class TestClassifyUnderP:
         assert result.verdict is Verdict.STRICT_LOCAL_MARTINGALE
         assert result.defect == pytest.approx(0.0, abs=1e-12)
 
+    def test_constant_jump_size_is_the_relaxed_profile_at_delta0(self):
+        # the JLS profile embeds in the relaxed class: delta = delta0, phi = delta0 H
+        law = UniformHazard(1.0)
+        excess = ConstantJumpSizeExcess(law, 0.3)
+        assert isinstance(excess, RelaxedJLSExcess)
+        assert excess.delta(0.5) == 0.3
+        assert excess.phi(0.5) == 0.3 * law.cumulative_hazard(0.5)
+
     @pytest.mark.parametrize("power", [0.0, -0.1])
     def test_constant_jump_size_on_a_log_periodic_tail(self, power):
         # int (kappa - phi') = 0.9 int kappa diverges, yet its shells follow

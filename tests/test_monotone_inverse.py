@@ -70,7 +70,7 @@ def _counted(fdf):
 @pytest.mark.parametrize("p", [0.25, 4.0])
 def test_solver_inversion_warm_matches_cold(model, p):
     rng = np.random.default_rng(7)
-    grid = sv._solver_grid(model, 512)
+    grid = sv._scaffold(model.horizon, 512)[0]
     c = sv._Coef(model, p, grid)
     targets = np.exp(rng.uniform(-5.0, 5.0, grid.size))
     cold = sv._implicit_many(c, targets)
@@ -147,7 +147,7 @@ def test_start_near_the_root_takes_fewer_evaluations():
 
 def test_solver_start_near_the_root_takes_fewer_evaluations(monkeypatch):
     model = MarketModel(0.1, 0.2, EXP_LAW, ConstantExcess(0.2))
-    c = sv._Coef(model, 4.0, sv._solver_grid(model, 512))
+    c = sv._Coef(model, 4.0, sv._scaffold(model.horizon, 512)[0])
     targets = np.exp(np.linspace(-1.0, 1.0, 512))
     cold = sv._implicit_many(c, targets)
     calls = _count_solver_evaluations(monkeypatch)
@@ -210,7 +210,7 @@ def test_baseline_solve_evaluations_are_pinned(p, evaluations, monkeypatch):
 
 def test_start_and_log_utility_share_one_root(monkeypatch):
     model = MarketModel(0.1, 0.2, EXP_LAW, ConstantExcess(0.2))
-    grid = sv._solver_grid(model, 64)
+    grid = sv._scaffold(model.horizon, 64)[0]
     roots = []
     root = sv._upper_root
 
@@ -230,7 +230,7 @@ def test_start_and_log_utility_share_one_root(monkeypatch):
 def test_myopic_inversion_starts_next_to_its_root(p, most, monkeypatch):
     calls = _count_solver_evaluations(monkeypatch)
     model = MarketModel(0.1, 0.2, EXP_LAW, ConstantExcess(0.2))
-    sv.myopic_curve(model, sv.Preference(p), sv._solver_grid(model, 512))
+    sv.myopic_curve(model, sv.Preference(p), sv._scaffold(model.horizon, 512)[0])
     assert 1 <= calls[0] <= most
 
 
@@ -245,7 +245,7 @@ def test_myopic_inversion_starts_next_to_its_root(p, most, monkeypatch):
 )
 @pytest.mark.parametrize("p", [0.25, 1.0, 4.0])
 def test_seeded_inversion_matches_the_midpoint_start(model, p):
-    c = sv._Coef(model, p, sv._solver_grid(model, 512))
+    c = sv._Coef(model, p, sv._scaffold(model.horizon, 512)[0])
     rate = (1.0 - p) * model.mu**2 / (2.0 * p**2 * model.sigma**2)
     for targets in (np.ones_like(c.t), np.exp(rate * (model.horizon - c.t))):
         seeded = sv._implicit_many(c, targets)
@@ -266,7 +266,7 @@ def test_seeded_inversion_matches_the_midpoint_start(model, p):
 def test_both_brackets_come_from_one_inversion(model, p, monkeypatch):
     # each point's iteration is elementwise, so stacking the two targets
     # changes no bit of either curve
-    c = sv._Coef(model, p, sv._solver_grid(model, 512))
+    c = sv._Coef(model, p, sv._scaffold(model.horizon, 512)[0])
     rate = (1.0 - p) * model.mu**2 / (2.0 * p**2 * model.sigma**2)
     myopic = sv._implicit_many(c, np.ones_like(c.t))
     other = sv._implicit_many(c, np.exp(rate * (model.horizon - c.t)))

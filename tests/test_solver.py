@@ -553,7 +553,7 @@ class TestFixedPoint:
         # sliver integral tends to -rate (T - t_end); with b - 1 formed from a,
         # kappa (~1e20 in the last shells) amplified a's rounding 1.6e-4 off
         model = _singular_lppl(-0.6, delta0)
-        grid = solver._solver_grid(model, 512)
+        grid = solver._scaffold(model.horizon, 512)[0]
         y_end = solver.myopic_curve(model, Preference(p), grid).values[-1]
         integrate, results = solver.integrate_toward, []
 
@@ -613,7 +613,7 @@ class TestFixedPoint:
 def _check_newton_step(model, p, n_grid):
     # the scan against a dense solve of (diag(m_y/m) + W diag(n_y)) d = -F,
     # W the trapezoid rule to the right
-    grid = solver._solver_grid(model, n_grid)
+    grid = solver._scaffold(model.horizon, n_grid)[0]
     c = solver._Coef(model, p, grid)
     rng = np.random.default_rng(3)
     y = solver._implicit_many(c, rng.uniform(0.5, 2.0, grid.size))
@@ -827,7 +827,7 @@ class TestGridScaffold:
     def test_the_cache_keeps_eight_grids(self):
         solver._scaffold.cache_clear()
         for n in range(4, 14):
-            solver._solver_grid(BASELINE, n)
+            solver._scaffold(BASELINE.horizon, n)
         info = solver._scaffold.cache_info()
         assert info.maxsize == 8 and info.currsize == 8 and info.misses == 10
 
@@ -871,7 +871,7 @@ def _growth_bound_points(model, p):
     """Coefficients and targets, a point each: constant targets from 1e-8 to
     1e8 (1 among them) and the upper bracket's at the 65 nodes with phi' > 0
     (nodes with phi' = 0 invert in closed form)."""
-    c = solver._Coef(model, p, solver._solver_grid(model, 65))
+    c = solver._Coef(model, p, solver._scaffold(model.horizon, 65)[0])
     rate = (1.0 - p) * model.mu**2 / (2.0 * p**2 * model.sigma**2)
     targets = [np.broadcast_to(v, c.t.shape) for v in np.logspace(-8.0, 8.0, 65)]
     f = np.concatenate([*targets, np.exp(rate * (model.horizon - c.t))])
@@ -934,7 +934,7 @@ def test_lower_boundary_is_the_inversions_boundary(name, p):
     # m vanishes on lower_boundary and is positive above it, so no target
     # inverts below it, not even one next to 0; and m(t, -1) is exactly 0
     model, prefs = _growth_bound_models()[name], Preference(p)
-    grid = solver._solver_grid(model, 512)
+    grid = solver._scaffold(model.horizon, 512)[0]
     floor = lower_boundary(model, prefs, grid)
     for target in (1e-300, 1e-30, 1e-8):
         assert np.all(implicit_solve(model, prefs, grid, np.full(grid.size, target)) >= floor)
